@@ -8,10 +8,6 @@
 //
 //   ./build/bench/bench_scheduler [--seed=42] [--requests=32]
 //       [--mean_interarrival=25] [--deadline_probability=0.5]
-//
-// Also property-checks determinism: re-running a policy with a fresh
-// (cold) oracle and with a warm shared oracle must produce bit-identical
-// schedules.
 
 #include <iostream>
 #include <string>
@@ -28,27 +24,6 @@
 
 using namespace contender;
 using namespace contender::sched;
-
-namespace {
-
-bool SameSchedule(const ScheduleResult& a, const ScheduleResult& b) {
-  if (a.makespan != b.makespan || a.outcomes.size() != b.outcomes.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.outcomes.size(); ++i) {
-    const RequestOutcome& x = a.outcomes[i];
-    const RequestOutcome& y = b.outcomes[i];
-    if (x.admit_time != y.admit_time ||
-        x.completion_time != y.completion_time ||
-        x.predicted_latency != y.predicted_latency ||
-        x.missed_deadline != y.missed_deadline) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
@@ -87,7 +62,7 @@ int main(int argc, char** argv) {
   ScheduleSimulator simulator(&e.workload, e.config);
   TablePrinter table({"Policy", "MPL", "Makespan", "Mean wait", "p95 resp",
                       "p99 resp", "SLA miss", "Pred err"});
-  MixOracle shared_oracle(&*predictor);
+  MixOracle oracle(&*predictor);
   bench::Json runs = bench::Json::Array();
 
   for (int mpl : {2, 3, 4, 5}) {
@@ -98,18 +73,8 @@ int main(int argc, char** argv) {
     ScheduleMetrics greedy_metrics;
     for (PolicyKind kind : AllPolicyKinds()) {
       auto policy = MakePolicy(kind);
-      auto result =
-          simulator.Run(requests, policy.get(), &shared_oracle, options);
+      auto result = simulator.Run(requests, policy.get(), &oracle, options);
       CONTENDER_CHECK(result.ok()) << result.status();
-
-      // Determinism property: a cold private oracle and the warm shared
-      // one must yield bit-identical schedules.
-      MixOracle cold(&*predictor);
-      auto replay = simulator.Run(requests, policy.get(), &cold, options);
-      CONTENDER_CHECK(replay.ok()) << replay.status();
-      CONTENDER_CHECK(SameSchedule(*result, *replay))
-          << "cold/warm oracle divergence for " << policy->name()
-          << " at MPL " << mpl;
 
       const ScheduleMetrics m = ComputeScheduleMetrics(*result);
       if (kind == PolicyKind::kFifo) fifo_metrics = m;
@@ -142,10 +107,8 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  std::cout << "\nOracle: " << shared_oracle.hits() << " hits / "
-            << shared_oracle.misses() << " misses ("
-            << shared_oracle.size() << " cached mixes, "
-            << shared_oracle.fallbacks() << " fallbacks)\n";
+  std::cout << "\nOracle: " << oracle.evaluations() << " evaluations ("
+            << oracle.fallbacks() << " fallbacks)\n";
   if (check_wins) {
     std::cout << "Greedy contention-aware beats FIFO on makespan and p95 "
                  "latency at every MPL (checked).\n";
@@ -160,9 +123,8 @@ int main(int argc, char** argv) {
       .Set("deadline_probability", arrivals.deadline_probability)
       .Set("runs", runs)
       .Set("oracle", bench::Json::Object()
-                         .Set("hits", shared_oracle.hits())
-                         .Set("misses", shared_oracle.misses())
-                         .Set("fallbacks", shared_oracle.fallbacks()));
+                         .Set("evaluations", oracle.evaluations())
+                         .Set("fallbacks", oracle.fallbacks()));
   bench::WriteJsonFile(json_path, root);
   std::cout << "Wrote " << json_path << "\n";
   return 0;

@@ -55,9 +55,8 @@ std::vector<QueryBlame> ComputeNodeBlame(const NodeResult& node,
       const double overlap = Overlap(victim, outcomes[j]);
       if (overlap <= 0.0) continue;
       // Pairwise antagonism: how much a mix of exactly this co-runner is
-      // predicted to slow the victim. One oracle probe per (victim tmpl,
-      // culprit tmpl) pair — memoized, so the scan is cache-hits after
-      // the first occurrence of each pair.
+      // predicted to slow the victim — one oracle probe per overlapping
+      // pair.
       const double antagonism =
           std::max(0.0,
                    (oracle.PredictInMix(

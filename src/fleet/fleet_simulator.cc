@@ -150,8 +150,7 @@ StatusOr<FleetResult> FleetSimulator::Run(const Population& population,
           run.summary.node_id = i;
           run.summary.requests = run.result.schedule.outcomes.size();
           run.summary.makespan = run.result.schedule.makespan;
-          run.summary.oracle_hits = node.oracle().hits();
-          run.summary.oracle_misses = node.oracle().misses();
+          run.summary.oracle_evaluations = node.oracle().evaluations();
           run.summary.oracle_degradations = node.oracle().degradations();
           run.summary.queue_sheds = run.result.schedule.queue_sheds;
           run.summary.final_admission_limit =

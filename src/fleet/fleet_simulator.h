@@ -63,7 +63,8 @@ struct FleetOptions {
   /// (chaos drains additionally fire from the "fleet.node.drain" fail
   /// point).
   std::vector<ScheduledDrain> drains;
-  /// Memo options for the router's and every node's MixOracle.
+  /// Options for the router's and every node's MixOracle. The simulator's
+  /// own `health` (constructor) replaces Options::health.
   sched::MixOracle::Options oracle_options;
   /// Door-side overload control for the router (DESIGN.md §16).
   overload::DoorOptions door;
@@ -107,8 +108,9 @@ struct FleetNodeSummary {
   int node_id = 0;
   size_t requests = 0;
   units::Seconds makespan;
-  uint64_t oracle_hits = 0;
-  uint64_t oracle_misses = 0;
+  /// In-mix predictions the node's oracle evaluated, and those it answered
+  /// with the isolated latency because a breaker was open.
+  uint64_t oracle_evaluations = 0;
   uint64_t oracle_degradations = 0;
   /// Node overload control: requests CoDel-shed off the local queue and
   /// the AIMD limiter's final state.

@@ -1,5 +1,5 @@
 // One simulated machine of the fleet: a sched::ScheduleSimulator (which
-// drives a private sim::Engine) plus the node's own MixOracle memo and MPL
+// drives a private sim::Engine) plus the node's own MixOracle and MPL
 // budget. Nodes are independent once the router has fixed placements — no
 // shared mutable state — so the fleet's execution pass runs them on a
 // thread pool with bit-identical results at any thread count (seeds are
@@ -30,7 +30,8 @@ struct NodeOptions {
   /// Seeds the node's query-instance draws and engine (pre-derived by the
   /// fleet simulator from the root seed, in node-id order).
   uint64_t seed = 42;
-  /// The node's private prediction memo.
+  /// Options for the node's private MixOracle; the constructor's `health`
+  /// replaces Options::health.
   sched::MixOracle::Options oracle_options;
   /// Node-level overload control forwarded into the schedule loop
   /// (adaptive AIMD limiter + queue-head CoDel). Off by default.

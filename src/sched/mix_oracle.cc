@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/run_cache.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -11,18 +10,8 @@ namespace contender::sched {
 namespace {
 
 // Chaos site: a fired evaluation answers with the isolated latency (the
-// same degradation an open breaker forces), bypassing the cache.
+// same degradation an open breaker forces).
 auto& kPredictFailPoint = CONTENDER_DEFINE_FAILPOINT("sched.mix_oracle.predict");
-
-// Content key of one evaluation: primary template plus the canonical
-// (sorted) mix. Sorting makes the key order-insensitive.
-uint64_t EvaluationKey(int template_index, const std::vector<int>& sorted_mix) {
-  sim::RunHasher h;
-  h.Add(template_index);
-  h.Add(static_cast<uint64_t>(sorted_mix.size()));
-  for (int m : sorted_mix) h.Add(m);
-  return h.Digest();
-}
 
 }  // namespace
 
@@ -53,23 +42,10 @@ units::Seconds PredictInMixUncached(const ContenderPredictor& predictor,
 MixOracle::MixOracle(const ContenderPredictor* predictor)
     : MixOracle(predictor, Options()) {}
 
-size_t MixOracle::ShardCapacity(const Options& options) {
-  CONTENDER_CHECK(options.num_shards >= 1)
-      << "MixOracle: num_shards must be >= 1";
-  return std::max<size_t>(
-      1, options.capacity / static_cast<size_t>(options.num_shards));
-}
-
 MixOracle::MixOracle(const ContenderPredictor* predictor,
                      const Options& options)
-    : predictor_(predictor),
-      options_(options),
-      shard_capacity_(ShardCapacity(options)) {
+    : predictor_(predictor), options_(options) {
   CONTENDER_CHECK(predictor_ != nullptr);
-  shards_.reserve(static_cast<size_t>(options_.num_shards));
-  for (int i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
 units::Seconds MixOracle::IsolatedLatency(int template_index) const {
@@ -89,75 +65,25 @@ units::Seconds MixOracle::PredictInMix(
     int template_index, const std::vector<int>& concurrent) const {
   if (concurrent.empty()) return IsolatedLatency(template_index);
 
-  // Degrade BEFORE touching the cache: an open breaker (or a fired chaos
-  // site) answers with the isolated lower bound, and that answer must
-  // never be memoized — the cache only ever holds full-model values, so
-  // recovery is instant once the breaker closes.
+  // An open breaker (or a fired chaos site) answers with the isolated lower
+  // bound instead of the untrusted model.
   if (kPredictFailPoint.ShouldFail() || Degraded(template_index)) {
     degradations_.Add(template_index);
     return IsolatedLatency(template_index);
   }
 
-  // Evaluate on the canonical (sorted) mix, not the caller's ordering: CQI
-  // sums over the mix in the order given, and floating-point addition is
-  // not associative, so permutations of one multiset differ in the low
-  // bits. Canonicalizing both the key AND the evaluation input makes the
-  // answer a pure function of the multiset — a warm cache entry computed
-  // under one mix ordering is bit-identical to a cold evaluation under
-  // another.
-  std::vector<int> canonical = concurrent;
-  std::sort(canonical.begin(), canonical.end());
-
-  const uint64_t key = EvaluationKey(template_index, canonical);
-  const int stripe = static_cast<int>(key % shards_.size());
-  if (options_.enable_cache) {
-    Shard& shard = ShardFor(key);
-    MutexLock lock(&shard.mutex);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hits_.Add(stripe);
-      return it->second->second;
-    }
-    misses_.Add(stripe);
-  }
-
   bool used_fallback = false;
   const units::Seconds value = PredictInMixUncached(
-      *predictor_, template_index, std::move(canonical), &used_fallback);
-  if (used_fallback) fallbacks_.Add(stripe);
-
-  if (options_.enable_cache) {
-    Shard& shard = ShardFor(key);
-    MutexLock lock(&shard.mutex);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-      shard.lru.emplace_front(key, value);
-      shard.index[key] = shard.lru.begin();
-      while (shard.lru.size() > shard_capacity_) {
-        shard.index.erase(shard.lru.back().first);
-        shard.lru.pop_back();
-      }
-    }
-  }
+      *predictor_, template_index, concurrent, &used_fallback);
+  evaluations_.Add(template_index);
+  if (used_fallback) fallbacks_.Add(template_index);
   return value;
 }
 
-uint64_t MixOracle::hits() const { return hits_.Total(); }
-
-uint64_t MixOracle::misses() const { return misses_.Total(); }
+uint64_t MixOracle::evaluations() const { return evaluations_.Total(); }
 
 uint64_t MixOracle::fallbacks() const { return fallbacks_.Total(); }
 
 uint64_t MixOracle::degradations() const { return degradations_.Total(); }
-
-size_t MixOracle::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mutex);
-    total += shard->lru.size();
-  }
-  return total;
-}
 
 }  // namespace contender::sched

@@ -1,32 +1,21 @@
-// Caching adapter between the admission policies and ContenderPredictor.
+// Adapter between the admission policies and ContenderPredictor.
 //
-// A policy evaluates "template t in running mix M" for every queued
-// candidate on every slot-free event, and the same (t, M) pairs recur
-// constantly as the mix churns one slot at a time. The oracle canonicalizes
-// the mix (sorted) and runs BOTH the key derivation and the predictor on
-// the canonical ordering — CQI sums over the mix, so permutations of one
-// multiset differ in the low floating-point bits otherwise. Keys use the
-// same FNV-1a content hashing as sim/run_cache; results live in a bounded
-// LRU so one admission decision costs O(queue) cache probes instead of
-// O(queue) full CQI/QS evaluations. Cached and uncached answers are
-// bit-identical: the canonicalized predictor call is a pure function of
-// the (template, multiset) pair.
+// The oracle canonicalizes the mix (sorted) before evaluating it — CQI sums
+// over the mix, so permutations of one multiset would otherwise differ in
+// the low floating-point bits — so every answer is a pure function of the
+// (template, multiset) pair. It keeps no memo: the policies score each
+// distinct queued template once per admission (sched/policy.h), so one
+// decision costs at most one probe per template, and a probe is one
+// predictor evaluation.
 
 #ifndef CONTENDER_SCHED_MIX_ORACLE_H_
 #define CONTENDER_SCHED_MIX_ORACLE_H_
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/predictor.h"
-#include "util/cacheline.h"
-#include "util/mutex.h"
 #include "util/sharded_counter.h"
-#include "util/thread_annotations.h"
 #include "util/units.h"
 
 namespace contender::sched {
@@ -43,13 +32,13 @@ class TemplateHealth {
   [[nodiscard]] virtual bool Degraded(int template_index) const = 0;
 };
 
-/// The pure canonicalized prediction MixOracle memoizes: sorts the mix,
+/// The pure canonicalized prediction behind MixOracle: sorts the mix,
 /// predicts via the predictor's reference/transfer models, and falls back
 /// to the template's isolated latency when no model covers the (template,
 /// MPL) pair — so the answer is total and a pure function of the
 /// (template, multiset) pair. Lock-free; serve::ModelSnapshot readers call
-/// it directly on the hot path, and the oracle delegates to it on a cache
-/// miss, so cached and uncached answers are bit-identical by construction.
+/// it directly on the hot path, and the oracle delegates to it, so oracle
+/// and snapshot answers are bit-identical by construction.
 /// `template_index` must be a valid workload index. If `used_fallback` is
 /// non-null it is set to whether the isolated-latency degradation fired.
 units::Seconds PredictInMixUncached(const ContenderPredictor& predictor,
@@ -57,31 +46,15 @@ units::Seconds PredictInMixUncached(const ContenderPredictor& predictor,
                                     std::vector<int> concurrent,
                                     bool* used_fallback = nullptr);
 
-/// Thread-safe memoized view of a trained predictor for policy evaluation.
-/// Thread safety mirrors sim::RunCache — a parallel policy sweep may probe
-/// one oracle from several workers — but the memo is sharded by key so
-/// those workers serialize per shard, not globally, and all counters are
-/// cache-line-padded stripes.
+/// Thread-safe view of a trained predictor for policy evaluation, with the
+/// per-template health signal and probe counters. Counters are
+/// cache-line-padded stripes, so concurrent probes never share a line.
 class MixOracle {
  public:
   struct Options {
-    /// Bounded LRU capacity (entries, across all shards). Each shard holds
-    /// up to capacity / num_shards entries (at least one), so eviction is
-    /// per-shard LRU — global recency order is approximated, never
-    /// tracked, because tracking it would re-serialize every probe.
-    size_t capacity = 4096;
-    /// Memo shard count (>= 1). A key always lives in exactly one shard
-    /// (key % num_shards), so concurrent probes of different keys contend
-    /// only when they hash to the same shard; num_shards = 1 restores the
-    /// single-LRU semantics exactly.
-    int num_shards = 8;
-    /// Disable to force every probe through the predictor (used by the
-    /// cached-vs-uncached equivalence tests).
-    bool enable_cache = true;
     /// Optional per-template health signal (must outlive the oracle). When
     /// a template's breaker is open, PredictInMix degrades to its isolated
-    /// latency — bypassing the cache so no degraded answer is memoized —
-    /// and policies switch to shortest-isolated scoring.
+    /// latency and policies switch to shortest-isolated scoring.
     const TemplateHealth* health = nullptr;
   };
 
@@ -97,7 +70,7 @@ class MixOracle {
   units::Seconds PredictInMix(int template_index,
                               const std::vector<int>& concurrent) const;
 
-  /// l_min of a template (profile lookup, never cached — it is one load).
+  /// l_min of a template (one profile lookup).
   units::Seconds IsolatedLatency(int template_index) const;
 
   /// True when the health signal reports an open breaker for the template
@@ -110,46 +83,24 @@ class MixOracle {
   }
   const ContenderPredictor& predictor() const { return *predictor_; }
 
-  uint64_t hits() const;
-  uint64_t misses() const;
+  /// PredictInMix calls answered by evaluating the predictor (non-empty
+  /// mix, not degraded).
+  uint64_t evaluations() const;
   uint64_t fallbacks() const;
   /// PredictInMix calls answered with the isolated latency because of an
   /// open breaker or a fired "sched.mix_oracle.predict" fail point.
   uint64_t degradations() const;
-  size_t size() const;
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  /// Hit/miss view for reports that print a memo hit ratio: with no memo,
+  /// nothing hits and every evaluation misses.
+  uint64_t hits() const { return 0; }
+  uint64_t misses() const { return evaluations(); }
 
  private:
-  using LruList = std::list<std::pair<uint64_t, units::Seconds>>;
-
-  /// One memo shard: an independent bounded LRU under its own padded
-  /// mutex. A key maps to exactly one shard, so two probes contend only
-  /// when their keys collide modulo the shard count.
-  struct alignas(kCacheLineSize) Shard {
-    mutable Mutex mutex;
-    mutable LruList lru GUARDED_BY(mutex);  // front = most recently used
-    mutable std::unordered_map<uint64_t, LruList::iterator> index
-        GUARDED_BY(mutex);
-  };
-
-  Shard& ShardFor(uint64_t key) const {
-    return *shards_[key % shards_.size()];
-  }
-
-  /// Validates options.num_shards and derives the per-shard LRU budget.
-  static size_t ShardCapacity(const Options& options);
-
   const ContenderPredictor* const predictor_;
   const Options options_;
-  const size_t shard_capacity_;
-
-  /// Built once in the constructor, immutable afterwards (only the
-  /// pointees' guarded interiors mutate).
-  std::vector<std::unique_ptr<Shard>> shards_;  // contender-lint: lock-free
-  /// Striped (cache-line-padded) counters: probes bump the stripe of the
-  /// shard they touched, so counting never adds cross-shard contention.
-  mutable ShardedCounter hits_;
-  mutable ShardedCounter misses_;
+  /// Striped by template index, so concurrent probes of different
+  /// templates count on different cache lines.
+  mutable ShardedCounter evaluations_;
   mutable ShardedCounter fallbacks_;
   mutable ShardedCounter degradations_;
 };

@@ -1,6 +1,7 @@
 #include "sched/policy.h"
 
 #include <limits>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -21,14 +22,40 @@ Status ValidateContext(const RequestQueue& queue, const SchedContext& ctx,
   return Status::OK();
 }
 
-/// Shared scan over the arrived prefix: minimal score wins, strict `<` so
-/// the earliest queue position (arrival order, then request id) takes
-/// ties. ScoreFn: size_t position -> double.
+/// The earliest arrived request of one template.
+struct TemplateHead {
+  int template_index;
+  size_t position;
+};
+
+/// The distinct templates of the arrived prefix, each with the queue
+/// position of its earliest request, in order of that position. The scan
+/// stops once every template has been seen, so on a deep queue it reads
+/// only the leading requests.
+std::vector<TemplateHead> DistinctTemplates(const RequestQueue& queue,
+                                            size_t arrived,
+                                            const MixOracle& oracle) {
+  const size_t num_templates = static_cast<size_t>(oracle.num_templates());
+  std::vector<bool> seen(num_templates, false);
+  std::vector<TemplateHead> heads;
+  for (size_t i = 0; i < arrived && heads.size() < num_templates; ++i) {
+    const int t = queue.at(i).template_index;
+    CONTENDER_CHECK(t >= 0 && static_cast<size_t>(t) < num_templates)
+        << "Pick: unknown template index " << t;
+    if (seen[static_cast<size_t>(t)]) continue;
+    seen[static_cast<size_t>(t)] = true;
+    heads.push_back({t, i});
+  }
+  return heads;
+}
+
+/// Minimal score wins, strict `<` so the lowest index takes ties.
+/// ScoreFn: size_t index -> double.
 template <typename ScoreFn>
-size_t ArgMinScore(size_t arrived, ScoreFn&& score) {
+size_t ArgMinScore(size_t count, ScoreFn&& score) {
   size_t best = 0;
   double best_score = score(size_t{0});
-  for (size_t i = 1; i < arrived; ++i) {
+  for (size_t i = 1; i < count; ++i) {
     const double s = score(i);
     if (s < best_score) {
       best = i;
@@ -38,45 +65,54 @@ size_t ArgMinScore(size_t arrived, ScoreFn&& score) {
   return best;
 }
 
+/// Queue position of the earliest request of the template minimizing
+/// `score` (ScoreFn: int template -> double). For a score that depends
+/// only on the template (and the running mix), this is exactly the
+/// position a per-request scan with earliest-position ties would pick —
+/// at one evaluation per distinct template instead of one per request.
+template <typename ScoreFn>
+size_t PickBestTemplate(const std::vector<TemplateHead>& heads,
+                        ScoreFn&& score) {
+  return heads[ArgMinScore(heads.size(),
+                           [&](size_t k) {
+                             return score(heads[k].template_index);
+                           })]
+      .position;
+}
+
 /// True when the oracle reports an open breaker for any template involved
 /// in this admission decision — the running mix or any arrived candidate.
 /// Contention-aware scores would then be built on untrusted predictions,
 /// so the contention-aware policies degrade to shortest-isolated ordering
 /// (isolated latencies come from measured profiles, not the QS models, and
 /// stay trustworthy when a model goes bad).
-bool OracleReportsDegraded(const RequestQueue& queue, size_t arrived,
+bool OracleReportsDegraded(const std::vector<TemplateHead>& heads,
                            const SchedContext& ctx) {
   for (int t : *ctx.running_templates) {
     if (ctx.oracle->Degraded(t)) return true;
   }
-  for (size_t i = 0; i < arrived; ++i) {
-    if (ctx.oracle->Degraded(queue.at(i).template_index)) return true;
+  for (const TemplateHead& head : heads) {
+    if (ctx.oracle->Degraded(head.template_index)) return true;
   }
   return false;
 }
 
 /// Shortest-isolated ordering, shared by the degraded paths.
-size_t PickShortestIsolated(const RequestQueue& queue, size_t arrived,
+size_t PickShortestIsolated(const std::vector<TemplateHead>& heads,
                             const SchedContext& ctx) {
-  return ArgMinScore(arrived, [&](size_t i) {
-    return ctx.oracle->IsolatedLatency(queue.at(i).template_index).value();
+  return PickBestTemplate(heads, [&](int t) {
+    return ctx.oracle->IsolatedLatency(t).value();
   });
 }
 
-/// Predicted added completion time of admitting `r` into the live mix M:
-/// the candidate's own predicted latency inside M, plus the predicted
-/// latency inflation it inflicts on every query already running
-/// (Σ over q in M of L(q | M - q + r) - L(q | M - q)). The second term is
-/// what distinguishes contention-awareness from shortest-job-first: a
-/// short candidate that antagonizes the running mix loses to a slightly
-/// longer one that shares its scans. Every term is a mix-oracle probe, so
-/// repeated evaluations of the slowly-churning mix hit the cache.
-double GreedyScore(const Request& r, const SchedContext& ctx) {
-  const std::vector<int>& mix = *ctx.running_templates;
+/// Greedy contention score of admitting a request of `template_index`:
+/// its predicted slowdown ratio L(t | M) / L_iso(t) in the live mix M — one
+/// mix-oracle probe.
+double GreedyScore(int template_index, const SchedContext& ctx) {
   const double in_mix =
-      ctx.oracle->PredictInMix(r.template_index, mix).value();
-  const double isolated =
-      ctx.oracle->IsolatedLatency(r.template_index).value();
+      ctx.oracle->PredictInMix(template_index, *ctx.running_templates)
+          .value();
+  const double isolated = ctx.oracle->IsolatedLatency(template_index).value();
   return in_mix / isolated;
 }
 
@@ -105,7 +141,8 @@ class ShortestIsolatedFirstPolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    return PickShortestIsolated(queue, arrived, ctx);
+    return PickShortestIsolated(DistinctTemplates(queue, arrived, *ctx.oracle),
+                                ctx);
   }
 };
 
@@ -119,11 +156,13 @@ class GreedyContentionPolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    if (OracleReportsDegraded(queue, arrived, ctx)) {
-      return PickShortestIsolated(queue, arrived, ctx);
+    const std::vector<TemplateHead> heads =
+        DistinctTemplates(queue, arrived, *ctx.oracle);
+    if (OracleReportsDegraded(heads, ctx)) {
+      return PickShortestIsolated(heads, ctx);
     }
-    return ArgMinScore(
-        arrived, [&](size_t i) { return GreedyScore(queue.at(i), ctx); });
+    return PickBestTemplate(heads,
+                            [&](int t) { return GreedyScore(t, ctx); });
   }
 };
 
@@ -137,8 +176,10 @@ class DeadlineAwarePolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    if (OracleReportsDegraded(queue, arrived, ctx)) {
-      return PickShortestIsolated(queue, arrived, ctx);
+    const std::vector<TemplateHead> heads =
+        DistinctTemplates(queue, arrived, *ctx.oracle);
+    if (OracleReportsDegraded(heads, ctx)) {
+      return PickShortestIsolated(heads, ctx);
     }
     bool any_deadline = false;
     for (size_t i = 0; i < arrived && !any_deadline; ++i) {
@@ -146,8 +187,17 @@ class DeadlineAwarePolicy : public Policy {
     }
     if (!any_deadline) {
       // Nothing to protect: behave exactly like greedy.
-      return ArgMinScore(
-          arrived, [&](size_t i) { return GreedyScore(queue.at(i), ctx); });
+      return PickBestTemplate(heads,
+                              [&](int t) { return GreedyScore(t, ctx); });
+    }
+    // Slack depends on each request's own deadline, so the scan stays per
+    // request — but the in-mix latency is predicted once per template.
+    std::vector<units::Seconds> predicted(
+        static_cast<size_t>(ctx.oracle->num_templates()));
+    for (const TemplateHead& head : heads) {
+      predicted[static_cast<size_t>(head.template_index)] =
+          ctx.oracle->PredictInMix(head.template_index,
+                                   *ctx.running_templates);
     }
     // Earliest predicted slack first; best-effort requests rank after every
     // deadline-carrying one (infinite slack).
@@ -156,9 +206,9 @@ class DeadlineAwarePolicy : public Policy {
       if (!r.deadline.has_value()) {
         return std::numeric_limits<double>::infinity();
       }
-      const units::Seconds predicted =
-          ctx.oracle->PredictInMix(r.template_index, *ctx.running_templates);
-      return (*r.deadline - ctx.now - predicted).value();
+      return (*r.deadline - ctx.now -
+              predicted[static_cast<size_t>(r.template_index)])
+          .value();
     });
   }
 };

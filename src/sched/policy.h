@@ -6,7 +6,10 @@
 //
 // Every policy is deterministic: scores are pure functions of the queue,
 // the mix and the oracle, and ties break by queue position (earliest
-// arrival, then lowest request id — the queue's sort order).
+// arrival, then lowest request id — the queue's sort order). An in-mix
+// prediction depends only on (template, running mix), so the scoring
+// policies probe the oracle once per distinct arrived template, not once
+// per queued request: at most num_templates probes per Pick.
 
 #ifndef CONTENDER_SCHED_POLICY_H_
 #define CONTENDER_SCHED_POLICY_H_

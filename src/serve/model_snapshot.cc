@@ -18,21 +18,16 @@ auto& kTransferFailPoint =
 
 }  // namespace
 
-ModelSnapshot::ModelSnapshot(ContenderPredictor predictor, uint64_t version,
-                             const sched::MixOracle::Options& oracle_options)
-    : predictor_(std::move(predictor)),
-      oracle_(std::make_unique<sched::MixOracle>(&predictor_,
-                                                 oracle_options)),
-      version_(version) {}
+ModelSnapshot::ModelSnapshot(ContenderPredictor predictor, uint64_t version)
+    : predictor_(std::move(predictor)), version_(version) {}
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::Create(
-    ContenderPredictor predictor, uint64_t version,
-    const sched::MixOracle::Options& oracle_options) {
+    ContenderPredictor predictor, uint64_t version) {
   // Not make_shared: the constructor is private, and a plain `new` keeps
   // the control block separate so a stray weak_ptr cannot pin the (large)
   // predictor after the last strong reference dies.
   return std::shared_ptr<const ModelSnapshot>(
-      new ModelSnapshot(std::move(predictor), version, oracle_options));
+      new ModelSnapshot(std::move(predictor), version));
 }
 
 TieredPrediction ModelSnapshot::PredictInMixTiered(

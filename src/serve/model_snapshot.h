@@ -1,17 +1,15 @@
 // An immutable, shareable unit of serving state: one trained
-// ContenderPredictor plus a per-snapshot sched::MixOracle memo, stamped
-// with a monotonically increasing version. Snapshots are created on the
-// heap via Create() and only ever handed out as shared_ptr<const>, so a
-// reader that loaded a snapshot keeps it alive across any number of
-// hot-swaps — the swap protocol (serve::PredictionService) never blocks or
-// invalidates in-flight readers, and a snapshot is destroyed exactly when
-// the last reader drops it.
+// ContenderPredictor stamped with a monotonically increasing version.
+// Snapshots are created on the heap via Create() and only ever handed out
+// as shared_ptr<const>, so a reader that loaded a snapshot keeps it alive
+// across any number of hot-swaps — the swap protocol
+// (serve::PredictionService) never blocks or invalidates in-flight
+// readers, and a snapshot is destroyed exactly when the last reader drops
+// it.
 //
-// Two read paths, bit-identical by construction:
-//   * PredictInMix() — lock-free (pure function of the snapshot), the
-//     serving hot path; delegates to sched::PredictInMixUncached.
-//   * oracle() — the per-snapshot bounded-LRU memo, for scheduler-style
-//     consumers that re-evaluate the same (template, mix) pairs densely.
+// PredictInMix() is lock-free (a pure function of the snapshot) and
+// delegates to sched::PredictInMixUncached, so it is bit-identical to a
+// sched::MixOracle over the same predictor by construction.
 
 #ifndef CONTENDER_SERVE_MODEL_SNAPSHOT_H_
 #define CONTENDER_SERVE_MODEL_SNAPSHOT_H_
@@ -34,22 +32,19 @@ struct TieredPrediction {
   DegradationTier tier = DegradationTier::kFullModel;
 };
 
-/// Immutable (predictor, oracle, version) triple. Non-copyable and
-/// non-movable: the oracle holds a pointer to the predictor member, so the
-/// object must stay put — which shared_ptr ownership guarantees.
+/// Immutable (predictor, version) pair, shared only through
+/// shared_ptr<const> and never copied.
 class ModelSnapshot {
  public:
-  /// Wraps a trained predictor into version `version`. `oracle_options`
-  /// sizes the per-snapshot memo.
+  /// Wraps a trained predictor into version `version`.
   static std::shared_ptr<const ModelSnapshot> Create(
-      ContenderPredictor predictor, uint64_t version,
-      const sched::MixOracle::Options& oracle_options = {});
+      ContenderPredictor predictor, uint64_t version);
 
   ModelSnapshot(const ModelSnapshot&) = delete;
   ModelSnapshot& operator=(const ModelSnapshot&) = delete;
 
   /// Lock-free canonicalized in-mix prediction with isolated-latency
-  /// fallback — the same pure function the oracle memoizes.
+  /// fallback — the same pure function sched::MixOracle evaluates.
   [[nodiscard]] units::Seconds PredictInMix(
       int template_index, const std::vector<int>& concurrent) const {
     return sched::PredictInMixUncached(predictor_, template_index,
@@ -76,19 +71,15 @@ class ModelSnapshot {
   [[nodiscard]] const ContenderPredictor& predictor() const {
     return predictor_;
   }
-  /// The per-snapshot memo (thread-safe; shares the snapshot's lifetime).
-  [[nodiscard]] const sched::MixOracle& oracle() const { return *oracle_; }
   [[nodiscard]] uint64_t version() const { return version_; }
   [[nodiscard]] int num_templates() const {
     return static_cast<int>(predictor_.profiles().size());
   }
 
  private:
-  ModelSnapshot(ContenderPredictor predictor, uint64_t version,
-                const sched::MixOracle::Options& oracle_options);
+  ModelSnapshot(ContenderPredictor predictor, uint64_t version);
 
   ContenderPredictor predictor_;
-  std::unique_ptr<sched::MixOracle> oracle_;  // points at predictor_
   uint64_t version_ = 0;
 };
 

@@ -83,8 +83,7 @@ StatusOr<RefitStep> RefitController::Step() {
       // which kAborted marks as non-retryable.
       return Status::Aborted("RefitController: injected publish abort");
     }
-    next = ModelSnapshot::Create(std::move(*refit), live->version() + 1,
-                                 options_.oracle_options);
+    next = ModelSnapshot::Create(std::move(*refit), live->version() + 1);
     return Status::OK();
   };
   const Status fit_status = overload::RetryWithBudget(

@@ -53,8 +53,6 @@ struct RefitOptions {
   /// pending, so one noisy record cannot force a refit).
   double residual_threshold = 0.10;
   size_t drift_min_observations = 4;
-  /// Per-snapshot oracle memo sizing for refit snapshots.
-  sched::MixOracle::Options oracle_options;
   /// Retry budget for one triggered refit: a transiently failing fit is
   /// retried with seeded-jitter backoff until attempts or deadline run
   /// out (util/retry.h). Defaults keep a step bounded at a few seconds.

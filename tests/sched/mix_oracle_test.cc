@@ -13,12 +13,6 @@ namespace {
 
 using contender::testing::SharedPredictor;
 
-MixOracle::Options Uncached() {
-  MixOracle::Options options;
-  options.enable_cache = false;
-  return options;
-}
-
 TEST(MixOracleTest, EmptyMixIsIsolatedLatency) {
   MixOracle oracle(&SharedPredictor());
   for (int t = 0; t < oracle.num_templates(); ++t) {
@@ -26,13 +20,11 @@ TEST(MixOracleTest, EmptyMixIsIsolatedLatency) {
   }
 }
 
-TEST(MixOracleTest, CachedEqualsUncachedBitExact) {
+TEST(MixOracleTest, MatchesPredictInMixUncachedBitExact) {
   const ContenderPredictor& predictor = SharedPredictor();
-  MixOracle cached(&predictor);
-  MixOracle uncached(&predictor, Uncached());
-  const int n = cached.num_templates();
-  // Every template against several mixes at MPL 2-4, probed twice so the
-  // second cached probe returns the memoized value.
+  MixOracle oracle(&predictor);
+  const int n = oracle.num_templates();
+  // Every template against several mixes at MPL 2-4.
   for (int t = 0; t < n; ++t) {
     const std::vector<std::vector<int>> mixes = {
         {(t + 1) % n},
@@ -40,33 +32,27 @@ TEST(MixOracleTest, CachedEqualsUncachedBitExact) {
         {(t + 3) % n, (t + 7) % n, (t + 11) % n},
     };
     for (const auto& mix : mixes) {
-      const units::Seconds fresh = uncached.PredictInMix(t, mix);
-      EXPECT_EQ(cached.PredictInMix(t, mix), fresh);
-      EXPECT_EQ(cached.PredictInMix(t, mix), fresh);  // warm hit
+      EXPECT_EQ(oracle.PredictInMix(t, mix),
+                PredictInMixUncached(predictor, t, mix));
     }
   }
-  EXPECT_EQ(uncached.hits(), 0u);
-  EXPECT_GT(cached.hits(), 0u);
+  // Every probe is one evaluation: there is no memo to answer repeats.
+  EXPECT_EQ(oracle.evaluations(), static_cast<uint64_t>(3 * n));
+  EXPECT_EQ(oracle.hits(), 0u);
+  EXPECT_EQ(oracle.misses(), oracle.evaluations());
 }
 
 TEST(MixOracleTest, PermutedMixesAreBitIdentical) {
-  const ContenderPredictor& predictor = SharedPredictor();
-  MixOracle cached(&predictor);
-  MixOracle uncached(&predictor, Uncached());
+  MixOracle oracle(&SharedPredictor());
   const std::vector<int> mix = {4, 1, 9};
   const std::vector<std::vector<int>> permutations = {
       {4, 1, 9}, {1, 4, 9}, {9, 4, 1}, {1, 9, 4}};
-  const units::Seconds expected = uncached.PredictInMix(0, mix);
+  const units::Seconds expected = oracle.PredictInMix(0, mix);
   for (const auto& perm : permutations) {
     // The oracle canonicalizes before evaluating, so every ordering of the
-    // multiset answers identically — cached or not.
-    EXPECT_EQ(uncached.PredictInMix(0, perm), expected);
-    EXPECT_EQ(cached.PredictInMix(0, perm), expected);
+    // multiset answers identically.
+    EXPECT_EQ(oracle.PredictInMix(0, perm), expected);
   }
-  // All four permutations share one cache entry.
-  EXPECT_EQ(cached.misses(), 1u);
-  EXPECT_EQ(cached.hits(), 3u);
-  EXPECT_EQ(cached.size(), 1u);
 }
 
 TEST(MixOracleTest, UncoveredMplFallsBackToIsolated) {
@@ -100,15 +86,16 @@ TEST(MixOracleTest, OpenBreakerDegradesToIsolatedWithoutCaching) {
   EXPECT_NE(model_answer, oracle.IsolatedLatency(0));
   EXPECT_EQ(oracle.degradations(), 0u);
 
-  // Breaker opens: the oracle answers with the isolated latency and does
-  // NOT memoize the degraded value...
+  // Breaker opens: the oracle answers with the isolated latency without
+  // evaluating the untrusted model...
   health.degraded = {0};
   EXPECT_EQ(oracle.PredictInMix(0, mix), oracle.IsolatedLatency(0));
   EXPECT_EQ(oracle.degradations(), 1u);
+  EXPECT_EQ(oracle.evaluations(), 1u);
   EXPECT_TRUE(oracle.Degraded(0));
   EXPECT_FALSE(oracle.Degraded(1));
 
-  // ...so recovery immediately serves the cached full-model answer again.
+  // ...and recovery immediately serves the full-model answer again.
   health.degraded = {};
   EXPECT_EQ(oracle.PredictInMix(0, mix), model_answer);
   EXPECT_FALSE(oracle.Degraded(0));
@@ -132,47 +119,9 @@ TEST(MixOracleTest, PredictFailPointForcesDegradation) {
   registry.DisarmAll();
 }
 
-TEST(MixOracleTest, LruEvictsBeyondCapacity) {
-  MixOracle::Options options;
-  options.capacity = 4;
-  // One shard restores the exact single-LRU semantics: a global recency
-  // order and a global bound.
-  options.num_shards = 1;
-  MixOracle oracle(&SharedPredictor(), options);
-  for (int t = 0; t < 8; ++t) {
-    oracle.PredictInMix(t, {(t + 1) % oracle.num_templates()});
-  }
-  EXPECT_EQ(oracle.size(), 4u);
-  EXPECT_EQ(oracle.misses(), 8u);
-}
-
-TEST(MixOracleTest, ShardedEvictionBoundsEachShard) {
-  MixOracle::Options options;
-  options.capacity = 8;
-  options.num_shards = 4;  // per-shard bound = 2
-  MixOracle oracle(&SharedPredictor(), options);
-  const int n = oracle.num_templates();
-  for (int round = 0; round < 4; ++round) {
-    for (int t = 0; t < n; ++t) {
-      oracle.PredictInMix(t, {(t + round) % n, (t + round + 1) % n});
-    }
-  }
-  // Never over the global bound, and eviction happened per shard — the
-  // memo retained SOMETHING (each shard keeps its most recent entries).
-  EXPECT_LE(oracle.size(), 8u);
-  EXPECT_GE(oracle.size(), 1u);
-  // A retained key still answers bit-identically to an uncached oracle.
-  MixOracle uncached(&SharedPredictor(), Uncached());
-  for (int t = 0; t < n; ++t) {
-    const std::vector<int> mix = {(t + 3) % n, (t + 4) % n};
-    EXPECT_EQ(oracle.PredictInMix(t, mix).value(),
-              uncached.PredictInMix(t, mix).value());
-  }
-}
-
 TEST(MixOracleTest, ConcurrentProbesMatchSerialAnswers) {
   const ContenderPredictor& predictor = SharedPredictor();
-  MixOracle serial(&predictor, Uncached());
+  MixOracle serial(&predictor);
   MixOracle shared(&predictor);
   const int n = shared.num_templates();
 
@@ -199,8 +148,7 @@ TEST(MixOracleTest, ConcurrentProbesMatchSerialAnswers) {
   }
   for (std::thread& worker : workers) worker.join();
   for (int w = 0; w < kThreads; ++w) EXPECT_EQ(mismatches[w], 0);
-  EXPECT_EQ(shared.hits() + shared.misses(),
-            static_cast<uint64_t>(kThreads * 4 * n));
+  EXPECT_EQ(shared.evaluations(), static_cast<uint64_t>(kThreads * 4 * n));
 }
 
 }  // namespace

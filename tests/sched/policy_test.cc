@@ -1,5 +1,11 @@
 #include "sched/policy.h"
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_support.h"
@@ -208,6 +214,103 @@ TEST(PolicyTest, DeadlineAwareProtectsTightestSlack) {
   auto pick = policy->Pick(queue, MakeContext(&oracle, &running, 10.0));
   ASSERT_TRUE(pick.ok());
   EXPECT_EQ(queue.at(*pick).request_id, 1);
+}
+
+// The per-request scan the scoring policies are defined by: every arrived
+// request scored on its own, the earliest position taking ties.
+size_t PerRequestPick(PolicyKind kind, const RequestQueue& queue,
+                      const SchedContext& ctx) {
+  const MixOracle& oracle = *ctx.oracle;
+  const size_t arrived = queue.ArrivedBy(ctx.now);
+  const auto arg_min = [&](const auto& score) {
+    size_t best = 0;
+    for (size_t i = 1; i < arrived; ++i) {
+      if (score(i) < score(best)) best = i;
+    }
+    return best;
+  };
+  const auto isolated = [&](size_t i) {
+    return oracle.IsolatedLatency(queue.at(i).template_index).value();
+  };
+  const auto greedy = [&](size_t i) {
+    const int t = queue.at(i).template_index;
+    return oracle.PredictInMix(t, *ctx.running_templates).value() /
+           oracle.IsolatedLatency(t).value();
+  };
+  const auto slack = [&](size_t i) {
+    const Request& r = queue.at(i);
+    if (!r.deadline.has_value()) {
+      return std::numeric_limits<double>::infinity();
+    }
+    return (*r.deadline - ctx.now -
+            oracle.PredictInMix(r.template_index, *ctx.running_templates))
+        .value();
+  };
+  switch (kind) {
+    case PolicyKind::kFifo:
+      return 0;
+    case PolicyKind::kShortestIsolatedFirst:
+      return arg_min(isolated);
+    case PolicyKind::kGreedyContention:
+      return arg_min(greedy);
+    case PolicyKind::kDeadlineAware:
+      for (size_t i = 0; i < arrived; ++i) {
+        if (queue.at(i).deadline.has_value()) return arg_min(slack);
+      }
+      return arg_min(greedy);
+  }
+  return 0;
+}
+
+TEST(PolicyTest, PerTemplateScoringMatchesPerRequestScan) {
+  MixOracle oracle(&SharedPredictor());
+  const int n = oracle.num_templates();
+  Rng rng(2014);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Few distinct templates over many requests, so repeats and exact ties
+    // between requests are the common case.
+    std::vector<int> pool(1 + rng.UniformInt(6));
+    for (int& t : pool) t = static_cast<int>(rng.UniformInt(n));
+    std::vector<Request> requests;
+    const int size = 1 + static_cast<int>(rng.UniformInt(60));
+    for (int id = 0; id < size; ++id) {
+      const int t = pool[rng.UniformInt(pool.size())];
+      const double arrival = rng.Uniform(0.0, 100.0);
+      std::optional<double> deadline;
+      if (rng.Uniform01() < 0.3) deadline = arrival + rng.Uniform(0.0, 3e3);
+      requests.push_back(MakeRequest(id, t, arrival, deadline));
+    }
+    RequestQueue queue(std::move(requests));
+    std::vector<int> running(rng.UniformInt(4));
+    for (int& t : running) t = static_cast<int>(rng.UniformInt(n));
+    const double now = std::max(queue.at(0).arrival_time.value(),
+                                rng.Uniform(0.0, 120.0));
+    const SchedContext ctx = MakeContext(&oracle, &running, now);
+    for (PolicyKind kind : AllPolicyKinds()) {
+      auto pick = MakePolicy(kind)->Pick(queue, ctx);
+      ASSERT_TRUE(pick.ok()) << pick.status();
+      EXPECT_EQ(*pick, PerRequestPick(kind, queue, ctx))
+          << PolicyKindName(kind) << " trial " << trial;
+    }
+  }
+}
+
+TEST(PolicyTest, ScoringPoliciesProbeEachDistinctTemplateOnce) {
+  const std::vector<int> running = {3, 7};
+  std::vector<Request> requests;
+  for (int id = 0; id < 60; ++id) {
+    requests.push_back(MakeRequest(id, 2 + 4 * (id % 3), 0.1 * id, 5e3));
+  }
+  const RequestQueue queue(std::move(requests));
+  for (PolicyKind kind :
+       {PolicyKind::kGreedyContention, PolicyKind::kDeadlineAware}) {
+    MixOracle oracle(&SharedPredictor());
+    auto pick = MakePolicy(kind)->Pick(queue,
+                                       MakeContext(&oracle, &running, 10.0));
+    ASSERT_TRUE(pick.ok()) << pick.status();
+    // 60 queued requests, 3 distinct templates: 3 oracle evaluations.
+    EXPECT_EQ(oracle.evaluations(), 3u) << PolicyKindName(kind);
+  }
 }
 
 }  // namespace

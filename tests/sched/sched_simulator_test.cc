@@ -101,8 +101,8 @@ TEST(ScheduleSimulatorTest, RepeatedRunsAreBitIdentical) {
 
 TEST(ScheduleSimulatorTest, WarmOracleMatchesColdOracle) {
   const auto requests = TestStream(14, 5);
-  // The shared oracle carries cache state across policies and runs; every
-  // schedule must still be bit-identical to one from a cold oracle.
+  // One oracle reused across policies and runs must yield schedules
+  // bit-identical to a fresh oracle's: a probe carries no state.
   MixOracle warm(&SharedPredictor());
   for (PolicyKind kind : AllPolicyKinds()) {
     auto warmed = RunPolicy(requests, kind, &warm);
@@ -112,7 +112,7 @@ TEST(ScheduleSimulatorTest, WarmOracleMatchesColdOracle) {
     ASSERT_TRUE(fresh.ok()) << fresh.status();
     EXPECT_TRUE(SameSchedule(*warmed, *fresh)) << PolicyKindName(kind);
   }
-  EXPECT_GT(warm.hits(), 0u);
+  EXPECT_GT(warm.evaluations(), 0u);
 }
 
 TEST(ScheduleSimulatorTest, GreedyBeatsFifoMakespanOnFixedSeed) {
