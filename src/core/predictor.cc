@@ -5,8 +5,31 @@
 
 #include "core/continuum.h"
 #include "sim/batch_runner.h"
+#include "util/failpoint.h"
+#include "util/logging.h"
 
 namespace contender {
+
+namespace {
+
+// Chaos sites: a fire skips the corresponding ladder tier, as if that
+// tier's model had failed.
+auto& kFullModelFailPoint = CONTENDER_DEFINE_FAILPOINT("core.ladder.full_model");
+auto& kTransferFailPoint = CONTENDER_DEFINE_FAILPOINT("core.ladder.transfer");
+
+}  // namespace
+
+const char* DegradationTierName(DegradationTier tier) {
+  switch (tier) {
+    case DegradationTier::kFullModel:
+      return "full-model";
+    case DegradationTier::kTransferredQs:
+      return "transferred-qs";
+    case DegradationTier::kIsolatedHeuristic:
+      return "isolated-heuristic";
+  }
+  return "unknown";
+}
 
 StatusOr<ContenderPredictor> ContenderPredictor::Train(
     std::vector<TemplateProfile> profiles, ScanTimes scan_times,
@@ -203,6 +226,35 @@ StatusOr<units::Seconds> ContenderPredictor::PredictNew(
         1.0 / std::max(slowdown - 1.0, 0.05));
   }
   return PredictWithModel(new_profile, qs, concurrent_indices, *l_max);
+}
+
+TieredPrediction ContenderPredictor::PredictInMix(
+    int template_index, std::vector<int> concurrent,
+    bool allow_full_model) const {
+  CONTENDER_CHECK(template_index >= 0 &&
+                  static_cast<size_t>(template_index) < profiles_.size())
+      << "PredictInMix: unknown template index " << template_index;
+  const TemplateProfile& profile =
+      profiles_[static_cast<size_t>(template_index)];
+  // MPL 1: the isolated latency IS the model's answer, not a degradation.
+  // Short-circuit before any fail-point probe so disarmed and armed runs
+  // agree on empty mixes.
+  if (concurrent.empty()) {
+    return {profile.isolated_latency, DegradationTier::kFullModel};
+  }
+  std::sort(concurrent.begin(), concurrent.end());
+  if (allow_full_model && !kFullModelFailPoint.ShouldFail()) {
+    auto full = PredictKnown(template_index, concurrent);
+    if (full.ok()) return {*full, DegradationTier::kFullModel};
+  }
+  if (!kTransferFailPoint.ShouldFail()) {
+    auto transferred =
+        PredictNew(profile, concurrent, SpoilerSource::kKnnPredicted);
+    if (transferred.ok()) {
+      return {*transferred, DegradationTier::kTransferredQs};
+    }
+  }
+  return {profile.isolated_latency, DegradationTier::kIsolatedHeuristic};
 }
 
 StatusOr<units::Seconds> ContenderPredictor::PredictNewWithKnownSlope(

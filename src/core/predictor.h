@@ -2,6 +2,8 @@
 // models on a known workload, then predict concurrent latency for known
 // templates (via their own QS model) and for new templates (via QS
 // coefficient transfer plus measured or KNN-predicted spoiler latency).
+// PredictInMix composes the two into the degradation ladder that every
+// in-mix consumer (sched, fleet, serve) answers through.
 
 #ifndef CONTENDER_CORE_PREDICTOR_H_
 #define CONTENDER_CORE_PREDICTOR_H_
@@ -38,6 +40,28 @@ enum class SpoilerSource {
   kMeasured,
   /// KNN-predicted from isolated statistics (constant-time sampling).
   kKnnPredicted,
+};
+
+/// Which rung of the degradation ladder (ContenderPredictor::PredictInMix)
+/// produced an answer.
+enum class DegradationTier {
+  /// The template's own QS reference model at the mix's MPL.
+  kFullModel = 0,
+  /// QS coefficients transferred from the reference templates, continuum
+  /// upper bound from the KNN spoiler predictor (paper §6's new-template
+  /// path, reused for a known template without a usable model).
+  kTransferredQs = 1,
+  /// The measured isolated latency l_min (the continuum lower bound).
+  kIsolatedHeuristic = 2,
+};
+
+const char* DegradationTierName(DegradationTier tier);
+
+/// One answer from the degradation ladder: the latency plus the tier that
+/// produced it.
+struct TieredPrediction {
+  units::Seconds latency;
+  DegradationTier tier = DegradationTier::kFullModel;
 };
 
 /// Trained Contender predictor for one workload and hardware model.
@@ -78,6 +102,26 @@ class ContenderPredictor {
       const TemplateProfile& new_profile,
       const std::vector<int>& concurrent_indices,
       SpoilerSource spoiler_source) const;
+
+  /// The degradation ladder: the in-mix latency of known template
+  /// `template_index` beside `concurrent` (known-workload indices, any
+  /// order), from the first tier that answers:
+  ///   tier 0  PredictKnown (skipped when `allow_full_model` is false,
+  ///           e.g. while the template's circuit breaker is open);
+  ///   tier 1  PredictNew on the template's own profile with a
+  ///           KNN-predicted spoiler latency;
+  ///   tier 2  the isolated latency l_min.
+  /// The mix is sorted first — CQI sums over the mix and floating-point
+  /// addition is not associative — so the answer is a pure function of the
+  /// (template, multiset, allow_full_model) triple. An empty mix is MPL 1:
+  /// l_min at tier 0. Every consumer of in-mix predictions (scheduler,
+  /// fleet router, serving) answers through this one function. The chaos
+  /// sites "core.ladder.full_model" and "core.ladder.transfer" are probed
+  /// once per call, each only when its tier is attempted; a fire skips
+  /// that tier. `template_index` must be a valid workload index.
+  [[nodiscard]] TieredPrediction PredictInMix(
+      int template_index, std::vector<int> concurrent,
+      bool allow_full_model = true) const;
 
   /// Unknown-Y variant (§6.3): the new template's own QS slope is supplied;
   /// only the intercept is transferred.

@@ -180,8 +180,7 @@ int Router::Outstanding(int node) const {
 }
 
 int Router::PickNode(const std::vector<int>& candidates,
-                     const sched::Request& request, units::Seconds now,
-                     bool* degraded) {
+                     const sched::Request& request, units::Seconds now) {
   CONTENDER_CHECK(!candidates.empty());
   switch (options_.policy) {
     case RoutePolicy::kRoundRobin:
@@ -197,32 +196,22 @@ int Router::PickNode(const std::vector<int>& candidates,
       break;
   }
   // Contention-aware: minimize the predicted response slowdown ratio
-  // (wait + L(c|M)) / L_iso. The degradation ladder (PR 5): when the
-  // candidate's template carries an open breaker, or a node's predicted
-  // mix contains one, the in-mix prediction is untrusted — that term
-  // drops to the measured isolated latency (tier 2), turning the score
-  // into least-predicted-wait.
+  // (wait + L(c|M)) / L_iso.
   const double isolated =
       oracle_->IsolatedLatency(request.template_index).value();
-  const bool request_degraded = oracle_->Degraded(request.template_index);
   int best = candidates.front();
   double best_score = std::numeric_limits<double>::infinity();
   for (int n : candidates) {
     const NodeState& node = nodes_[static_cast<size_t>(n)];
-    bool mix_degraded = request_degraded;
     std::vector<int> mix;
     mix.reserve(node.running.size());
     for (const PredictedQuery& q : node.running) {
       mix.push_back(q.template_index);
-      mix_degraded = mix_degraded || oracle_->Degraded(q.template_index);
     }
-    const double latency_term =
-        mix_degraded
-            ? isolated
-            : oracle_->PredictInMix(request.template_index, mix).value();
     const double score =
-        (PredictedWait(node, now) + latency_term) / isolated;
-    if (mix_degraded && degraded != nullptr) *degraded = true;
+        (PredictedWait(node, now) +
+         oracle_->PredictInMix(request.template_index, mix).value()) /
+        isolated;
     if (score < best_score) {
       best = n;
       best_score = score;
@@ -302,14 +291,13 @@ StatusOr<int> Router::Route(const sched::Request& request) {
     return -1;
   }
 
-  bool degraded = false;
-  const int pick = PickNode(healthy, request, now, &degraded);
+  const int pick = PickNode(healthy, request, now);
   Place(&nodes_[static_cast<size_t>(pick)], request, now);
   assignment.node = pick;
-  assignment.degraded = degraded;
+  assignment.degraded = oracle_->Degraded(request.template_index);
   assignments_.push_back(assignment);
   ++stats_.routed;
-  if (degraded) ++stats_.degraded_routes;
+  if (assignment.degraded) ++stats_.degraded_routes;
   return pick;
 }
 
@@ -337,15 +325,15 @@ Status Router::BeginDrain(int node, units::Seconds now) {
   std::deque<sched::Request> displaced;
   displaced.swap(draining.backlog);
   for (const sched::Request& r : displaced) {
-    bool degraded = false;
     const std::vector<int> healthy = HealthyNodes();
-    const int pick = PickNode(healthy, r, now, &degraded);
+    const int pick = PickNode(healthy, r, now);
     Place(&nodes_[static_cast<size_t>(pick)], r, now);
     Assignment& assignment =
         assignments_[static_cast<size_t>(r.request_id)];
     assignment.node = pick;
     assignment.effective_arrival = now;
     assignment.failed_over = true;
+    const bool degraded = oracle_->Degraded(r.template_index);
     assignment.degraded = assignment.degraded || degraded;
     ++stats_.failovers;
     ++event.failovers;

@@ -15,14 +15,11 @@
 //   kLeastLoaded      fewest outstanding (predicted running + backlog).
 //   kContentionAware  minimize predicted wait + L(c|M)/L_iso slowdown of
 //                     the candidate inside the node's predicted running
-//                     mix. When the request's template (or a node's whole
-//                     predicted mix) has an open circuit breaker, the
-//                     score descends the PR 5 degradation ladder: the
-//                     untrusted in-mix prediction is replaced by the
-//                     measured isolated latency (tier 2), so routing
-//                     degrades to least-predicted-wait instead of
-//                     scheduling on garbage. Such decisions are counted in
-//                     stats().degraded_routes.
+//                     mix. L(c|M) is the oracle's degradation-ladder
+//                     answer: when the request's template has an open
+//                     circuit breaker it comes from tier 1 (transferred
+//                     QS). Requests routed with an open breaker are
+//                     counted in stats().degraded_routes.
 //
 // Drain/failover: BeginDrain (explicit, or fired by the seeded
 // "fleet.node.drain" fail point — one evaluation per Route call, so chaos
@@ -97,7 +94,8 @@ struct Assignment {
   overload::ShedReason shed_reason = overload::ShedReason::kQuota;
   /// True when a drain moved the request off its first node.
   bool failed_over = false;
-  /// True when the placement score descended the degradation ladder.
+  /// True when the request's template had an open circuit breaker when
+  /// it was placed (its predicted latency started at ladder tier 1).
   bool degraded = false;
 };
 
@@ -122,7 +120,7 @@ struct RouterStats {
 class Router {
  public:
   /// `oracle` supplies predicted in-mix latencies (and the template-health
-  /// signal for the degradation ladder) and must outlive the router.
+  /// signal behind Assignment::degraded) and must outlive the router.
   Router(const sched::MixOracle* oracle, const RouterOptions& options);
 
   /// Routes one request. Calls must be made in arrival order
@@ -195,11 +193,10 @@ class Router {
   [[nodiscard]] std::vector<int> HealthyNodes() const;
 
   /// The policy: picks among `candidates` (non-empty, healthy) for
-  /// `request` at `now`; sets `*degraded` when the score descended the
-  /// ladder.
+  /// `request` at `now`.
   [[nodiscard]] int PickNode(const std::vector<int>& candidates,
                              const sched::Request& request,
-                             units::Seconds now, bool* degraded);
+                             units::Seconds now);
 
   [[nodiscard]] int OutstandingForTenant(int tenant_id) const;
 

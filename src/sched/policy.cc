@@ -80,31 +80,6 @@ size_t PickBestTemplate(const std::vector<TemplateHead>& heads,
       .position;
 }
 
-/// True when the oracle reports an open breaker for any template involved
-/// in this admission decision — the running mix or any arrived candidate.
-/// Contention-aware scores would then be built on untrusted predictions,
-/// so the contention-aware policies degrade to shortest-isolated ordering
-/// (isolated latencies come from measured profiles, not the QS models, and
-/// stay trustworthy when a model goes bad).
-bool OracleReportsDegraded(const std::vector<TemplateHead>& heads,
-                           const SchedContext& ctx) {
-  for (int t : *ctx.running_templates) {
-    if (ctx.oracle->Degraded(t)) return true;
-  }
-  for (const TemplateHead& head : heads) {
-    if (ctx.oracle->Degraded(head.template_index)) return true;
-  }
-  return false;
-}
-
-/// Shortest-isolated ordering, shared by the degraded paths.
-size_t PickShortestIsolated(const std::vector<TemplateHead>& heads,
-                            const SchedContext& ctx) {
-  return PickBestTemplate(heads, [&](int t) {
-    return ctx.oracle->IsolatedLatency(t).value();
-  });
-}
-
 /// Greedy contention score of admitting a request of `template_index`:
 /// its predicted slowdown ratio L(t | M) / L_iso(t) in the live mix M — one
 /// mix-oracle probe.
@@ -141,8 +116,10 @@ class ShortestIsolatedFirstPolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    return PickShortestIsolated(DistinctTemplates(queue, arrived, *ctx.oracle),
-                                ctx);
+    return PickBestTemplate(DistinctTemplates(queue, arrived, *ctx.oracle),
+                            [&](int t) {
+                              return ctx.oracle->IsolatedLatency(t).value();
+                            });
   }
 };
 
@@ -156,12 +133,7 @@ class GreedyContentionPolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    const std::vector<TemplateHead> heads =
-        DistinctTemplates(queue, arrived, *ctx.oracle);
-    if (OracleReportsDegraded(heads, ctx)) {
-      return PickShortestIsolated(heads, ctx);
-    }
-    return PickBestTemplate(heads,
+    return PickBestTemplate(DistinctTemplates(queue, arrived, *ctx.oracle),
                             [&](int t) { return GreedyScore(t, ctx); });
   }
 };
@@ -178,9 +150,6 @@ class DeadlineAwarePolicy : public Policy {
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
     const std::vector<TemplateHead> heads =
         DistinctTemplates(queue, arrived, *ctx.oracle);
-    if (OracleReportsDegraded(heads, ctx)) {
-      return PickShortestIsolated(heads, ctx);
-    }
     bool any_deadline = false;
     for (size_t i = 0; i < arrived && !any_deadline; ++i) {
       any_deadline = queue.at(i).deadline.has_value();

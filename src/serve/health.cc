@@ -4,18 +4,6 @@
 
 namespace contender::serve {
 
-const char* DegradationTierName(DegradationTier tier) {
-  switch (tier) {
-    case DegradationTier::kFullModel:
-      return "full-model";
-    case DegradationTier::kTransferredQs:
-      return "transferred-qs";
-    case DegradationTier::kIsolatedHeuristic:
-      return "isolated-heuristic";
-  }
-  return "unknown";
-}
-
 const char* BreakerStateName(BreakerState state) {
   switch (state) {
     case BreakerState::kClosed:

@@ -1,24 +1,17 @@
-// Model-health tracking and the graceful-degradation ladder.
+// Model-health tracking: per-template circuit breakers.
 //
 // Contender's continuum residual (PAPER.md §5: observed minus predicted
 // continuum point, scored by ObservationLog at ingest) is a per-template
 // health signal: a template whose residuals drift is a template whose QS
 // model has gone stale. This module turns that signal into a per-template
-// circuit breaker and names the ladder of fallbacks the serving path
-// descends when a model cannot be trusted:
+// circuit breaker. An open breaker quarantines the template's own QS
+// model: every in-mix consumer then asks the core degradation ladder
+// (ContenderPredictor::PredictInMix, core/predictor.h: full QS model →
+// transferred QS → isolated latency) to start at tier 1 for that
+// template, treating it like the paper §6 new template whose model is
+// unknown.
 //
-//   tier 0  kFullModel          the template's own QS reference model
-//   tier 1  kTransferredQs      QS coefficients transferred from the
-//                               healthy reference templates, continuum
-//                               upper bound from the KNN spoiler predictor
-//                               (paper §6 — the "new template" path, reused
-//                               here as the degraded path for a known
-//                               template whose own model is quarantined)
-//   tier 2  kIsolatedHeuristic  the measured isolated latency l_min (the
-//                               continuum lower bound; measured, so it
-//                               cannot go stale with the models)
-//
-// Every answer is stamped with the tier that produced it
+// Every served answer is stamped with the tier that produced it
 // (serve::PredictResult::tier), so degraded answers are auditable.
 //
 // Breaker state machine (deterministic, driven only by recorded
@@ -33,10 +26,11 @@
 //     └───────────────── Half-open ◀────────────────────┘
 //                            │ (unhealthy → back to Open, trips++)
 //
-// While Open, serving skips tier 0 for that template and the scheduler
-// (sched::TemplateHealth) drops to shortest-isolated ordering. Half-open
-// lets full-model answers through again (the probe) while the tracker
-// watches whether residuals recovered.
+// While Open, serving (PredictionService) and the scheduler and fleet
+// router (through sched::TemplateHealth and MixOracle) all skip tier 0 for
+// that template, so they give one answer for one (template, mix).
+// Half-open lets full-model answers through again (the probe) while the
+// tracker watches whether residuals recovered.
 
 #ifndef CONTENDER_SERVE_HEALTH_H_
 #define CONTENDER_SERVE_HEALTH_H_
@@ -45,20 +39,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/predictor.h"
 #include "sched/mix_oracle.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace contender::serve {
 
-/// Which rung of the fallback ladder produced an answer (see file comment).
-enum class DegradationTier {
-  kFullModel = 0,
-  kTransferredQs = 1,
-  kIsolatedHeuristic = 2,
-};
-
-const char* DegradationTierName(DegradationTier tier);
+/// The ladder's tier lives in core; serving code spells it
+/// serve::DegradationTier.
+using ::contender::DegradationTier;
 
 /// The three breaker states (see the state machine above).
 enum class BreakerState { kClosed, kOpen, kHalfOpen };

@@ -7,9 +7,11 @@
 // readers, and a snapshot is destroyed exactly when the last reader drops
 // it.
 //
-// PredictInMix() is lock-free (a pure function of the snapshot) and
-// delegates to sched::PredictInMixUncached, so it is bit-identical to a
-// sched::MixOracle over the same predictor by construction.
+// PredictInMix() is lock-free (a pure function of the snapshot) and is the
+// core degradation ladder with the full model allowed
+// (ContenderPredictor::PredictInMix), so it is bit-identical to a
+// sched::MixOracle without a health signal over the same predictor by
+// construction.
 
 #ifndef CONTENDER_SERVE_MODEL_SNAPSHOT_H_
 #define CONTENDER_SERVE_MODEL_SNAPSHOT_H_
@@ -19,18 +21,9 @@
 #include <vector>
 
 #include "core/predictor.h"
-#include "sched/mix_oracle.h"
-#include "serve/health.h"
 #include "util/units.h"
 
 namespace contender::serve {
-
-/// One answer from the degradation ladder: the latency plus the tier that
-/// produced it (serve/health.h documents the ladder).
-struct TieredPrediction {
-  units::Seconds latency;
-  DegradationTier tier = DegradationTier::kFullModel;
-};
 
 /// Immutable (predictor, version) pair, shared only through
 /// shared_ptr<const> and never copied.
@@ -43,30 +36,13 @@ class ModelSnapshot {
   ModelSnapshot(const ModelSnapshot&) = delete;
   ModelSnapshot& operator=(const ModelSnapshot&) = delete;
 
-  /// Lock-free canonicalized in-mix prediction with isolated-latency
-  /// fallback — the same pure function sched::MixOracle evaluates.
+  /// The ladder's latency with the full model allowed. With no open
+  /// breaker and no armed fail point this is exactly what
+  /// PredictionService serves from this snapshot.
   [[nodiscard]] units::Seconds PredictInMix(
       int template_index, const std::vector<int>& concurrent) const {
-    return sched::PredictInMixUncached(predictor_, template_index,
-                                       concurrent);
+    return predictor_.PredictInMix(template_index, concurrent).latency;
   }
-
-  /// The degradation ladder (serve/health.h): full QS model →
-  /// transferred-QS via the KNN spoiler (paper §6's new-template path) →
-  /// isolated latency, stamping the tier that answered. Pass
-  /// `allow_full_model = false` when the template's circuit breaker is
-  /// open to start the descent at tier 1. With the full model allowed, no
-  /// open breaker and no armed fail points, the answer is bit-identical to
-  /// PredictInMix (same canonicalized pure function). Lock-free except for
-  /// the fail-point probes ("serve.snapshot.qs_model",
-  /// "serve.snapshot.transfer" — a fired probe forces the descent past
-  /// that tier).
-  [[nodiscard]] TieredPrediction PredictInMixTiered(
-      int template_index, const std::vector<int>& concurrent,
-      bool allow_full_model = true) const;
-
-  /// l_min of a known template.
-  [[nodiscard]] units::Seconds IsolatedLatency(int template_index) const;
 
   [[nodiscard]] const ContenderPredictor& predictor() const {
     return predictor_;

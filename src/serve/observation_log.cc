@@ -16,15 +16,6 @@ namespace {
 auto& kIngestFailPoint =
     CONTENDER_DEFINE_FAILPOINT("serve.observation_log.ingest");
 
-// Process-wide thread ordinal: the first thread to ingest anywhere gets
-// 0, so a single-threaded program always maps to shard 0 of every log.
-int ThreadOrdinal() {
-  static std::atomic<int> next_ordinal{0};
-  thread_local const int ordinal =
-      next_ordinal.fetch_add(1, std::memory_order_relaxed);
-  return ordinal;
-}
-
 }  // namespace
 
 ObservationLog::ObservationLog(const PredictionService* service)
@@ -34,30 +25,16 @@ ObservationLog::ObservationLog(const PredictionService* service,
                                const Options& options)
     : service_(service), options_(options) {
   CONTENDER_CHECK(service_ != nullptr);
-  CONTENDER_CHECK(options_.num_shards >= 1)
-      << "ObservationLog: num_shards must be >= 1";
-  shards_.reserve(static_cast<size_t>(options_.num_shards));
-  for (int i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-int ObservationLog::ThreadShard() const {
-  return ThreadOrdinal() % static_cast<int>(shards_.size());
 }
 
 StatusOr<IngestResult> ObservationLog::Ingest(
     const MixObservation& observation) {
-  return IngestInShard(ThreadShard(), observation);
-}
-
-StatusOr<IngestResult> ObservationLog::IngestInShard(
-    int shard, const MixObservation& observation) {
   // Epoch-pinned view of the live snapshot: no lock, no refcount bump.
   const SnapshotHolder::View view = service_->holder().Acquire();
   const int n = view->num_templates();
   auto reject = [this](Status status) -> StatusOr<IngestResult> {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    MutexLock lock(&mutex_);
+    ++rejected_;
     return status;
   };
   if (observation.primary_index < 0 || observation.primary_index >= n) {
@@ -92,12 +69,9 @@ StatusOr<IngestResult> ObservationLog::IngestInShard(
   // latency error so the drift trigger still sees the record.
   IngestResult result;
   result.snapshot_version = view.version();
-  result.shard =
-      (shard % static_cast<int>(shards_.size()) +
-       static_cast<int>(shards_.size())) %
-      static_cast<int>(shards_.size());
-  const units::Seconds predicted = view->PredictInMix(
+  const TieredPrediction scored = view->predictor().PredictInMix(
       observation.primary_index, observation.concurrent_indices);
+  const units::Seconds predicted = scored.latency;
   const TemplateProfile& profile =
       view->predictor()
           .profiles()[static_cast<size_t>(observation.primary_index)];
@@ -120,27 +94,24 @@ StatusOr<IngestResult> ObservationLog::IngestInShard(
         (observation.latency - predicted) / predicted;
   }
 
-  // Reserve a slot against the global capacity before touching the shard;
-  // records stored never exceed pending_capacity because only successful
-  // reservations proceed.
-  if (total_pending_.fetch_add(1, std::memory_order_relaxed) >=
-      options_.pending_capacity) {
-    total_pending_.fetch_sub(1, std::memory_order_relaxed);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    overflow_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return Status::ResourceExhausted(
-        "ObservationLog: pending buffer full (controller not draining?)");
-  }
   {
-    Shard& home = *shards_[static_cast<size_t>(result.shard)];
-    MutexLock lock(&home.mutex);
-    home.records.push_back(
-        {observation, std::abs(result.continuum_residual)});
+    MutexLock lock(&mutex_);
+    if (pending_.size() >= options_.pending_capacity) {
+      ++rejected_;
+      ++overflow_dropped_;
+      return Status::ResourceExhausted(
+          "ObservationLog: pending buffer full (controller not draining?)");
+    }
+    pending_.push_back({observation, std::abs(result.continuum_residual)});
+    ++ingested_;
   }
-  ingested_.fetch_add(1, std::memory_order_relaxed);
   // Feed the accepted residual to the template's circuit breaker outside
-  // the shard mutex (the tracker has its own lock; never nest the two).
-  if (service_->health() != nullptr) {
+  // the log mutex (the tracker has its own lock; never nest the two). The
+  // breaker only gates tier 0, so only a tier-0 answer's residual is
+  // evidence about it: a record scored below tier 0 (no QS model at its
+  // MPL, or a fired ladder fail point) must not quarantine the model.
+  if (service_->health() != nullptr &&
+      scored.tier == DegradationTier::kFullModel) {
     service_->health()->Record(observation.primary_index,
                                std::abs(result.continuum_residual));
   }
@@ -148,32 +119,24 @@ StatusOr<IngestResult> ObservationLog::IngestInShard(
 }
 
 ObservationBatch ObservationLog::Drain() {
-  // Take each shard's buffer in shard order; replaying the summary over
-  // the merged order keeps mean_abs_residual bit-identical to a
-  // sequential single-shard run over the same merged stream.
+  std::vector<PendingRecord> taken;
+  {
+    MutexLock lock(&mutex_);
+    taken.swap(pending_);
+  }
   ObservationBatch batch;
   SummaryStats replay;
-  size_t drained = 0;
-  for (auto& shard : shards_) {
-    std::vector<PendingRecord> taken;
-    {
-      MutexLock lock(&shard->mutex);
-      taken = std::move(shard->records);
-      shard->records.clear();
-    }
-    drained += taken.size();
-    for (PendingRecord& record : taken) {
-      replay.Add(record.abs_residual);
-      batch.observations.push_back(std::move(record.observation));
-    }
+  batch.observations.reserve(taken.size());
+  for (PendingRecord& record : taken) {
+    replay.Add(record.abs_residual);
+    batch.observations.push_back(std::move(record.observation));
   }
-  total_pending_.fetch_sub(drained, std::memory_order_relaxed);
   batch.mean_abs_residual = replay.mean();
   return batch;
 }
 
 void ObservationLog::Quarantine(std::vector<MixObservation> observations) {
-  MutexLock lock(&dead_letter_mutex_);
+  MutexLock lock(&mutex_);
   quarantined_ += observations.size();
   for (MixObservation& obs : observations) {
     if (dead_letter_.size() >= options_.dead_letter_capacity) {
@@ -185,53 +148,53 @@ void ObservationLog::Quarantine(std::vector<MixObservation> observations) {
 }
 
 std::vector<MixObservation> ObservationLog::TakeDeadLetter() {
-  MutexLock lock(&dead_letter_mutex_);
+  MutexLock lock(&mutex_);
   std::vector<MixObservation> taken = std::move(dead_letter_);
   dead_letter_.clear();
   return taken;
 }
 
 size_t ObservationLog::pending() const {
-  return total_pending_.load(std::memory_order_relaxed);
+  MutexLock lock(&mutex_);
+  return pending_.size();
 }
 
 double ObservationLog::pending_mean_abs_residual() const {
-  // Replay the canonical merged order (quiescent callers — the refit
-  // trigger — get exactly the mean Drain would report).
   SummaryStats replay;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mutex);
-    for (const PendingRecord& record : shard->records) {
-      replay.Add(record.abs_residual);
-    }
+  MutexLock lock(&mutex_);
+  for (const PendingRecord& record : pending_) {
+    replay.Add(record.abs_residual);
   }
   return replay.mean();
 }
 
 uint64_t ObservationLog::ingested() const {
-  return ingested_.load(std::memory_order_relaxed);
+  MutexLock lock(&mutex_);
+  return ingested_;
 }
 
 uint64_t ObservationLog::rejected() const {
-  return rejected_.load(std::memory_order_relaxed);
+  MutexLock lock(&mutex_);
+  return rejected_;
 }
 
 uint64_t ObservationLog::overflow_dropped() const {
-  return overflow_dropped_.load(std::memory_order_relaxed);
+  MutexLock lock(&mutex_);
+  return overflow_dropped_;
 }
 
 uint64_t ObservationLog::quarantined() const {
-  MutexLock lock(&dead_letter_mutex_);
+  MutexLock lock(&mutex_);
   return quarantined_;
 }
 
 size_t ObservationLog::dead_letter_pending() const {
-  MutexLock lock(&dead_letter_mutex_);
+  MutexLock lock(&mutex_);
   return dead_letter_.size();
 }
 
 uint64_t ObservationLog::dead_letter_dropped() const {
-  MutexLock lock(&dead_letter_mutex_);
+  MutexLock lock(&mutex_);
   return dead_letter_dropped_;
 }
 

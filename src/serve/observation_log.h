@@ -3,27 +3,25 @@
 // scored against the *live* snapshot at ingest time: the observation's
 // continuum point (Eq. 6, against the template's [l_min, l_max] range at
 // its MPL) minus the snapshot's predicted continuum point is the residual
-// the RefitController's drift trigger watches. Records accumulate in a
-// pending buffer until the controller drains them into the training set.
+// the RefitController's drift trigger watches. The prediction is the
+// ladder's answer with the full model allowed (what ModelSnapshot::
+// PredictInMix returns), so a record at a (template, MPL) without a QS
+// model is scored against the transferred-QS answer serving gives. Records
+// accumulate in a pending buffer until the controller drains them into
+// the training set.
 //
-// Concurrency: the pending buffer is sharded. Each ingesting thread is
-// assigned a shard (by thread ordinal), so concurrent producers append to
-// disjoint vectors under disjoint, cache-line-padded mutexes and the only
-// cross-thread rendezvous is a relaxed fetch_add on the capacity gate.
-// The snapshot consulted for the residual comes from the service's
-// lock-free SnapshotHolder (an epoch-pinned view, not a refcount bump).
+// Concurrency: one mutex guards the log's buffers and counters. Ingest
+// scores the record against an epoch-pinned view of the service's
+// lock-free SnapshotHolder (no refcount bump) before taking it, so the
+// lock covers only the append.
 //
-// Determinism: the residual is a pure function of (observation, snapshot).
-// Drain merges shards canonically — shard 0's records in ingest order,
-// then shard 1's, and so on — and replays the residual summary in that
-// merged order, so replaying the same per-shard streams reproduces the
-// batch bit-exactly. A single-threaded producer lands in exactly one
-// shard, so the merged order IS its ingest order and the log behaves
-// bit-identically to the unsharded implementation. Tests that need full
-// control of placement use IngestInShard directly.
+// Determinism: with no ladder fail point armed, the residual is a pure
+// function of (observation, snapshot), and Drain returns records in
+// ingest order, replaying the residual summary in that order.
 //
-// Failure handling: each accepted residual also feeds the service's
-// HealthTracker (when one is attached), records rejected because the
+// Failure handling: each accepted residual scored against a tier-0 answer
+// also feeds the service's HealthTracker (when one is attached; the
+// breaker gates only tier 0), records rejected because the
 // pending buffer is full are counted in overflow_dropped(), and batches a
 // refit abandoned are quarantined into a bounded dead-letter buffer
 // (Quarantine/TakeDeadLetter) instead of silently re-entering training.
@@ -31,14 +29,11 @@
 #ifndef CONTENDER_SERVE_OBSERVATION_LOG_H_
 #define CONTENDER_SERVE_OBSERVATION_LOG_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/template_profile.h"
 #include "serve/service.h"
-#include "util/cacheline.h"
 #include "util/mutex.h"
 #include "util/statusor.h"
 #include "util/summary_stats.h"
@@ -53,17 +48,14 @@ struct IngestResult {
   double continuum_residual = 0.0;
   /// Version of the snapshot the residual was computed against.
   uint64_t snapshot_version = 0;
-  /// Which shard buffered the record (for tests auditing placement).
-  int shard = -1;
 };
 
 /// One drained refit batch.
 struct ObservationBatch {
-  /// The pending records, in canonical merged order (shard index, then
-  /// per-shard ingest sequence).
+  /// The pending records, in ingest order.
   std::vector<MixObservation> observations;
   /// Mean |continuum_residual| over those records (0 when empty),
-  /// accumulated by replaying the merged order.
+  /// accumulated in ingest order.
   double mean_abs_residual = 0.0;
 };
 
@@ -71,15 +63,12 @@ struct ObservationBatch {
 class ObservationLog {
  public:
   struct Options {
-    /// Pending-buffer bound across all shards; Ingest rejects past it with
+    /// Pending-buffer bound; Ingest rejects past it with
     /// ResourceExhausted (the controller is not draining — dropping
     /// silently would skew the refit toward old data).
     size_t pending_capacity = 65536;
     /// Dead-letter-buffer bound; Quarantine drops (and counts) past it.
     size_t dead_letter_capacity = 1024;
-    /// Pending-buffer shard count (>= 1). Concurrent producers land in
-    /// different shards; one producer always lands in one shard.
-    int num_shards = 16;
   };
 
   /// `service` must outlive the log.
@@ -89,19 +78,14 @@ class ObservationLog {
   ObservationLog(const ObservationLog&) = delete;
   ObservationLog& operator=(const ObservationLog&) = delete;
 
-  /// Validates and appends one record to the calling thread's shard.
-  /// InvalidArgument for out-of-range indices, an MPL that does not match
-  /// the mix size, or a non-positive latency; ResourceExhausted when the
-  /// pending buffer is full.
+  /// Validates, scores and appends one record. InvalidArgument for
+  /// out-of-range indices, an MPL that does not match the mix size, or a
+  /// non-positive latency; ResourceExhausted when the pending buffer is
+  /// full.
   StatusOr<IngestResult> Ingest(const MixObservation& observation);
 
-  /// Ingest with explicit shard placement (tests proving merge
-  /// determinism; `shard` is taken modulo num_shards).
-  StatusOr<IngestResult> IngestInShard(int shard,
-                                       const MixObservation& observation);
-
-  /// Removes and returns every pending record, merged canonically by
-  /// (shard index, per-shard sequence), with its residual summary.
+  /// Removes and returns every pending record, in ingest order, with its
+  /// residual summary.
   ObservationBatch Drain();
 
   /// Parks records whose refit failed in the bounded dead-letter buffer
@@ -113,8 +97,7 @@ class ObservationLog {
   /// Removes and returns the dead-letter buffer (for offline forensics).
   [[nodiscard]] std::vector<MixObservation> TakeDeadLetter();
 
-  /// Pending records across all shards and their mean |residual| (the
-  /// refit triggers; the mean replays the canonical merged order), and
+  /// Pending records and their mean |residual| (the refit triggers), and
   /// lifetime counters.
   [[nodiscard]] size_t pending() const;
   [[nodiscard]] double pending_mean_abs_residual() const;
@@ -127,9 +110,6 @@ class ObservationLog {
   [[nodiscard]] uint64_t quarantined() const;
   [[nodiscard]] size_t dead_letter_pending() const;
   [[nodiscard]] uint64_t dead_letter_dropped() const;
-  [[nodiscard]] int num_shards() const {
-    return static_cast<int>(shards_.size());
-  }
 
  private:
   /// One accepted record plus the residual it was scored with (kept so
@@ -138,31 +118,18 @@ class ObservationLog {
     MixObservation observation;
     double abs_residual = 0.0;
   };
-  /// Padded so producers on different shards never share a line.
-  struct alignas(kCacheLineSize) Shard {
-    mutable Mutex mutex;
-    std::vector<PendingRecord> records GUARDED_BY(mutex);
-  };
-
-  /// The calling thread's stable shard index.
-  [[nodiscard]] int ThreadShard() const;
 
   const PredictionService* const service_;
   const Options options_;
 
-  /// Built once in the constructor, immutable afterwards (only the
-  /// pointees' guarded interiors mutate).
-  std::vector<std::unique_ptr<Shard>> shards_;  // contender-lint: lock-free
-  /// Capacity gate: total records currently buffered across shards.
-  std::atomic<size_t> total_pending_{0};
-  std::atomic<uint64_t> ingested_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> overflow_dropped_{0};
-
-  mutable Mutex dead_letter_mutex_;
-  std::vector<MixObservation> dead_letter_ GUARDED_BY(dead_letter_mutex_);
-  uint64_t quarantined_ GUARDED_BY(dead_letter_mutex_) = 0;
-  uint64_t dead_letter_dropped_ GUARDED_BY(dead_letter_mutex_) = 0;
+  mutable Mutex mutex_;
+  std::vector<PendingRecord> pending_ GUARDED_BY(mutex_);
+  uint64_t ingested_ GUARDED_BY(mutex_) = 0;
+  uint64_t rejected_ GUARDED_BY(mutex_) = 0;
+  uint64_t overflow_dropped_ GUARDED_BY(mutex_) = 0;
+  std::vector<MixObservation> dead_letter_ GUARDED_BY(mutex_);
+  uint64_t quarantined_ GUARDED_BY(mutex_) = 0;
+  uint64_t dead_letter_dropped_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace contender::serve

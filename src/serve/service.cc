@@ -30,31 +30,32 @@ void PredictionService::Publish(std::shared_ptr<const ModelSnapshot> next) {
   publishes_.fetch_add(1, std::memory_order_relaxed);
 }
 
-PredictResult PredictionService::PredictOn(const ModelSnapshot& snapshot,
-                                           const PredictRequest& request) const {
+PredictResult PredictionService::PredictOn(
+    const ModelSnapshot& snapshot, int template_index,
+    const std::vector<int>& concurrent) const {
   PredictResult result;
   result.snapshot_version = snapshot.version();
   const int n = snapshot.num_templates();
-  if (request.template_index < 0 || request.template_index >= n) {
+  if (template_index < 0 || template_index >= n) {
     result.status =
         Status::InvalidArgument("PredictionService: bad template index");
     return result;
   }
-  for (int c : request.concurrent) {
+  for (int c : concurrent) {
     if (c < 0 || c >= n) {
       result.status = Status::InvalidArgument(
           "PredictionService: bad concurrent template index");
       return result;
     }
   }
-  // An open breaker quarantines the template's own model: descend the
-  // ladder starting at tier 1 (transferred-QS). Closed and half-open both
-  // allow tier 0 — half-open IS the recovery probe.
+  // An open breaker quarantines the template's own model: the ladder
+  // starts at tier 1 (transferred-QS). Closed and half-open both allow
+  // tier 0 — half-open IS the recovery probe.
   const bool allow_full_model =
       options_.health == nullptr ||
-      options_.health->state(request.template_index) != BreakerState::kOpen;
-  const TieredPrediction answer = snapshot.PredictInMixTiered(
-      request.template_index, request.concurrent, allow_full_model);
+      options_.health->state(template_index) != BreakerState::kOpen;
+  const TieredPrediction answer = snapshot.predictor().PredictInMix(
+      template_index, concurrent, allow_full_model);
   result.latency = answer.latency;
   result.tier = answer.tier;
   return result;
@@ -69,24 +70,15 @@ void PredictionService::AddTierCounts(
 
 StatusOr<units::Seconds> PredictionService::Predict(
     int template_index, const std::vector<int>& concurrent) const {
-  const SnapshotHolder::View view = holder_.Acquire();
-  PredictRequest request;
-  request.template_index = template_index;
-  request.concurrent = concurrent;
-  const PredictResult result = PredictOn(*view, request);
-  served_.Add(view.stats_slot());
+  const PredictResult result = PredictDetailed(template_index, concurrent);
   if (!result.status.ok()) return result.status;
-  tier_counts_[static_cast<size_t>(result.tier)].Add(view.stats_slot());
   return result.latency;
 }
 
 PredictResult PredictionService::PredictDetailed(
     int template_index, const std::vector<int>& concurrent) const {
   const SnapshotHolder::View view = holder_.Acquire();
-  PredictRequest request;
-  request.template_index = template_index;
-  request.concurrent = concurrent;
-  const PredictResult result = PredictOn(*view, request);
+  const PredictResult result = PredictOn(*view, template_index, concurrent);
   served_.Add(view.stats_slot());
   if (result.status.ok()) {
     tier_counts_[static_cast<size_t>(result.tier)].Add(view.stats_slot());
@@ -105,7 +97,8 @@ std::vector<PredictResult> PredictionService::PredictBatch(
       pool_.num_threads() < 2) {
     std::array<uint64_t, 3> counts{};
     for (size_t i = 0; i < batch.size(); ++i) {
-      results[i] = PredictOn(*view, batch[i]);
+      results[i] = PredictOn(*view, batch[i].template_index,
+                             batch[i].concurrent);
       if (results[i].status.ok()) {
         ++counts[static_cast<size_t>(results[i].tier)];
       }
@@ -131,7 +124,8 @@ std::vector<PredictResult> PredictionService::PredictBatch(
         pool_.Submit([this, snap, &batch, &results, start, end, stripe] {
           std::array<uint64_t, 3> counts{};
           for (size_t i = start; i < end; ++i) {
-            results[i] = PredictOn(*snap, batch[i]);
+            results[i] = PredictOn(*snap, batch[i].template_index,
+                                   batch[i].concurrent);
             if (results[i].status.ok()) {
               ++counts[static_cast<size_t>(results[i].tier)];
             }

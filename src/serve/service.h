@@ -48,8 +48,8 @@ struct PredictRequest {
 
 /// One answer. `status` is non-OK only for malformed requests (indices
 /// outside the snapshot's workload); model problems degrade down the
-/// fallback ladder instead (serve/health.h), so a valid request always
-/// yields a latency.
+/// ladder instead (ContenderPredictor::PredictInMix), so a valid request
+/// always yields a latency.
 struct PredictResult {
   Status status;
   units::Seconds latency;
@@ -133,8 +133,8 @@ class PredictionService {
  private:
   /// Pure evaluation of one request on one snapshot — no counter side
   /// effects, so pool workers can batch their stripe bumps per chunk.
-  PredictResult PredictOn(const ModelSnapshot& snapshot,
-                          const PredictRequest& request) const;
+  PredictResult PredictOn(const ModelSnapshot& snapshot, int template_index,
+                          const std::vector<int>& concurrent) const;
   /// Folds one chunk's per-tier tallies into the striped counters.
   void AddTierCounts(int stripe, const std::array<uint64_t, 3>& counts) const;
 

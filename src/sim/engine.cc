@@ -79,10 +79,10 @@ void Engine::ActivateArrivals() {
         std::max(0.0, config_.ram_bytes - config_.os_reserved_bytes);
     const double available =
         std::max(0.0, grantable - pinned_memory_ - granted_working_memory_);
-    const double pin = std::min(p.spec.pinned_memory_bytes, available);
-    pinned_memory_ += pin;
+    p.pinned = std::min(p.spec.pinned_memory_bytes, available);
+    pinned_memory_ += p.pinned;
     p.result.max_memory_granted =
-        std::max(p.result.max_memory_granted, pin);
+        std::max(p.result.max_memory_granted, p.pinned);
     UpdateBufferPoolCapacity();
   }
 }
@@ -223,11 +223,9 @@ void Engine::CompleteProcess(Process* p) {
   p->phase_ready = false;
   p->result.end_time = now_;
   p->result.completed = true;
-  if (p->spec.pinned_memory_bytes > 0.0) {
-    // Release the (possibly clipped) pin. We pinned min(requested, available)
-    // at arrival; to stay conservative release the same recomputation is not
-    // possible, so track via max(0, ...) clamp.
-    pinned_memory_ = std::max(0.0, pinned_memory_ - p->spec.pinned_memory_bytes);
+  if (p->pinned > 0.0) {
+    pinned_memory_ -= p->pinned;
+    p->pinned = 0.0;
     UpdateBufferPoolCapacity();
   }
   if (completion_callback_) completion_callback_(p->result);

@@ -89,6 +89,9 @@ class Engine {
     double rnd_rate_multiplier = 1.0;
     double spill_rate_multiplier = 1.0;
     double mem_granted = 0.0;
+    // The pin ActivateArrivals granted (the request clipped to what was
+    // free), released exactly at completion.
+    double pinned = 0.0;
     // Scan metadata for the current phase.
     TableId seq_table = kNoTable;
     double seq_table_bytes = 0.0;

@@ -1,9 +1,8 @@
 // Chaos suite for the serving and scheduling paths (DESIGN.md §11).
 //
 // Arms the registered fail points — refit fit/publish, observation ingest,
-// both snapshot ladder tiers, the oracle probe, thread-pool submit — while
-// client threads keep predicting, and asserts the invariants that define
-// graceful degradation:
+// both core ladder tiers, thread-pool submit — while client threads keep
+// predicting, and asserts the invariants that define graceful degradation:
 //   * no deadlock and no torn snapshot (every batch answers from ONE
 //     version) under concurrent chaos;
 //   * every answer carries a truthful degradation tier: recomputing the
@@ -133,9 +132,16 @@ class ChaosTest : public ::testing::Test {
 };
 
 const char* const kServeSites[] = {
-    "serve.observation_log.ingest", "serve.refit.fit",
-    "serve.refit.publish",          "serve.snapshot.qs_model",
-    "serve.snapshot.transfer",
+    "serve.observation_log.ingest",
+    "serve.refit.fit",
+    "serve.refit.publish",
+};
+
+// The degradation ladder's tier sites, probed by serving and scheduling
+// alike (ContenderPredictor::PredictInMix).
+const char* const kLadderSites[] = {
+    "core.ladder.full_model",
+    "core.ladder.transfer",
 };
 
 TEST_F(ChaosTest, RegisteredSitesCoverServeSchedAndUtil) {
@@ -150,10 +156,14 @@ TEST_F(ChaosTest, RegisteredSitesCoverServeSchedAndUtil) {
               serve_sites.end())
         << site;
   }
-  const std::vector<std::string> sched_sites = registry().SiteNames("sched.");
-  EXPECT_NE(std::find(sched_sites.begin(), sched_sites.end(),
-                      "sched.mix_oracle.predict"),
-            sched_sites.end());
+  // The scheduler's oracle probes the same ladder sites serving does.
+  const std::vector<std::string> core_sites = registry().SiteNames("core.");
+  for (const char* site : kLadderSites) {
+    EXPECT_NE(std::find(core_sites.begin(), core_sites.end(), site),
+              core_sites.end())
+        << site;
+  }
+  EXPECT_TRUE(registry().SiteNames("sched.").empty());
   const std::vector<std::string> util_sites = registry().SiteNames("util.");
   EXPECT_NE(std::find(util_sites.begin(), util_sites.end(),
                       "util.thread_pool.submit"),
@@ -170,7 +180,9 @@ TEST_F(ChaosTest, ProbabilityChaosFourClientThreadsStayConsistent) {
   for (const char* site : kServeSites) {
     registry().ArmProbability(site, 0.25);
   }
-  registry().ArmProbability("sched.mix_oracle.predict", 0.25);
+  for (const char* site : kLadderSites) {
+    registry().ArmProbability(site, 0.25);
+  }
   registry().ArmProbability("util.thread_pool.submit", 0.25);
 
   constexpr int kClients = 4;
@@ -228,6 +240,9 @@ TEST_F(ChaosTest, ProbabilityChaosFourClientThreadsStayConsistent) {
   for (const char* site : kServeSites) {
     EXPECT_GT(registry().Site(site).hits(), 0u) << site;
   }
+  for (const char* site : kLadderSites) {
+    EXPECT_GT(registry().Site(site).hits(), 0u) << site;
+  }
   EXPECT_GT(registry().Site("util.thread_pool.submit").hits(), 0u);
 
   // Sanity after the storm: disarmed serving is healthy tier-0 again.
@@ -244,12 +259,12 @@ TEST_F(ChaosTest, NthHitModeFiresExactlyOnceAtEveryServingSite) {
     // Tier-0 site: the 2nd evaluation fails, all others answer tier 0.
     ChaosStack stack;
     registry().DisarmAll();
-    registry().ArmNthHit("serve.snapshot.qs_model", 2);
+    registry().ArmNthHit("core.ladder.full_model", 2);
     std::vector<DegradationTier> tiers;
     for (int i = 0; i < 4; ++i) {
       tiers.push_back(stack.service->PredictDetailed(3, {1, 2}).tier);
     }
-    EXPECT_EQ(registry().Site("serve.snapshot.qs_model").fires(), 1u);
+    EXPECT_EQ(registry().Site("core.ladder.full_model").fires(), 1u);
     EXPECT_EQ(tiers[0], DegradationTier::kFullModel);
     EXPECT_NE(tiers[1], DegradationTier::kFullModel);
     EXPECT_EQ(tiers[2], DegradationTier::kFullModel);
@@ -261,29 +276,34 @@ TEST_F(ChaosTest, NthHitModeFiresExactlyOnceAtEveryServingSite) {
     // the isolated heuristic; every other descent lands on transferred QS.
     ChaosStack stack;
     registry().DisarmAll();
-    registry().ArmProbability("serve.snapshot.qs_model", 1.0);
-    registry().ArmNthHit("serve.snapshot.transfer", 2);
+    registry().ArmProbability("core.ladder.full_model", 1.0);
+    registry().ArmNthHit("core.ladder.transfer", 2);
     std::vector<DegradationTier> tiers;
     for (int i = 0; i < 4; ++i) {
       tiers.push_back(stack.service->PredictDetailed(3, {1, 2}).tier);
     }
-    EXPECT_EQ(registry().Site("serve.snapshot.transfer").fires(), 1u);
+    EXPECT_EQ(registry().Site("core.ladder.transfer").fires(), 1u);
     EXPECT_EQ(tiers[0], DegradationTier::kTransferredQs);
     EXPECT_EQ(tiers[1], DegradationTier::kIsolatedHeuristic);
     EXPECT_EQ(tiers[2], DegradationTier::kTransferredQs);
     EXPECT_EQ(tiers[3], DegradationTier::kTransferredQs);
   }
   {
-    // Oracle probe: the 2nd of four identical probes degrades to isolated
-    // (and is not cached; the later probes answer with the model again).
+    // Oracle probe: the full-model site fires on the 2nd of three
+    // identical probes, which answers from tier 1 (a fallback); the later
+    // probe answers with the model again.
     registry().DisarmAll();
     sched::MixOracle oracle(&SharedPredictor());
-    registry().ArmNthHit("sched.mix_oracle.predict", 2);
+    registry().ArmNthHit("core.ladder.full_model", 2);
     const units::Seconds model = oracle.PredictInMix(0, {1, 2});
-    EXPECT_EQ(oracle.PredictInMix(0, {1, 2}), oracle.IsolatedLatency(0));
+    EXPECT_EQ(oracle.PredictInMix(0, {1, 2}),
+              SharedPredictor()
+                  .PredictInMix(0, {1, 2}, /*allow_full_model=*/false)
+                  .latency);
     EXPECT_EQ(oracle.PredictInMix(0, {1, 2}), model);
-    EXPECT_EQ(registry().Site("sched.mix_oracle.predict").fires(), 1u);
-    EXPECT_EQ(oracle.degradations(), 1u);
+    EXPECT_EQ(registry().Site("core.ladder.full_model").fires(), 1u);
+    EXPECT_EQ(oracle.fallbacks(), 1u);
+    EXPECT_EQ(oracle.degradations(), 0u);
   }
   {
     // Ingest: exactly the 2nd record is rejected.
@@ -349,8 +369,8 @@ TEST_F(ChaosTest, RootSeedReproducesDegradedAnswerSequenceBitExactly) {
   auto run = [this](uint64_t seed) {
     registry().DisarmAll();
     registry().SetRootSeed(seed);
-    registry().ArmProbability("serve.snapshot.qs_model", 0.3);
-    registry().ArmProbability("serve.snapshot.transfer", 0.3);
+    registry().ArmProbability("core.ladder.full_model", 0.3);
+    registry().ArmProbability("core.ladder.transfer", 0.3);
     PredictionService service(MakeSnapshot());
     Rng rng(77);
     const int n = service.snapshot()->num_templates();
@@ -383,8 +403,8 @@ TEST_F(ChaosTest, RootSeedReproducesDegradedAnswerSequenceBitExactly) {
 
 TEST_F(ChaosTest, StampedTiersSurviveDisarmedRecomputationAudit) {
   registry().SetRootSeed(20260806);
-  registry().ArmProbability("serve.snapshot.qs_model", 0.35);
-  registry().ArmProbability("serve.snapshot.transfer", 0.35);
+  registry().ArmProbability("core.ladder.full_model", 0.35);
+  registry().ArmProbability("core.ladder.transfer", 0.35);
   PredictionService service(MakeSnapshot());
   const auto snapshot = service.snapshot();
   Rng rng(99);
@@ -430,7 +450,7 @@ TEST_F(ChaosTest, DisarmedServingMatchesPlainPredictInMixBitExactly) {
   }
 }
 
-TEST_F(ChaosTest, OpenBreakerForcesLadderAndShortestIsolatedScheduling) {
+TEST_F(ChaosTest, OpenBreakerGivesServingAndSchedulingOneLadderAnswer) {
   ChaosStack stack;
   const std::shared_ptr<HealthTracker>& health = stack.service->health();
   ASSERT_NE(health, nullptr);
@@ -457,16 +477,18 @@ TEST_F(ChaosTest, OpenBreakerForcesLadderAndShortestIsolatedScheduling) {
   const PredictResult healthy = stack.service->PredictDetailed(5, {1, 3});
   EXPECT_EQ(healthy.tier, DegradationTier::kFullModel);
 
-  // Scheduling: the same tracker degrades the oracle and drops scoring
-  // policies to the shortest-isolated pick.
+  // Scheduling: the same tracker starts the oracle's ladder at tier 1 for
+  // the victim, so the scheduler predicts exactly what serving answers.
   sched::MixOracle::Options oracle_options;
   oracle_options.health = health.get();
   sched::MixOracle oracle(&SharedPredictor(), oracle_options);
   EXPECT_TRUE(oracle.Degraded(victim));
-  EXPECT_EQ(oracle.PredictInMix(victim, {1, 3}),
-            oracle.IsolatedLatency(victim));
-  EXPECT_GE(oracle.degradations(), 1u);
+  EXPECT_EQ(oracle.PredictInMix(victim, {1, 3}), degraded.latency);
+  EXPECT_EQ(oracle.PredictInMix(5, {1, 3}), healthy.latency);
+  EXPECT_EQ(oracle.degradations(), 1u);
 
+  // Greedy admission scores both candidates on those answers: the lower
+  // predicted slowdown in the running mix wins.
   sched::RequestQueue queue = [&] {
     sched::Request a;
     a.request_id = 0;
@@ -479,17 +501,20 @@ TEST_F(ChaosTest, OpenBreakerForcesLadderAndShortestIsolatedScheduling) {
     return sched::RequestQueue({a, b});
   }();
   const std::vector<int> running = {victim};
+  const auto served_slowdown = [&](int t) {
+    return stack.service->PredictDetailed(t, running).latency.value() /
+           oracle.IsolatedLatency(t).value();
+  };
+  const size_t expected =
+      served_slowdown(7) < served_slowdown(victim) ? 1 : 0;
   sched::SchedContext ctx;
   ctx.now = units::Seconds(10.0);
   ctx.running_templates = &running;
   ctx.oracle = &oracle;
   auto greedy = sched::MakePolicy(sched::PolicyKind::kGreedyContention);
-  auto shortest =
-      sched::MakePolicy(sched::PolicyKind::kShortestIsolatedFirst);
   auto greedy_pick = greedy->Pick(queue, ctx);
-  auto shortest_pick = shortest->Pick(queue, ctx);
-  ASSERT_TRUE(greedy_pick.ok() && shortest_pick.ok());
-  EXPECT_EQ(*greedy_pick, *shortest_pick);
+  ASSERT_TRUE(greedy_pick.ok());
+  EXPECT_EQ(*greedy_pick, expected);
 }
 
 TEST_F(ChaosTest, ThreadPoolSubmitChaosDegradesToInlineExecution) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "math/metrics.h"
 #include "test_support.h"
 
@@ -146,6 +149,114 @@ TEST(PredictorTest, UnknownYVariantUsesOwnSlope) {
                                          SpoilerSource::kMeasured);
   ASSERT_TRUE(pred.ok());
   EXPECT_GT(pred->value(), 0.0);
+}
+
+// ---- The degradation ladder (PredictInMix). ----------------------------
+
+// Unsorted mixes at MPL 2-4 around template `t` of an `n`-template workload.
+std::vector<std::vector<int>> LadderMixes(int t, int n) {
+  return {{(t + 7) % n},
+          {(t + 9) % n, (t + 2) % n},
+          {(t + 11) % n, (t + 3) % n, (t + 1) % n}};
+}
+
+std::vector<int> Sorted(std::vector<int> mix) {
+  std::sort(mix.begin(), mix.end());
+  return mix;
+}
+
+TEST(PredictorLadderTest, Tier0IsPredictKnownOnTheSortedMix) {
+  const ContenderPredictor& p = SharedPredictor();
+  const int n = static_cast<int>(p.profiles().size());
+  for (int t = 0; t < n; ++t) {
+    for (const std::vector<int>& mix : LadderMixes(t, n)) {
+      const TieredPrediction answer = p.PredictInMix(t, mix);
+      auto known = p.PredictKnown(t, Sorted(mix));
+      ASSERT_TRUE(known.ok()) << known.status();
+      EXPECT_EQ(answer.tier, DegradationTier::kFullModel) << "template " << t;
+      EXPECT_EQ(answer.latency, *known) << "template " << t;
+    }
+  }
+}
+
+TEST(PredictorLadderTest, DisallowedFullModelAnswersTransferredQs) {
+  const ContenderPredictor& p = SharedPredictor();
+  const int n = static_cast<int>(p.profiles().size());
+  for (int t = 0; t < n; ++t) {
+    for (const std::vector<int>& mix : LadderMixes(t, n)) {
+      const TieredPrediction answer =
+          p.PredictInMix(t, mix, /*allow_full_model=*/false);
+      auto transferred =
+          p.PredictNew(p.profiles()[static_cast<size_t>(t)], Sorted(mix),
+                       SpoilerSource::kKnnPredicted);
+      ASSERT_TRUE(transferred.ok()) << transferred.status();
+      EXPECT_EQ(answer.tier, DegradationTier::kTransferredQs)
+          << "template " << t;
+      EXPECT_EQ(answer.latency, *transferred) << "template " << t;
+    }
+  }
+}
+
+TEST(PredictorLadderTest, TemplateWithoutAModelAnswersTransferredQs) {
+  constexpr int kNovel = 4;
+  const ContenderPredictor p = testing::TrainWithoutModelsFor({kNovel});
+  const int n = static_cast<int>(p.profiles().size());
+  for (int mpl : {2, 3, 4, 5}) {
+    auto models = p.ReferenceModels(units::Mpl(mpl));
+    ASSERT_TRUE(models.ok());
+    ASSERT_EQ(models->count(kNovel), 0u) << "MPL " << mpl;
+  }
+  for (const std::vector<int>& mix : LadderMixes(kNovel, n)) {
+    const TieredPrediction answer = p.PredictInMix(kNovel, mix);
+    auto transferred =
+        p.PredictNew(p.profiles()[kNovel], Sorted(mix),
+                     SpoilerSource::kKnnPredicted);
+    ASSERT_TRUE(transferred.ok()) << transferred.status();
+    EXPECT_EQ(answer.tier, DegradationTier::kTransferredQs);
+    EXPECT_EQ(answer.latency, *transferred);
+    // Templates that kept their observations still answer from tier 0.
+    EXPECT_EQ(p.PredictInMix((kNovel + 1) % n, mix).tier,
+              DegradationTier::kFullModel);
+  }
+}
+
+TEST(PredictorLadderTest, UntrainedMplAnswersIsolatedLatency) {
+  const ContenderPredictor& p = SharedPredictor();
+  const int n = static_cast<int>(p.profiles().size());
+  for (int t = 0; t < n; ++t) {
+    const units::Seconds isolated =
+        p.profiles()[static_cast<size_t>(t)].isolated_latency;
+    // Models and transfer models cover MPL 2-5; five partners is MPL 6.
+    for (bool allow_full_model : {true, false}) {
+      const TieredPrediction answer = p.PredictInMix(
+          t, {(t + 1) % n, (t + 2) % n, (t + 3) % n, (t + 4) % n,
+              (t + 5) % n},
+          allow_full_model);
+      EXPECT_EQ(answer.tier, DegradationTier::kIsolatedHeuristic);
+      EXPECT_EQ(answer.latency, isolated);
+    }
+    // An empty mix is MPL 1: l_min is the model's own answer.
+    const TieredPrediction alone = p.PredictInMix(t, {}, false);
+    EXPECT_EQ(alone.tier, DegradationTier::kFullModel);
+    EXPECT_EQ(alone.latency, isolated);
+  }
+}
+
+TEST(PredictorLadderTest, PermutedMixesAnswerBitIdentically) {
+  const ContenderPredictor& p = SharedPredictor();
+  const std::vector<std::vector<int>> permutations = {
+      {4, 1, 9}, {1, 4, 9}, {9, 4, 1}, {1, 9, 4}, {9, 1, 4}, {4, 9, 1}};
+  for (int t : {0, 6, 13, 24}) {
+    for (bool allow_full_model : {true, false}) {
+      const TieredPrediction expected =
+          p.PredictInMix(t, permutations.front(), allow_full_model);
+      for (const std::vector<int>& mix : permutations) {
+        const TieredPrediction got = p.PredictInMix(t, mix, allow_full_model);
+        EXPECT_EQ(got.latency, expected.latency) << "template " << t;
+        EXPECT_EQ(got.tier, expected.tier) << "template " << t;
+      }
+    }
+  }
 }
 
 }  // namespace

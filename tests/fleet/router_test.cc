@@ -170,11 +170,13 @@ TEST(RouterTest, DegradedTemplateDescendsTheLadder) {
   ASSERT_TRUE(node.ok()) << node.status();
   EXPECT_TRUE(router.assignments()[0].degraded);
   EXPECT_EQ(router.stats().degraded_routes, 1u);
-  // A healthy template joining a mix that contains the degraded one also
-  // routes on the ladder (the mix prediction is untrusted).
+  // A healthy template joining a mix that contains the degraded one is
+  // scored on its own full model (a co-runner contributes its profile,
+  // never its QS model), so its route is not degraded.
   auto second = router.Route(MakeRequest(1, 2, 0.0));
   ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(router.stats().degraded_routes, 2u);
+  EXPECT_FALSE(router.assignments()[1].degraded);
+  EXPECT_EQ(router.stats().degraded_routes, 1u);
 }
 
 TEST(RouterTest, ChaosDrainReplaysBitExactly) {

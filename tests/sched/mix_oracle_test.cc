@@ -57,7 +57,7 @@ TEST(MixOracleTest, PermutedMixesAreBitIdentical) {
 
 TEST(MixOracleTest, UncoveredMplFallsBackToIsolated) {
   MixOracle oracle(&SharedPredictor());
-  // Reference models cover MPL 2-5; a 5-partner mix is MPL 6.
+  // Reference and transfer models cover MPL 2-5; a 5-partner mix is MPL 6.
   const std::vector<int> mix = {1, 2, 3, 4, 5};
   EXPECT_EQ(oracle.PredictInMix(0, mix), oracle.IsolatedLatency(0));
   EXPECT_EQ(oracle.fallbacks(), 1u);
@@ -75,47 +75,63 @@ class StubHealth : public TemplateHealth {
   std::vector<int> degraded;
 };
 
-TEST(MixOracleTest, OpenBreakerDegradesToIsolatedWithoutCaching) {
+TEST(MixOracleTest, OpenBreakerStartsTheLadderAtTransferredQs) {
   StubHealth health;
   MixOracle::Options options;
   options.health = &health;
-  MixOracle oracle(&SharedPredictor(), options);
-  const std::vector<int> mix = {1, 2};
+  const ContenderPredictor& predictor = SharedPredictor();
+  MixOracle oracle(&predictor, options);
+  const std::vector<int> mix = {2, 1};
 
   const units::Seconds model_answer = oracle.PredictInMix(0, mix);
-  EXPECT_NE(model_answer, oracle.IsolatedLatency(0));
+  EXPECT_EQ(model_answer, predictor.PredictInMix(0, mix).latency);
   EXPECT_EQ(oracle.degradations(), 0u);
 
-  // Breaker opens: the oracle answers with the isolated latency without
-  // evaluating the untrusted model...
+  // Breaker opens: the oracle answers with the ladder's tier-1 answer
+  // instead of the quarantined full model...
   health.degraded = {0};
-  EXPECT_EQ(oracle.PredictInMix(0, mix), oracle.IsolatedLatency(0));
-  EXPECT_EQ(oracle.degradations(), 1u);
+  const TieredPrediction transferred =
+      predictor.PredictInMix(0, mix, /*allow_full_model=*/false);
+  ASSERT_EQ(transferred.tier, DegradationTier::kTransferredQs);
+  EXPECT_EQ(oracle.PredictInMix(0, mix), transferred.latency);
+  EXPECT_NE(oracle.PredictInMix(0, mix), model_answer);
+  EXPECT_EQ(oracle.degradations(), 2u);
   EXPECT_EQ(oracle.evaluations(), 1u);
+  EXPECT_EQ(oracle.fallbacks(), 0u);
   EXPECT_TRUE(oracle.Degraded(0));
   EXPECT_FALSE(oracle.Degraded(1));
+  // ...while a co-runner's open breaker leaves other templates at tier 0.
+  EXPECT_EQ(oracle.PredictInMix(1, {0, 2}),
+            predictor.PredictInMix(1, {0, 2}).latency);
 
-  // ...and recovery immediately serves the full-model answer again.
+  // Recovery immediately serves the full-model answer again.
   health.degraded = {};
   EXPECT_EQ(oracle.PredictInMix(0, mix), model_answer);
   EXPECT_FALSE(oracle.Degraded(0));
 }
 
 TEST(MixOracleTest, PredictFailPointForcesDegradation) {
-  MixOracle oracle(&SharedPredictor());
+  const ContenderPredictor& predictor = SharedPredictor();
+  MixOracle oracle(&predictor);
   auto& registry = FailPointRegistry::Global();
   const std::vector<int> mix = {3, 4};
   const units::Seconds model_answer = oracle.PredictInMix(0, mix);
 
-  registry.ArmOnce("sched.mix_oracle.predict");
-  EXPECT_EQ(oracle.PredictInMix(0, mix), oracle.IsolatedLatency(0));
-  EXPECT_EQ(oracle.degradations(), 1u);
+  // A fired full-model site drops the evaluation to the ladder's tier 1,
+  // counted as a fallback.
+  registry.ArmOnce("core.ladder.full_model");
+  EXPECT_EQ(oracle.PredictInMix(0, mix),
+            predictor.PredictInMix(0, mix, /*allow_full_model=*/false)
+                .latency);
+  EXPECT_EQ(oracle.fallbacks(), 1u);
+  EXPECT_EQ(oracle.degradations(), 0u);
   registry.DisarmAll();
 
   EXPECT_EQ(oracle.PredictInMix(0, mix), model_answer);
   // Empty mixes short-circuit before the probe: isolated IS the answer.
-  registry.ArmProbability("sched.mix_oracle.predict", 1.0);
+  registry.ArmProbability("core.ladder.full_model", 1.0);
   EXPECT_EQ(oracle.PredictInMix(0, {}), oracle.IsolatedLatency(0));
+  EXPECT_EQ(registry.Site("core.ladder.full_model").hits(), 0u);
   registry.DisarmAll();
 }
 

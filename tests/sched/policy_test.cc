@@ -140,47 +140,6 @@ class StubHealth : public TemplateHealth {
   std::vector<int> degraded;
 };
 
-TEST(PolicyTest, OpenBreakerDropsScoringPoliciesToShortestIsolated) {
-  StubHealth health;
-  MixOracle::Options options;
-  options.health = &health;
-  MixOracle oracle(&SharedPredictor(), options);
-  auto shortest = MakePolicy(PolicyKind::kShortestIsolatedFirst);
-  const int n = oracle.num_templates();
-  for (PolicyKind kind :
-       {PolicyKind::kGreedyContention, PolicyKind::kDeadlineAware}) {
-    auto policy = MakePolicy(kind);
-    for (int shift = 0; shift < n; ++shift) {
-      const std::vector<int> running = {shift, (shift + 4) % n};
-      RequestQueue queue({MakeRequest(0, (shift + 1) % n, 0.0, 500.0),
-                          MakeRequest(1, (shift + 9) % n, 1.0),
-                          MakeRequest(2, (shift + 17) % n, 2.0)});
-      const SchedContext ctx = MakeContext(&oracle, &running, 10.0);
-
-      // Degrade a template in the running mix: every contention score
-      // would consult its garbage model, so the policy must fall back to
-      // the same pick shortest-isolated makes.
-      health.degraded = {shift};
-      auto degraded_pick = policy->Pick(queue, ctx);
-      auto expected = shortest->Pick(queue, ctx);
-      ASSERT_TRUE(degraded_pick.ok());
-      ASSERT_TRUE(expected.ok());
-      EXPECT_EQ(*degraded_pick, *expected)
-          << PolicyKindName(kind) << " shift " << shift;
-
-      // Degrading a queued candidate (not in the mix) also forces the
-      // fallback — its own in-mix score is untrustworthy.
-      health.degraded = {(shift + 9) % n};
-      degraded_pick = policy->Pick(queue, ctx);
-      ASSERT_TRUE(degraded_pick.ok());
-      EXPECT_EQ(*degraded_pick, *expected)
-          << PolicyKindName(kind) << " candidate shift " << shift;
-
-      health.degraded = {};
-    }
-  }
-}
-
 TEST(PolicyTest, HealthySignalLeavesPicksUnchanged) {
   StubHealth health;
   MixOracle::Options with_health;
@@ -260,6 +219,49 @@ size_t PerRequestPick(PolicyKind kind, const RequestQueue& queue,
       return arg_min(greedy);
   }
   return 0;
+}
+
+TEST(PolicyTest, OpenBreakerScoresOnTheLadderAnswer) {
+  StubHealth health;
+  MixOracle::Options options;
+  options.health = &health;
+  MixOracle tracked(&SharedPredictor(), options);
+  MixOracle plain(&SharedPredictor());
+  const int n = plain.num_templates();
+  for (PolicyKind kind :
+       {PolicyKind::kGreedyContention, PolicyKind::kDeadlineAware}) {
+    auto policy = MakePolicy(kind);
+    for (int shift = 0; shift < n; ++shift) {
+      const std::vector<int> running = {shift, (shift + 4) % n};
+      RequestQueue queue({MakeRequest(0, (shift + 1) % n, 0.0, 500.0),
+                          MakeRequest(1, (shift + 9) % n, 1.0),
+                          MakeRequest(2, (shift + 17) % n, 2.0)});
+      const SchedContext ctx = MakeContext(&tracked, &running, 10.0);
+
+      // A co-runner's open breaker changes no pick: a candidate's
+      // prediction uses its co-runners' profiles, never their QS models.
+      health.degraded = {shift};
+      auto pick = policy->Pick(queue, ctx);
+      auto healthy = policy->Pick(queue, MakeContext(&plain, &running, 10.0));
+      ASSERT_TRUE(pick.ok() && healthy.ok());
+      EXPECT_EQ(*pick, *healthy) << PolicyKindName(kind) << " shift " << shift;
+
+      // A candidate's open breaker re-scores only that candidate, on its
+      // tier-1 (transferred-QS) answer.
+      health.degraded = {(shift + 9) % n};
+      EXPECT_EQ(tracked.PredictInMix((shift + 9) % n, running),
+                SharedPredictor()
+                    .PredictInMix((shift + 9) % n, running,
+                                  /*allow_full_model=*/false)
+                    .latency);
+      pick = policy->Pick(queue, ctx);
+      ASSERT_TRUE(pick.ok());
+      EXPECT_EQ(*pick, PerRequestPick(kind, queue, ctx))
+          << PolicyKindName(kind) << " candidate shift " << shift;
+      health.degraded = {};
+    }
+  }
+  EXPECT_GT(tracked.degradations(), 0u);
 }
 
 TEST(PolicyTest, PerTemplateScoringMatchesPerRequestScan) {

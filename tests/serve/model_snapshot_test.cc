@@ -27,8 +27,7 @@ TEST(ModelSnapshotTest, CarriesVersionAndWorkload) {
 TEST(ModelSnapshotTest, EmptyMixYieldsIsolatedLatency) {
   const auto snapshot = MakeSnapshot();
   for (int t = 0; t < snapshot->num_templates(); ++t) {
-    EXPECT_EQ(snapshot->PredictInMix(t, {}), snapshot->IsolatedLatency(t));
-    EXPECT_EQ(snapshot->IsolatedLatency(t),
+    EXPECT_EQ(snapshot->PredictInMix(t, {}),
               SharedPredictor()
                   .profiles()[static_cast<size_t>(t)]
                   .isolated_latency);
@@ -61,14 +60,13 @@ TEST(ModelSnapshotTest, PredictionIsOrderInsensitive) {
 
 TEST(ModelSnapshotTest, UncoveredMplFallsBackToIsolatedLatency) {
   const auto snapshot = MakeSnapshot();
-  // MPL 10 has no reference models; the answer degrades to l_min.
+  // MPL 10 has no reference or transfer models; the answer degrades to
+  // l_min.
   const std::vector<int> huge_mix = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   EXPECT_EQ(snapshot->PredictInMix(0, huge_mix),
-            snapshot->IsolatedLatency(0));
-  bool used_fallback = false;
-  (void)sched::PredictInMixUncached(snapshot->predictor(), 0, huge_mix,
-                                    &used_fallback);
-  EXPECT_TRUE(used_fallback);
+            SharedPredictor().profiles()[0].isolated_latency);
+  EXPECT_EQ(snapshot->predictor().PredictInMix(0, huge_mix).tier,
+            DegradationTier::kIsolatedHeuristic);
 }
 
 }  // namespace

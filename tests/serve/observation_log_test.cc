@@ -66,6 +66,49 @@ TEST(ObservationLogTest, IngestComputesContinuumResidual) {
   EXPECT_EQ(log.rejected(), 0u);
 }
 
+TEST(ObservationLogTest, UncoveredRecordIsScoredOnTier1AndSkipsTheBreaker) {
+  // Template 0 has no QS model at any MPL: serving answers its in-mix
+  // requests from tier 1 (transferred QS), and ingest must score its
+  // records against that same answer, not against l_min.
+  constexpr int kUncovered = 0;
+  PredictionService::Options service_options;
+  service_options.health = std::make_shared<HealthTracker>(
+      static_cast<int>(SharedPredictor().profiles().size()));
+  PredictionService service(
+      ModelSnapshot::Create(testing::TrainWithoutModelsFor({kUncovered}), 1),
+      service_options);
+  ObservationLog log(&service);
+  MixObservation obs;
+  for (const MixObservation& o : SharedTrainingData().observations) {
+    if (o.primary_index == kUncovered && o.mpl == 2) {
+      obs = o;
+      break;
+    }
+  }
+  ASSERT_EQ(obs.primary_index, kUncovered);
+
+  const PredictResult served =
+      service.PredictDetailed(obs.primary_index, obs.concurrent_indices);
+  ASSERT_EQ(served.tier, DegradationTier::kTransferredQs);
+  const TemplateProfile& p =
+      service.snapshot()->predictor().profiles()[kUncovered];
+  ASSERT_NE(served.latency, p.isolated_latency);
+  auto range = units::LatencyRange::Make(p.isolated_latency,
+                                         p.spoiler_latency.at(obs.mpl));
+  ASSERT_TRUE(range.ok());
+  auto c_obs = ContinuumPoint(obs.latency, *range);
+  auto c_served = ContinuumPoint(served.latency, *range);
+  ASSERT_TRUE(c_obs.ok() && c_served.ok());
+
+  auto result = log.Ingest(obs);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->continuum_residual, c_obs->value() - c_served->value());
+  // The breaker gates only the template's own model (tier 0), so a
+  // residual scored on tier 1 is no evidence about it.
+  EXPECT_EQ(service_options.health->records(), 0u);
+  EXPECT_EQ(log.ingested(), 1u);
+}
+
 TEST(ObservationLogTest, ResidualSignTracksObservedShift) {
   PredictionService service(MakeSnapshot());
   ObservationLog log(&service);

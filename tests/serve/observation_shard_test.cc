@@ -1,21 +1,16 @@
-// Shard-merge determinism for the sharded ObservationLog: Drain's merged
-// batch must be bit-identical — same record order, same replayed residual
-// summary — to a single-shard log fed the canonical merged order
-// sequentially. Randomized placements (seeded Rng, several trials) prove
-// the property does not depend on how records landed across shards; the
-// single-thread test proves a lone producer is indistinguishable from the
-// unsharded implementation.
+// Concurrent producers into one ObservationLog: records ingested from
+// several threads at once are all buffered, counted and drained exactly
+// once (run under TSan via the `tsan` label).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/observation_log.h"
 #include "serve/service.h"
 #include "test_support.h"
-#include "util/random.h"
 
 namespace contender::serve {
 namespace {
@@ -43,97 +38,8 @@ std::vector<MixObservation> ObservationPool(size_t count) {
   return pool;
 }
 
-void ExpectSameObservation(const MixObservation& got,
-                           const MixObservation& want, size_t at) {
-  EXPECT_EQ(got.primary_index, want.primary_index) << "record " << at;
-  EXPECT_EQ(got.concurrent_indices, want.concurrent_indices)
-      << "record " << at;
-  EXPECT_EQ(got.mpl, want.mpl) << "record " << at;
-  EXPECT_EQ(got.latency.value(), want.latency.value()) << "record " << at;
-}
-
-TEST(ObservationShardTest, SingleThreadProducerLandsInExactlyOneShard) {
-  ObservationLog::Options options;
-  options.num_shards = 8;
-  ObservationLog log(&SharedService(), options);
-  const auto pool = ObservationPool(24);
-
-  int home_shard = -1;
-  for (const MixObservation& obs : pool) {
-    auto result = log.Ingest(obs);
-    ASSERT_TRUE(result.ok()) << result.status();
-    if (home_shard < 0) home_shard = result->shard;
-    // One thread, one shard — the precondition for single-threaded
-    // bit-exactness with the unsharded implementation.
-    EXPECT_EQ(result->shard, home_shard);
-  }
-  // Drain order == ingest order (one shard's sequence IS the merge).
-  const ObservationBatch batch = log.Drain();
-  ASSERT_EQ(batch.observations.size(), pool.size());
-  for (size_t i = 0; i < pool.size(); ++i) {
-    ExpectSameObservation(batch.observations[i], pool[i], i);
-  }
-}
-
-// The core property, over randomized placements: scatter records across
-// shards, read off the canonical merged order (shard 0's records in
-// ingest order, then shard 1's, ...), feed that order sequentially into a
-// single-shard log — both logs must drain bit-identically.
-TEST(ObservationShardTest, MergedDrainBitIdenticalToSequentialSingleShard) {
-  constexpr int kTrials = 4;
-  constexpr int kShards = 4;
-  constexpr size_t kRecords = 64;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    Rng rng(7700 + static_cast<uint64_t>(trial));
-    const auto pool = ObservationPool(kRecords);
-
-    ObservationLog::Options sharded_options;
-    sharded_options.num_shards = kShards;
-    ObservationLog sharded(&SharedService(), sharded_options);
-
-    std::vector<std::vector<MixObservation>> per_shard(kShards);
-    for (const MixObservation& obs : pool) {
-      const int shard = static_cast<int>(rng.UniformInt(kShards));
-      auto result = sharded.IngestInShard(shard, obs);
-      ASSERT_TRUE(result.ok()) << result.status();
-      ASSERT_EQ(result->shard, shard);
-      per_shard[static_cast<size_t>(shard)].push_back(obs);
-    }
-
-    ObservationLog::Options single_options;
-    single_options.num_shards = 1;
-    ObservationLog single(&SharedService(), single_options);
-    std::vector<MixObservation> canonical;
-    for (const auto& records : per_shard) {
-      for (const MixObservation& obs : records) {
-        canonical.push_back(obs);
-        ASSERT_TRUE(single.Ingest(obs).ok());
-      }
-    }
-
-    // The pre-drain trigger statistic replays the same merged order.
-    EXPECT_EQ(sharded.pending_mean_abs_residual(),
-              single.pending_mean_abs_residual());
-
-    ObservationBatch merged = sharded.Drain();
-    ObservationBatch sequential = single.Drain();
-    ASSERT_EQ(merged.observations.size(), canonical.size());
-    ASSERT_EQ(sequential.observations.size(), canonical.size());
-    for (size_t i = 0; i < canonical.size(); ++i) {
-      ExpectSameObservation(merged.observations[i], canonical[i], i);
-      ExpectSameObservation(merged.observations[i],
-                            sequential.observations[i], i);
-    }
-    // Bit-identical, not approximately equal: the summary is replayed in
-    // merged order, never combined via moment merging.
-    EXPECT_EQ(merged.mean_abs_residual, sequential.mean_abs_residual);
-  }
-}
-
 TEST(ObservationShardTest, ConcurrentIngestConservesEveryRecord) {
-  ObservationLog::Options options;
-  options.num_shards = 8;
-  ObservationLog log(&SharedService(), options);
+  ObservationLog log(&SharedService());
   constexpr int kThreads = 4;
   constexpr size_t kPerThread = 200;
   const auto pool = ObservationPool(kPerThread);
@@ -155,28 +61,6 @@ TEST(ObservationShardTest, ConcurrentIngestConservesEveryRecord) {
   EXPECT_EQ(batch.observations.size(), kThreads * kPerThread);
   EXPECT_EQ(log.pending(), 0u);
   EXPECT_GT(batch.mean_abs_residual, 0.0);
-}
-
-TEST(ObservationShardTest, CapacityIsGlobalAcrossShards) {
-  ObservationLog::Options options;
-  options.num_shards = 4;
-  options.pending_capacity = 6;
-  ObservationLog log(&SharedService(), options);
-  const auto pool = ObservationPool(8);
-
-  for (size_t i = 0; i < 6; ++i) {
-    ASSERT_TRUE(log.IngestInShard(static_cast<int>(i), pool[i]).ok());
-  }
-  // Full across shards: the 7th record is rejected no matter which shard
-  // it targets.
-  auto overflow = log.IngestInShard(3, pool[6]);
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(log.overflow_dropped(), 1u);
-  EXPECT_EQ(log.pending(), 6u);
-  // Draining frees the budget again.
-  EXPECT_EQ(log.Drain().observations.size(), 6u);
-  EXPECT_TRUE(log.IngestInShard(0, pool[7]).ok());
 }
 
 }  // namespace

@@ -173,9 +173,8 @@ TEST(SnapshotStressTest, EveryAnswerMatchesExactlyOnePublishedSnapshot) {
       ASSERT_NE(it, by_version.end())
           << "answer stamped with unpublished version "
           << answer.snapshot_version;
-      const TieredPrediction expected = it->second->PredictInMixTiered(
-          answer.request.template_index, answer.request.concurrent,
-          /*allow_full_model=*/true);
+      const TieredPrediction expected = it->second->predictor().PredictInMix(
+          answer.request.template_index, answer.request.concurrent);
       EXPECT_EQ(answer.latency, expected.latency);
       EXPECT_EQ(answer.tier, expected.tier);
       ++checked;
@@ -264,7 +263,7 @@ TEST(SnapshotStressTest, TierStampsStayTruthfulWithBreakerHeldOpen) {
         EXPECT_NE(answer.tier, DegradationTier::kFullModel);
         ++quarantined_answers;
       }
-      const TieredPrediction expected = it->second->PredictInMixTiered(
+      const TieredPrediction expected = it->second->predictor().PredictInMix(
           answer.request.template_index, answer.request.concurrent,
           /*allow_full_model=*/!quarantined);
       EXPECT_EQ(answer.latency, expected.latency);

@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -188,6 +189,39 @@ TEST(EngineTest, MemoryShortfallSpills) {
   EXPECT_NEAR(r.max_memory_granted, 1.0 * kGB, 1.0);
   // Spill runs at spill_bandwidth (4 MB/s), sole I/O stream: 2 GB -> 500 s.
   EXPECT_NEAR(r.latency().value(), 500.0, 1.0);
+}
+
+TEST(EngineTest, CompletionReleasesTheGrantedPinNotTheRequestedOne) {
+  Engine engine(QuietConfig(), 1);  // grantable: 7 GB
+  // A long mortal query pins 4 GB...
+  QuerySpec holder;
+  holder.name = "holder";
+  holder.pinned_memory_bytes = 4.0 * kGB;
+  Phase long_cpu;
+  long_cpu.cpu_seconds = 100.0;
+  holder.phases.push_back(long_cpu);
+  engine.AddProcess(holder, units::Seconds(0.0));
+  // ...then a short one asks for 5 GB but is granted only the 3 GB left.
+  QuerySpec clipped;
+  clipped.name = "clipped";
+  clipped.pinned_memory_bytes = 5.0 * kGB;
+  Phase short_cpu;
+  short_cpu.cpu_seconds = 1.0;
+  clipped.phases.push_back(short_cpu);
+  const int clipped_id = engine.AddProcess(clipped, units::Seconds(1.0));
+
+  std::vector<double> in_use_at_completion;
+  engine.SetCompletionCallback([&](const ProcessResult& r) {
+    in_use_at_completion.push_back(engine.memory_in_use().value());
+    (void)r;
+  });
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_NEAR(engine.result(clipped_id).max_memory_granted, 3.0 * kGB, 1.0);
+  ASSERT_EQ(in_use_at_completion.size(), 2u);
+  // The clipped query finishes first and releases its 3 GB grant: the
+  // holder's 4 GB stays pinned until the holder itself completes.
+  EXPECT_DOUBLE_EQ(in_use_at_completion[0], 4.0 * kGB);
+  EXPECT_DOUBLE_EQ(in_use_at_completion[1], 0.0);
 }
 
 TEST(EngineTest, ArrivalsActivateAtStartTime) {

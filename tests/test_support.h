@@ -6,6 +6,7 @@
 #ifndef CONTENDER_TESTS_TEST_SUPPORT_H_
 #define CONTENDER_TESTS_TEST_SUPPORT_H_
 
+#include <utility>
 #include <vector>
 
 #include "core/predictor.h"
@@ -61,6 +62,25 @@ inline const ContenderPredictor& SharedPredictor() {
     return new ContenderPredictor(std::move(*trained));
   }();
   return *predictor;
+}
+
+/// A predictor trained on SharedTrainingData without the in-mix
+/// observations whose primary template is in `templates` (the adhoc-novel
+/// construction of bench_scenarios): those templates keep their profiles
+/// but have no QS reference model at any MPL.
+inline ContenderPredictor TrainWithoutModelsFor(
+    const std::vector<int>& templates) {
+  const TrainingData& data = SharedTrainingData();
+  std::vector<MixObservation> kept;
+  for (const MixObservation& o : data.observations) {
+    bool dropped = false;
+    for (int t : templates) dropped |= (o.primary_index == t);
+    if (!dropped) kept.push_back(o);
+  }
+  auto trained = ContenderPredictor::Train(data.profiles, data.scan_times,
+                                           kept, ContenderPredictor::Options{});
+  CONTENDER_CHECK(trained.ok()) << trained.status();
+  return std::move(*trained);
 }
 
 /// A training view with some templates held out: profiles reindexed,

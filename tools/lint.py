@@ -104,11 +104,6 @@ SUPPRESSION_BUDGET = {
             (1, "reader announcement slots are cache-padded atomics — the "
                 "lock-free read side by design"),
     },
-    os.path.join("src", "serve", "observation_log.h"): {
-        "lock-free":
-            (1, "shards_ vector is built in the constructor and immutable "
-                "after; only guarded shard interiors mutate"),
-    },
     os.path.join("src", "serve", "health.h"): {
         "lock-free":
             (1, "published_ is sized once and holds atomics written under "
