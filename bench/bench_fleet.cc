@@ -27,6 +27,7 @@
 #include "fleet/metrics.h"
 #include "fleet/population.h"
 #include "fleet/router.h"
+#include "scenario/scenario.h"
 
 using namespace contender;
 using namespace contender::fleet;
@@ -63,7 +64,9 @@ int main(int argc, char** argv) {
     reference.push_back(p.isolated_latency);
   }
 
-  PopulationOptions population_options;
+  const scenario::Scenario* poisson =
+      scenario::FindScenario(scenario::kPoissonSteadyName);
+  scenario::ScenarioParams population_options;
   population_options.num_tenants =
       static_cast<int>(flags.GetInt("tenants", 4));
   population_options.num_requests =
@@ -93,9 +96,10 @@ int main(int argc, char** argv) {
 
   for (int nodes : node_counts) {
     for (double skew : skews) {
-      PopulationOptions cell_population = population_options;
+      scenario::ScenarioParams cell_population = population_options;
       cell_population.skew = skew;
-      auto population = GeneratePopulation(reference, cell_population);
+      auto population =
+          GeneratePopulation(reference, cell_population, *poisson);
       CONTENDER_CHECK(population.ok()) << population.status();
 
       for (RoutePolicy policy : AllRoutePolicies()) {

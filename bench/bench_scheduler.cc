@@ -16,6 +16,7 @@
 
 #include "bench_json.h"
 #include "bench_support.h"
+#include "scenario/scenario.h"
 #include "sched/metrics.h"
 #include "sched/mix_oracle.h"
 #include "sched/policy.h"
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
   for (const TemplateProfile& p : e.data.profiles) {
     reference.push_back(p.isolated_latency);
   }
-  ArrivalOptions arrivals;
+  scenario::ScenarioParams arrivals;
   arrivals.num_requests =
       static_cast<int>(flags.GetInt("requests", 32));
   arrivals.mean_interarrival =
@@ -48,9 +49,10 @@ int main(int argc, char** argv) {
   arrivals.min_slack = flags.GetDouble("min_slack", 3.0);
   arrivals.max_slack = flags.GetDouble("max_slack", 10.0);
   arrivals.seed = e.seed;
-  auto generated = GenerateArrivals(reference, arrivals);
+  auto generated = scenario::FindScenario(scenario::kPoissonSteadyName)
+                       ->GenerateTrace(reference, arrivals);
   CONTENDER_CHECK(generated.ok()) << generated.status();
-  const std::vector<Request> requests = std::move(*generated);
+  const std::vector<Request> requests = std::move(generated->requests);
   std::cout << "Arrival stream: " << requests.size() << " requests, mean "
             << "interarrival " << FormatDouble(
                    arrivals.mean_interarrival.value(), 0)

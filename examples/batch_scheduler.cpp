@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "core/predictor.h"
+#include "scenario/scenario.h"
 #include "sched/metrics.h"
 #include "sched/mix_oracle.h"
 #include "sched/policy.h"
@@ -44,13 +45,15 @@ int main(int argc, char** argv) {
   for (const TemplateProfile& p : data->profiles) {
     reference.push_back(p.isolated_latency);
   }
-  sched::ArrivalOptions arrivals;
+  scenario::ScenarioParams arrivals;
   arrivals.num_requests = static_cast<int>(flags.GetInt("requests", 24));
   arrivals.mean_interarrival = units::Seconds(30.0);
   arrivals.seed = flags.Seed();
-  auto generated = sched::GenerateArrivals(reference, arrivals);
+  auto generated = scenario::FindScenario(scenario::kPoissonSteadyName)
+                       ->GenerateTrace(reference, arrivals);
   CONTENDER_CHECK(generated.ok()) << generated.status();
-  const std::vector<sched::Request> requests = std::move(*generated);
+  const std::vector<sched::Request> requests =
+      std::move(generated->requests);
 
   sched::ScheduleSimulator simulator(&workload, machine);
   sched::MixOracle oracle(&*predictor);

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
     reference.push_back(p.isolated_latency);
   }
 
-  PopulationOptions population_options;
+  scenario::ScenarioParams population_options;
   population_options.num_tenants =
       static_cast<int>(flags.GetInt("tenants", 4));
   population_options.num_requests =

@@ -108,8 +108,9 @@ struct FleetNodeSummary {
   int node_id = 0;
   size_t requests = 0;
   units::Seconds makespan;
-  /// In-mix predictions the node's oracle evaluated, and those it answered
-  /// with the isolated latency because a breaker was open.
+  /// In-mix predictions the node's oracle evaluated, and those it made
+  /// while the template's breaker was open (the degradation ladder then
+  /// starts at tier 1, transferred QS).
   uint64_t oracle_evaluations = 0;
   uint64_t oracle_degradations = 0;
   /// Node overload control: requests CoDel-shed off the local queue and

@@ -58,14 +58,12 @@ FleetMetrics ComputeFleetMetrics(const FleetResult& result) {
     }
   }
 
-  if (!response.empty()) {
-    m.mean_response = units::Seconds(response.mean());
-    m.p50_response = units::Seconds(response.p50());
-    m.p95_response = units::Seconds(response.p95());
-    m.p99_response = units::Seconds(response.p99());
-    m.mean_queue_wait = units::Seconds(queue_wait.mean());
-    m.max_queue_wait = units::Seconds(queue_wait.max());
-  }
+  m.mean_response = units::Seconds(response.mean());
+  m.p50_response = units::Seconds(response.p50());
+  m.p95_response = units::Seconds(response.p95());
+  m.p99_response = units::Seconds(response.p99());
+  m.mean_queue_wait = units::Seconds(queue_wait.mean());
+  m.max_queue_wait = units::Seconds(queue_wait.max());
   if (m.deadline_requests > 0) {
     m.sla_miss_rate = static_cast<double>(m.deadline_misses) /
                       static_cast<double>(m.deadline_requests);

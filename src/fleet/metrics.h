@@ -57,7 +57,7 @@ struct FleetMetrics {
   units::Seconds makespan;
 
   /// Fleet-level response time (original arrival -> completion) over
-  /// completed requests.
+  /// completed requests. The percentiles are NaN when none completed.
   units::Seconds mean_response;
   units::Seconds p50_response;
   units::Seconds p95_response;

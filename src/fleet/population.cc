@@ -2,61 +2,24 @@
 
 #include <utility>
 
-#include "scenario/scenario.h"
-#include "util/logging.h"
+#include "overload/shed_reason.h"
 
 namespace contender::fleet {
 
-// The population generator is a thin adapter over the scenario library's
-// fleet mode: the Zipf share / largest-remainder / rotating-window tenant
-// planner, the per-tenant seed pre-derivation, and the deterministic
-// merge all live in scenario::Scenario::GenerateFleetTrace now, bit-exact
-// to the sampler that used to live here. The default shape is
-// PoissonSteady; fleet_demo --scenario routes any registered scenario
-// through the same fleet.
-
 StatusOr<Population> GeneratePopulation(
     const std::vector<units::Seconds>& reference_latencies,
-    const PopulationOptions& options) {
-  const scenario::Scenario* poisson =
-      scenario::FindScenario(scenario::kPoissonSteadyName);
-  CONTENDER_CHECK(poisson != nullptr)
-      << "poisson-steady missing from the scenario registry";
-  return GeneratePopulation(reference_latencies, options, *poisson);
-}
-
-StatusOr<Population> GeneratePopulation(
-    const std::vector<units::Seconds>& reference_latencies,
-    const PopulationOptions& options,
+    const scenario::ScenarioParams& params,
     const scenario::Scenario& scenario) {
-  scenario::ScenarioParams params;
-  params.num_requests = options.num_requests;
-  params.mean_interarrival = options.mean_interarrival;
-  params.deadline_probability = options.deadline_probability;
-  params.min_slack = options.min_slack;
-  params.max_slack = options.max_slack;
-  params.num_tenants = options.num_tenants;
-  params.skew = options.skew;
-  params.templates_per_tenant = options.templates_per_tenant;
-  params.seed = options.seed;
   CONTENDER_ASSIGN_OR_RETURN(
       scenario::ScenarioTrace trace,
       scenario.GenerateFleetTrace(reference_latencies, params));
-
   Population population;
   population.requests = std::move(trace.requests);
-  // Criticality tiers are stamped here — a pure function of tenant id —
-  // rather than in the scenario driver, so scenario traces (and their
-  // digests) stay byte-identical to the pre-overload sampler.
+  // Criticality tiers — a pure function of tenant id — are stamped here
+  // rather than in the scenario driver, which does not link the overload
+  // layer.
   for (sched::Request& request : population.requests) {
     request.criticality = overload::CriticalityForTenant(request.tenant_id);
-  }
-  population.tenants.reserve(trace.tenants.size());
-  for (scenario::TenantTraffic& tenant : trace.tenants) {
-    TenantSpec spec{tenant.tenant_id, tenant.rate_share, tenant.num_requests,
-                    std::move(tenant.templates)};
-    spec.criticality = overload::CriticalityForTenant(tenant.tenant_id);
-    population.tenants.push_back(std::move(spec));
   }
   return population;
 }

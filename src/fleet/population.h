@@ -1,20 +1,12 @@
-// Multi-tenant open-loop traffic generation for the fleet simulator.
-//
-// A ClientPopulation is a set of tenants, each an independent seeded
-// Poisson source with its own arrival rate and template preference.
-// Tenant rates follow a Zipf-like skew (tenant 0 heaviest), so one knob
-// sweeps the population from uniform (skew 0) to one dominant tenant —
-// the axis the BENCH_fleet grid explores. Every draw flows from per-tenant
-// Rngs whose seeds are pre-derived from the root seed in tenant order, so
-// the merged stream is a pure function of the options (the PR 1 / PR 3
-// determinism idiom: derive all randomness before interleaving anything).
+// The fleet's request stream: a scenario's fleet-mode trace
+// (scenario::Scenario::GenerateFleetTrace) with every request stamped with
+// its tenant's criticality tier.
 
 #ifndef CONTENDER_FLEET_POPULATION_H_
 #define CONTENDER_FLEET_POPULATION_H_
 
 #include <vector>
 
-#include "overload/shed_reason.h"
 #include "scenario/scenario.h"
 #include "sched/request.h"
 #include "util/statusor.h"
@@ -22,68 +14,23 @@
 
 namespace contender::fleet {
 
-/// One tenant of the population, with its derived traffic parameters.
-struct TenantSpec {
-  int tenant_id = 0;
-  /// Fraction of the fleet-wide arrival rate this tenant generates.
-  double rate_share = 0.0;
-  /// Number of requests this tenant contributes to the stream.
-  int num_requests = 0;
-  /// Workload template indices this tenant draws from (uniformly).
-  std::vector<int> templates;
-  /// Service tier for the overload brownout ladder (stamped on every
-  /// request of this tenant; see overload::CriticalityForTenant).
-  overload::Criticality criticality = overload::Criticality::kStandard;
-};
-
-struct PopulationOptions {
-  int num_tenants = 4;
-  /// Total requests across all tenants.
-  int num_requests = 128;
-  /// Mean interarrival gap of the merged (fleet-wide) stream; per-tenant
-  /// gaps are this divided by the tenant's rate share.
-  units::Seconds mean_interarrival{5.0};
-  /// Zipf exponent over tenant rates: share(i) ∝ 1 / (i+1)^skew.
-  /// 0 = uniform shares; larger = tenant 0 increasingly dominant.
-  double skew = 0.0;
-  /// Size of each tenant's preferred-template block (a contiguous rotating
-  /// window over the workload, so tenants overlap but differ — the overlap
-  /// is what makes cross-tenant blame non-trivial). 0 = every tenant uses
-  /// the whole workload.
-  int templates_per_tenant = 0;
-  /// Per-request SLA deadline parameters, as in sched::ArrivalOptions.
-  double deadline_probability = 0.0;
-  double min_slack = 2.0;
-  double max_slack = 6.0;
-  uint64_t seed = 42;
-};
+/// The stream parameters are the scenario's. Kept as a name only because
+/// perfbench/ spells it.
+using PopulationOptions = scenario::ScenarioParams;
 
 /// The generated population: the merged arrival stream (dense request ids
-/// in arrival order, tenant stamped on every request) plus the per-tenant
-/// specs the stream was drawn from.
+/// in arrival order, tenant and criticality stamped on every request).
 struct Population {
   std::vector<sched::Request> requests;
-  std::vector<TenantSpec> tenants;
 };
 
-/// Generates the population over `reference_latencies.size()` templates
-/// (deadlines, as in sched::GenerateArrivals, are written against the
-/// drawn template's reference latency). InvalidArgument on an empty
-/// template set, non-positive tenant/request counts, a non-positive mean
-/// interarrival gap, negative skew, a probability outside [0, 1], or an
-/// inverted slack band.
+/// Draws `scenario`'s fleet-mode trace over `reference_latencies.size()`
+/// templates and stamps overload::CriticalityForTenant(tenant_id) on every
+/// request; otherwise the requests are the trace's, bit for bit. Fails
+/// with the scenario's InvalidArgument on malformed params.
 StatusOr<Population> GeneratePopulation(
     const std::vector<units::Seconds>& reference_latencies,
-    const PopulationOptions& options);
-
-/// As above, but drives the tenants through `scenario` instead of the
-/// default PoissonSteady shape — every tenant keeps its Zipf rate share,
-/// request count, template window, and pre-derived seed; the scenario
-/// decides when requests land and which window templates they draw
-/// (fleet_demo's --scenario flag routes through this overload).
-StatusOr<Population> GeneratePopulation(
-    const std::vector<units::Seconds>& reference_latencies,
-    const PopulationOptions& options,
+    const scenario::ScenarioParams& params,
     const scenario::Scenario& scenario);
 
 }  // namespace contender::fleet

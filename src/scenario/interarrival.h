@@ -1,12 +1,10 @@
-// The single seeded source of arrival-stream sampling primitives. Both
-// sched::GenerateArrivals and fleet::GeneratePopulation used to carry a
-// private copy of the inverse-transform exponential gap and the Bernoulli
-// deadline draw; those now live here and every scenario (and both legacy
-// entry points, via PoissonSteady) samples through these two functions.
-// Draw order is part of the contract: callers that replicate the legacy
-// streams must draw template → gap → deadline, and each helper consumes a
-// fixed number of Rng draws (gap: one Uniform01; deadline: one Uniform01,
-// plus one Uniform(min, max) only when the Bernoulli fires).
+// The seeded sampling primitives every scenario draws through: the
+// inverse-transform exponential gap and the Bernoulli deadline draw.
+// Draw order is part of the contract: each helper consumes a fixed number
+// of Rng draws (gap: one Uniform01; deadline: one Uniform01, plus one
+// Uniform(min, max) only when the Bernoulli fires), so a scenario that
+// draws template → gap → deadline reproduces the streams
+// scenario_parity_test pins.
 
 #ifndef CONTENDER_SCENARIO_INTERARRIVAL_H_
 #define CONTENDER_SCENARIO_INTERARRIVAL_H_
@@ -19,17 +17,14 @@
 namespace contender::scenario {
 
 /// One exponential interarrival gap with the given mean, via inverse
-/// transform: mean * (-log1p(-u)) with u = rng->Uniform01(). Bit-exact to
-/// the sampling formerly duplicated in sched/request.cc and
-/// fleet/population.cc.
+/// transform: mean * (-log1p(-u)) with u = rng->Uniform01().
 units::Seconds ExponentialGap(Rng* rng, units::Seconds mean);
 
 /// Bernoulli SLA deadline: when `probability` > 0, draws one Uniform01;
 /// if it lands below `probability`, draws slack uniform in
 /// [min_slack, max_slack) and returns arrival + slack * reference_latency.
 /// Otherwise (including probability == 0, which consumes no draws at all)
-/// returns nullopt. Matches the legacy per-request deadline pattern
-/// exactly, draw for draw.
+/// returns nullopt.
 std::optional<units::Seconds> MaybeDeadline(Rng* rng, double probability,
                                             double min_slack,
                                             double max_slack,

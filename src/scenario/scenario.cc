@@ -12,7 +12,7 @@ namespace {
 
 /// Merged-stream order: arrival, then tenant, then the tenant-local draw
 /// index — fully deterministic even when two tenants draw the same
-/// instant. Bit-exact to the fleet population merge.
+/// instant.
 struct Draw {
   sched::Request request;  // request_id unset until the final pass
   int tenant_seq = 0;
@@ -91,17 +91,26 @@ StatusOr<ScenarioTrace> Scenario::Generate(
   if (params.num_requests < 0) {
     return Status::InvalidArgument(who + ": num_requests must be >= 0");
   }
-  // A non-positive mean gap means an undefined or non-positive arrival
-  // rate; NaN also fails this comparison.
-  if (!(params.mean_interarrival.value() > 0.0)) {
+  // These values arrive from command-line flags, so NaN must fail every
+  // check. An infinite gap would stamp infinite arrivals and never let
+  // the thinning or MMPP samplers terminate; an infinite slack would
+  // stamp infinite deadlines.
+  const double mean_gap = params.mean_interarrival.value();
+  if (!std::isfinite(mean_gap) || mean_gap <= 0.0) {
     return Status::InvalidArgument(
-        who + ": mean_interarrival must be positive "
-              "(non-positive arrival rate)");
+        who + ": mean_interarrival must be positive and finite");
   }
-  if (params.deadline_probability < 0.0 ||
-      params.deadline_probability > 1.0) {
+  if (!(params.deadline_probability >= 0.0 &&
+        params.deadline_probability <= 1.0)) {
     return Status::InvalidArgument(
         who + ": deadline_probability outside [0, 1]");
+  }
+  if (!std::isfinite(params.min_slack) || !std::isfinite(params.max_slack)) {
+    return Status::InvalidArgument(who + ": slack bounds must be finite");
+  }
+  if (params.min_slack < 0.0) {
+    return Status::InvalidArgument(
+        who + ": min_slack must be >= 0 (deadline before arrival)");
   }
   if (params.max_slack < params.min_slack) {
     return Status::InvalidArgument(who + ": max_slack below min_slack");
@@ -128,8 +137,7 @@ StatusOr<ScenarioTrace> Scenario::Generate(
 
   if (!fleet_mode) {
     // Single-node mode: one tenant over the whole workload, seeded
-    // directly (no root.Next() derivation) and starting at t = 0 —
-    // the sched::GenerateArrivals contract.
+    // directly (no root.Next() derivation) and starting at t = 0.
     TenantPlan plan;
     plan.tenant_id = 0;
     plan.rate_share = 1.0;
@@ -147,8 +155,7 @@ StatusOr<ScenarioTrace> Scenario::Generate(
     plans.resize(static_cast<size_t>(params.num_tenants));
 
     // Zipf-like rate shares: share(i) ∝ 1/(i+1)^skew, with
-    // largest-remainder apportionment of num_requests over the shares —
-    // bit-exact to the fleet population planner.
+    // largest-remainder apportionment of num_requests over the shares.
     double weight_sum = 0.0;
     for (int i = 0; i < params.num_tenants; ++i) {
       weight_sum += std::pow(static_cast<double>(i + 1), -skew);

@@ -1,20 +1,22 @@
 // Pluggable workload scenarios: named, seeded arrival-trace generators
 // that put non-Poisson traffic shapes through the same predictor /
-// scheduler / serve stack the homogeneous stream always used.
+// scheduler / serve stack the homogeneous stream always used. Every
+// request stream in the tree is drawn here: ScenarioParams is the one
+// description of a stream, and the base class's checks its one validation.
 //
 // A Scenario owns the per-tenant *shape* of the stream (when requests
 // land, which templates they draw) while the shared driver in the base
 // class owns everything that must stay identical across scenarios: option
 // validation, tenant planning (Zipf rate shares, largest-remainder request
-// apportionment, rotating template windows — bit-exact to the fleet
-// population generator), per-tenant seed pre-derivation from the root
-// seed, and the deterministic (arrival, tenant, draw-index) merge that
-// assigns dense request ids. Scenarios therefore cannot accidentally
-// break the tree's determinism discipline: all randomness a scenario
-// sees is the one per-tenant Rng the driver hands it, whose seed is a
-// pure function of (root seed, tenant order). No wall clock, no thread
-// identity, no fail points — a scenario trace is bit-identical at any
-// thread count and under an armed chaos harness.
+// apportionment, rotating template windows), per-tenant seed
+// pre-derivation from the root seed, and the deterministic (arrival,
+// tenant, draw-index) merge that assigns dense request ids. Scenarios
+// therefore cannot accidentally break the tree's determinism
+// discipline: all randomness a scenario sees is the one per-tenant Rng
+// the base class hands it, whose seed is a pure function of (root seed,
+// tenant order). No wall clock, no thread identity, no fail points — a
+// scenario trace is bit-identical at any thread count and under an armed
+// chaos harness.
 //
 // Scenarios self-register into ScenarioRegistry at static-initialization
 // time via CONTENDER_REGISTER_SCENARIO (the SMOL-style suite idiom), so
@@ -38,13 +40,13 @@
 
 namespace contender::scenario {
 
-/// Knobs shared by every scenario. The single-node entry point
-/// (GenerateTrace) ignores the tenant fields and emits one merged stream
-/// with tenant_id 0; the fleet entry point (GenerateFleetTrace) plans
-/// `num_tenants` independent sources exactly like fleet::PopulationOptions
-/// always did. Scenario-specific shape knobs (burst ratios, skew
-/// exponents, storm sizes) are constructor parameters of the concrete
-/// scenarios, so registry defaults stay one-line reproducible.
+/// The one description of an arrival stream, shared by every scenario.
+/// The single-node entry point (GenerateTrace) ignores the tenant fields
+/// and emits one merged stream with tenant_id 0; the fleet entry point
+/// (GenerateFleetTrace) plans `num_tenants` independent sources.
+/// Scenario-specific shape knobs (burst ratios, skew exponents, storm
+/// sizes) are constructor parameters of the concrete scenarios, so
+/// registry defaults stay one-line reproducible.
 struct ScenarioParams {
   /// Total requests across all tenants.
   int num_requests = 32;
@@ -52,21 +54,24 @@ struct ScenarioParams {
   /// this by the tenant's rate share). Non-stationary scenarios treat it
   /// as the long-run average rate they modulate around.
   units::Seconds mean_interarrival{20.0};
-  /// Per-request SLA deadline parameters, as in sched::ArrivalOptions.
+  /// Probability that a request carries an SLA deadline. Deadline =
+  /// arrival + slack * reference latency of the drawn template, with
+  /// slack uniform in [min_slack, max_slack).
   double deadline_probability = 0.0;
   double min_slack = 2.0;
   double max_slack = 6.0;
-  /// Fleet mode only: tenant count, Zipf rate skew, and the rotating
-  /// template-window width (0 = whole workload), as in
-  /// fleet::PopulationOptions.
+  /// Fleet mode only: tenant count; Zipf exponent over tenant rates,
+  /// share(i) ∝ 1 / (i+1)^skew (0 = uniform, larger = tenant 0
+  /// increasingly dominant); and the width of each tenant's rotating
+  /// template window, so adjacent tenants overlap but differ (0 = every
+  /// tenant draws from the whole workload).
   int num_tenants = 4;
   double skew = 0.0;
   int templates_per_tenant = 0;
   uint64_t seed = 42;
 };
 
-/// One tenant of a fleet-mode trace, with its derived traffic parameters
-/// (mirrors fleet::TenantSpec so the fleet layer converts losslessly).
+/// One tenant of a fleet-mode trace, with its derived traffic parameters.
 struct TenantTraffic {
   int tenant_id = 0;
   double rate_share = 0.0;
@@ -109,8 +114,11 @@ class Scenario {
 
   /// Single-node mode: one tenant spanning the whole workload at rate
   /// share 1, seeded directly from params.seed with no derivation and no
-  /// gap before the first request — the contract sched::GenerateArrivals
-  /// has always exposed (first request at t = 0 under PoissonSteady).
+  /// gap before the first request (under PoissonSteady the first request
+  /// lands at t = 0). InvalidArgument when `reference_latencies` is
+  /// empty, num_requests is negative, the mean gap is not positive and
+  /// finite, the deadline probability is NaN or outside [0, 1], or the
+  /// slack band is non-finite, negative or inverted.
   [[nodiscard]] StatusOr<ScenarioTrace> GenerateTrace(
       const std::vector<units::Seconds>& reference_latencies,
       const ScenarioParams& params) const;
@@ -118,8 +126,9 @@ class Scenario {
   /// Fleet mode: num_tenants independent sources with Zipf rate shares,
   /// largest-remainder request apportionment, rotating template windows,
   /// per-tenant seeds pre-derived from the root seed in tenant order, and
-  /// a gap before every tenant's first request — the contract
-  /// fleet::GeneratePopulation has always exposed.
+  /// a gap before every tenant's first request. InvalidArgument as for
+  /// GenerateTrace, and also when num_tenants < 1, the skew is negative
+  /// or NaN, or templates_per_tenant is outside [0, templates].
   [[nodiscard]] StatusOr<ScenarioTrace> GenerateFleetTrace(
       const std::vector<units::Seconds>& reference_latencies,
       const ScenarioParams& params) const;
@@ -196,7 +205,8 @@ class ScenarioRegistry {
       GUARDED_BY(mutex_);
 };
 
-/// Registry name of the scenario every legacy entry point defaults to.
+/// Registry name of the homogeneous Poisson scenario, the default stream
+/// shape of the benches and examples.
 inline constexpr char kPoissonSteadyName[] = "poisson-steady";
 
 /// Convenience lookups over ScenarioRegistry::Instance().

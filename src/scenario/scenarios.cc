@@ -13,7 +13,7 @@ namespace {
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
 /// Draws one template uniformly from `window` — the shared template draw
-/// of every non-skewed scenario, bit-exact to the legacy generators.
+/// of every non-skewed scenario.
 int UniformTemplate(Rng* rng, const std::vector<int>& window) {
   return window[static_cast<size_t>(
       rng->UniformInt(static_cast<uint64_t>(window.size())))];
@@ -43,7 +43,7 @@ void PoissonSteady::FillTenantStream(
   units::Seconds clock;
   for (int k = 0; k < plan.num_requests; ++k) {
     sched::Request r;
-    // Legacy draw order: template, gap, deadline.
+    // Draw order template, gap, deadline; scenario_parity_test pins it.
     r.template_index = UniformTemplate(rng, plan.templates);
     if (plan.gap_before_first || k > 0) {
       clock += ExponentialGap(rng, plan.mean_gap);

@@ -16,9 +16,9 @@
 
 namespace contender::scenario {
 
-/// Homogeneous Poisson arrivals — bit-exact to the pre-scenario
-/// sched::GenerateArrivals (single-node mode) and fleet's per-tenant
-/// streams (fleet mode). The tree's default and the parity baseline.
+/// Homogeneous Poisson arrivals: the tree's default stream shape. Its
+/// streams in both modes equal, draw for draw, the pre-scenario samplers
+/// that scenario_parity_test keeps as its reference.
 class PoissonSteady : public Scenario {
  public:
   PoissonSteady() = default;

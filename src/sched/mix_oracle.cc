@@ -44,20 +44,26 @@ units::Seconds MixOracle::PredictInMix(
   const TieredPrediction answer =
       predictor_->PredictInMix(template_index, concurrent, !degraded);
   if (degraded) {
-    degradations_.Add(template_index);
+    degradations_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    evaluations_.Add(template_index);
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
     if (answer.tier != DegradationTier::kFullModel) {
-      fallbacks_.Add(template_index);
+      fallbacks_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return answer.latency;
 }
 
-uint64_t MixOracle::evaluations() const { return evaluations_.Total(); }
+uint64_t MixOracle::evaluations() const {
+  return evaluations_.load(std::memory_order_relaxed);
+}
 
-uint64_t MixOracle::fallbacks() const { return fallbacks_.Total(); }
+uint64_t MixOracle::fallbacks() const {
+  return fallbacks_.load(std::memory_order_relaxed);
+}
 
-uint64_t MixOracle::degradations() const { return degradations_.Total(); }
+uint64_t MixOracle::degradations() const {
+  return degradations_.load(std::memory_order_relaxed);
+}
 
 }  // namespace contender::sched

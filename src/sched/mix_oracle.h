@@ -12,11 +12,11 @@
 #ifndef CONTENDER_SCHED_MIX_ORACLE_H_
 #define CONTENDER_SCHED_MIX_ORACLE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "core/predictor.h"
-#include "util/sharded_counter.h"
 #include "util/units.h"
 
 namespace contender::sched {
@@ -41,8 +41,10 @@ units::Seconds PredictInMixUncached(const ContenderPredictor& predictor,
                                     std::vector<int> concurrent);
 
 /// Thread-safe view of a trained predictor for policy evaluation, with the
-/// per-template health signal and probe counters. Counters are
-/// cache-line-padded stripes, so concurrent probes never share a line.
+/// per-template health signal and probe counters. Every oracle in the
+/// tree is probed from one thread (the scheduler loop, one fleet node, or
+/// the sequential routing pass), so the counters are plain relaxed
+/// atomics.
 class MixOracle {
  public:
   struct Options {
@@ -90,11 +92,9 @@ class MixOracle {
  private:
   const ContenderPredictor* const predictor_;
   const Options options_;
-  /// Striped by template index, so concurrent probes of different
-  /// templates count on different cache lines.
-  mutable ShardedCounter evaluations_;
-  mutable ShardedCounter fallbacks_;
-  mutable ShardedCounter degradations_;
+  mutable std::atomic<uint64_t> evaluations_{0};
+  mutable std::atomic<uint64_t> fallbacks_{0};
+  mutable std::atomic<uint64_t> degradations_{0};
 };
 
 }  // namespace contender::sched

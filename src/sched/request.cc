@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "scenario/scenario.h"
 #include "util/logging.h"
 
 namespace contender::sched {
@@ -20,31 +19,6 @@ bool QueueBefore(const Request& a, const Request& b) {
 }
 
 }  // namespace
-
-StatusOr<std::vector<Request>> GenerateArrivals(
-    const std::vector<units::Seconds>& reference_latencies,
-    const ArrivalOptions& options) {
-  // Delegates to the PoissonSteady scenario, the bit-exact successor of
-  // the sampler that used to live here (template → gap → deadline draw
-  // order, first request at t = 0). The scenario's single-node mode seeds
-  // its one tenant directly from options.seed, so the stream is identical
-  // draw for draw to every pre-scenario release.
-  const scenario::Scenario* poisson =
-      scenario::FindScenario(scenario::kPoissonSteadyName);
-  CONTENDER_CHECK(poisson != nullptr)
-      << "poisson-steady missing from the scenario registry";
-  scenario::ScenarioParams params;
-  params.num_requests = options.num_requests;
-  params.mean_interarrival = options.mean_interarrival;
-  params.deadline_probability = options.deadline_probability;
-  params.min_slack = options.min_slack;
-  params.max_slack = options.max_slack;
-  params.seed = options.seed;
-  CONTENDER_ASSIGN_OR_RETURN(scenario::ScenarioTrace trace,
-                             poisson->GenerateTrace(reference_latencies,
-                                                    params));
-  return std::move(trace.requests);
-}
 
 RequestQueue::RequestQueue(std::vector<Request> requests)
     : requests_(std::move(requests)) {

@@ -1,6 +1,6 @@
 // Admission-control requests: one queued execution of a workload template,
 // optionally carrying an SLA deadline, plus the waiting queue the policies
-// choose from and a deterministic seeded arrival-stream generator.
+// choose from. Arrival streams are drawn by scenario::Scenario.
 
 #ifndef CONTENDER_SCHED_REQUEST_H_
 #define CONTENDER_SCHED_REQUEST_H_
@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "overload/shed_reason.h"
-#include "util/random.h"
-#include "util/statusor.h"
 #include "util/units.h"
 
 namespace contender::sched {
@@ -37,33 +35,6 @@ struct Request {
   /// accounting see it.
   overload::Criticality criticality = overload::Criticality::kStandard;
 };
-
-/// Options for GenerateArrivals. All randomness flows from the seed through
-/// one util/random Rng, so the same options always yield the same stream.
-struct ArrivalOptions {
-  int num_requests = 32;
-  /// Mean of the exponential interarrival gap (Poisson arrivals).
-  units::Seconds mean_interarrival{20.0};
-  /// Probability that a request carries an SLA deadline.
-  double deadline_probability = 0.0;
-  /// Deadline = arrival + slack * reference latency of the drawn template,
-  /// with slack uniform in [min_slack, max_slack).
-  double min_slack = 2.0;
-  double max_slack = 6.0;
-  uint64_t seed = 42;
-};
-
-/// Deterministic arrival stream over `reference_latencies.size()` templates:
-/// template drawn uniformly per request, exponential gaps, Bernoulli
-/// deadlines with uniform slack against the template's reference (isolated)
-/// latency. Request ids are assigned in arrival order starting at 0.
-/// InvalidArgument when `reference_latencies` is empty, `num_requests` is
-/// negative, the mean interarrival gap is non-positive (the arrival rate
-/// 1/mean would be undefined or non-positive), the deadline probability is
-/// outside [0, 1], or the slack band is inverted.
-StatusOr<std::vector<Request>> GenerateArrivals(
-    const std::vector<units::Seconds>& reference_latencies,
-    const ArrivalOptions& options);
 
 /// The waiting queue: every generated-but-not-yet-admitted request, kept
 /// sorted by (arrival time, request id). Because of the sort order, the

@@ -33,7 +33,7 @@ Population TestPopulation(int num_requests = 48, double skew = 1.0,
   for (const TemplateProfile& p : SharedPredictor().profiles()) {
     reference.push_back(p.isolated_latency);
   }
-  PopulationOptions options;
+  scenario::ScenarioParams options;
   options.num_tenants = 4;
   options.num_requests = num_requests;
   options.mean_interarrival = units::Seconds(8.0);
@@ -41,7 +41,9 @@ Population TestPopulation(int num_requests = 48, double skew = 1.0,
   options.templates_per_tenant = 10;
   options.deadline_probability = 0.5;
   options.seed = seed;
-  auto population = GeneratePopulation(reference, options);
+  auto population = GeneratePopulation(
+      reference, options,
+      *scenario::FindScenario(scenario::kPoissonSteadyName));
   CONTENDER_CHECK(population.ok()) << population.status();
   return std::move(*population);
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <map>
 #include <utility>
@@ -31,7 +32,7 @@ Population OverloadPopulation(int num_requests, double interarrival,
   for (const TemplateProfile& p : SharedPredictor().profiles()) {
     reference.push_back(p.isolated_latency);
   }
-  PopulationOptions options;
+  scenario::ScenarioParams options;
   options.num_tenants = 6;  // two tenants per criticality tier
   options.num_requests = num_requests;
   options.mean_interarrival = units::Seconds(interarrival);
@@ -39,7 +40,9 @@ Population OverloadPopulation(int num_requests, double interarrival,
   options.templates_per_tenant = 10;
   options.deadline_probability = 0.5;
   options.seed = seed;
-  auto population = GeneratePopulation(reference, options);
+  auto population = GeneratePopulation(
+      reference, options,
+      *scenario::FindScenario(scenario::kPoissonSteadyName));
   CONTENDER_CHECK(population.ok()) << population.status();
   return std::move(*population);
 }
@@ -121,6 +124,27 @@ class OverloadFleetTest : public ::testing::Test {
  protected:
   void TearDown() override { FailPointRegistry::Global().DisarmAll(); }
 };
+
+TEST(FleetMetricsTest, AllRejectedResultHasNaNPercentiles) {
+  // Nothing completed: the percentiles are NaN, as in
+  // ComputeScheduleMetrics, never a fabricated 0 s a threshold would pass.
+  FleetResult result;
+  for (int id = 0; id < 3; ++id) {
+    FleetQueryOutcome out;
+    out.request.request_id = id;
+    out.request.tenant_id = id % 2;
+    out.rejected = true;
+    out.shed_reason = overload::ShedReason::kQuota;
+    result.outcomes.push_back(out);
+  }
+  const FleetMetrics m = ComputeFleetMetrics(result);
+  EXPECT_EQ(m.completed, 0u);
+  EXPECT_EQ(m.shed_total, 3u);
+  ExpectConservation(m);
+  EXPECT_TRUE(std::isnan(m.p50_response.value()));
+  EXPECT_TRUE(std::isnan(m.p95_response.value()));
+  EXPECT_TRUE(std::isnan(m.p99_response.value()));
+}
 
 TEST_F(OverloadFleetTest, FullControllerConservesAndStampsEveryDrop) {
   // ~10x the fleet's service rate: a sustained overload the controller

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <vector>
 
+#include "scenario/scenario.h"
 #include "test_support.h"
+#include "util/logging.h"
 
 namespace contender::fleet {
 namespace {
@@ -20,45 +22,43 @@ std::vector<units::Seconds> ReferenceLatencies() {
   return reference;
 }
 
-bool SameStream(const Population& a, const Population& b) {
-  if (a.requests.size() != b.requests.size()) return false;
-  for (size_t i = 0; i < a.requests.size(); ++i) {
-    const sched::Request& x = a.requests[i];
-    const sched::Request& y = b.requests[i];
-    if (x.request_id != y.request_id || x.tenant_id != y.tenant_id ||
-        x.template_index != y.template_index ||
-        x.arrival_time != y.arrival_time || x.deadline != y.deadline) {
-      return false;
-    }
-  }
-  return true;
+const scenario::Scenario& Poisson() {
+  const scenario::Scenario* poisson =
+      scenario::FindScenario(scenario::kPoissonSteadyName);
+  CONTENDER_CHECK(poisson != nullptr);
+  return *poisson;
 }
 
-TEST(PopulationTest, SameSeedYieldsIdenticalStream) {
-  const auto reference = ReferenceLatencies();
-  PopulationOptions options;
-  options.num_tenants = 4;
-  options.num_requests = 64;
-  options.skew = 1.0;
-  options.templates_per_tenant = 8;
-  options.deadline_probability = 0.4;
-  auto a = GeneratePopulation(reference, options);
-  auto b = GeneratePopulation(reference, options);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_TRUE(SameStream(*a, *b));
+StatusOr<Population> Generate(const std::vector<units::Seconds>& reference,
+                              const PopulationOptions& options) {
+  return GeneratePopulation(reference, options, Poisson());
+}
 
-  options.seed = 43;
-  auto c = GeneratePopulation(reference, options);
-  ASSERT_TRUE(c.ok()) << c.status();
-  EXPECT_FALSE(SameStream(*a, *c));
+// The tenant plan a population is drawn from. Population carries only the
+// requests; the plan comes with the same params' fleet trace.
+std::vector<scenario::TenantTraffic> Plan(
+    const std::vector<units::Seconds>& reference,
+    const PopulationOptions& options) {
+  auto trace = Poisson().GenerateFleetTrace(reference, options);
+  EXPECT_TRUE(trace.ok()) << trace.status();
+  return trace.ok() ? trace->tenants : std::vector<scenario::TenantTraffic>{};
+}
+
+// Requests per tenant id, as the population actually emitted them.
+std::vector<int> RequestsPerTenant(const Population& population,
+                                   int num_tenants) {
+  std::vector<int> counts(static_cast<size_t>(num_tenants), 0);
+  for (const sched::Request& r : population.requests) {
+    ++counts[static_cast<size_t>(r.tenant_id)];
+  }
+  return counts;
 }
 
 TEST(PopulationTest, IdsAreDenseAndArrivalsSorted) {
   const auto reference = ReferenceLatencies();
   PopulationOptions options;
   options.num_requests = 50;
-  auto population = GeneratePopulation(reference, options);
+  auto population = Generate(reference, options);
   ASSERT_TRUE(population.ok()) << population.status();
   ASSERT_EQ(population->requests.size(), 50u);
   units::Seconds last;
@@ -78,26 +78,36 @@ TEST(PopulationTest, ApportionmentIsExactAndSkewConcentrates) {
   options.num_tenants = 5;
   options.num_requests = 97;  // not divisible: exercises the remainders
   options.skew = 0.0;
-  auto uniform = GeneratePopulation(reference, options);
+  auto uniform = Generate(reference, options);
   ASSERT_TRUE(uniform.ok()) << uniform.status();
+  const auto uniform_plan = Plan(reference, options);
+  ASSERT_EQ(uniform_plan.size(), 5u);
+  const std::vector<int> uniform_counts = RequestsPerTenant(*uniform, 5);
   int total = 0;
-  for (const TenantSpec& t : uniform->tenants) {
+  for (const scenario::TenantTraffic& t : uniform_plan) {
     total += t.num_requests;
     EXPECT_NEAR(t.rate_share, 0.2, 1e-12);
     EXPECT_GE(t.num_requests, 19);  // floor(97/5) = 19
+    EXPECT_EQ(uniform_counts[static_cast<size_t>(t.tenant_id)],
+              t.num_requests);
   }
   EXPECT_EQ(total, 97);
 
   options.skew = 2.0;
-  auto skewed = GeneratePopulation(reference, options);
+  auto skewed = Generate(reference, options);
   ASSERT_TRUE(skewed.ok()) << skewed.status();
+  const auto skewed_plan = Plan(reference, options);
+  ASSERT_EQ(skewed_plan.size(), 5u);
+  const std::vector<int> skewed_counts = RequestsPerTenant(*skewed, 5);
   total = 0;
-  for (const TenantSpec& t : skewed->tenants) total += t.num_requests;
+  for (const scenario::TenantTraffic& t : skewed_plan) {
+    total += t.num_requests;
+    EXPECT_EQ(skewed_counts[static_cast<size_t>(t.tenant_id)],
+              t.num_requests);
+  }
   EXPECT_EQ(total, 97);
-  EXPECT_GT(skewed->tenants.front().num_requests,
-            skewed->tenants.back().num_requests);
-  EXPECT_GT(skewed->tenants.front().rate_share,
-            skewed->tenants.back().rate_share);
+  EXPECT_GT(skewed_plan.front().num_requests, skewed_plan.back().num_requests);
+  EXPECT_GT(skewed_plan.front().rate_share, skewed_plan.back().rate_share);
 }
 
 TEST(PopulationTest, TenantsDrawOnlyFromTheirTemplateBlock) {
@@ -106,21 +116,22 @@ TEST(PopulationTest, TenantsDrawOnlyFromTheirTemplateBlock) {
   options.num_tenants = 4;
   options.num_requests = 80;
   options.templates_per_tenant = 6;
-  auto population = GeneratePopulation(reference, options);
+  auto population = Generate(reference, options);
   ASSERT_TRUE(population.ok()) << population.status();
-  for (const TenantSpec& t : population->tenants) {
+  const auto plan = Plan(reference, options);
+  ASSERT_EQ(plan.size(), 4u);
+  for (const scenario::TenantTraffic& t : plan) {
     EXPECT_EQ(t.templates.size(), 6u);
   }
   // Adjacent tenants overlap (rotating half-block windows).
-  const auto& t0 = population->tenants[0].templates;
-  const auto& t1 = population->tenants[1].templates;
+  const auto& t0 = plan[0].templates;
+  const auto& t1 = plan[1].templates;
   bool overlap = false;
   for (int x : t0) overlap |= std::count(t1.begin(), t1.end(), x) > 0;
   EXPECT_TRUE(overlap);
   EXPECT_NE(t0, t1);
   for (const sched::Request& r : population->requests) {
-    const auto& allowed =
-        population->tenants[static_cast<size_t>(r.tenant_id)].templates;
+    const auto& allowed = plan[static_cast<size_t>(r.tenant_id)].templates;
     EXPECT_TRUE(std::count(allowed.begin(), allowed.end(),
                            r.template_index) > 0)
         << "tenant " << r.tenant_id << " drew template "
@@ -135,7 +146,7 @@ TEST(PopulationTest, DeadlinesSitInsideTheSlackBand) {
   options.deadline_probability = 1.0;
   options.min_slack = 2.0;
   options.max_slack = 4.0;
-  auto population = GeneratePopulation(reference, options);
+  auto population = Generate(reference, options);
   ASSERT_TRUE(population.ok()) << population.status();
   for (const sched::Request& r : population->requests) {
     ASSERT_TRUE(r.deadline.has_value());
@@ -150,37 +161,37 @@ TEST(PopulationTest, DeadlinesSitInsideTheSlackBand) {
 
 TEST(PopulationTest, RejectsInvalidOptions) {
   const auto reference = ReferenceLatencies();
-  EXPECT_FALSE(GeneratePopulation({}, PopulationOptions{}).ok());
+  EXPECT_FALSE(Generate({}, PopulationOptions{}).ok());
 
   PopulationOptions bad;
   bad.num_tenants = 0;
-  EXPECT_FALSE(GeneratePopulation(reference, bad).ok());
+  EXPECT_FALSE(Generate(reference, bad).ok());
 
   bad = PopulationOptions{};
   bad.num_requests = -1;
-  EXPECT_FALSE(GeneratePopulation(reference, bad).ok());
+  EXPECT_FALSE(Generate(reference, bad).ok());
 
   bad = PopulationOptions{};
   bad.mean_interarrival = units::Seconds(0.0);
-  EXPECT_FALSE(GeneratePopulation(reference, bad).ok());
+  EXPECT_FALSE(Generate(reference, bad).ok());
 
   bad = PopulationOptions{};
   bad.skew = -0.5;
-  EXPECT_FALSE(GeneratePopulation(reference, bad).ok());
+  EXPECT_FALSE(Generate(reference, bad).ok());
 
   bad = PopulationOptions{};
   bad.deadline_probability = 1.5;
-  EXPECT_FALSE(GeneratePopulation(reference, bad).ok());
+  EXPECT_FALSE(Generate(reference, bad).ok());
 
   bad = PopulationOptions{};
   bad.min_slack = 5.0;
   bad.max_slack = 2.0;
-  EXPECT_FALSE(GeneratePopulation(reference, bad).ok());
+  EXPECT_FALSE(Generate(reference, bad).ok());
 
   bad = PopulationOptions{};
   bad.templates_per_tenant =
       static_cast<int>(reference.size()) + 1;
-  EXPECT_FALSE(GeneratePopulation(reference, bad).ok());
+  EXPECT_FALSE(Generate(reference, bad).ok());
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Property test for the scenario refactor's central promise: routing
-// sched::GenerateArrivals and fleet::GeneratePopulation through the
-// PoissonSteady scenario changed NOTHING — same seed, same
-// (arrival, id, template, tenant, deadline) tuples, bit for bit. The
-// pre-refactor samplers are reimplemented here, verbatim, as the
-// reference; any drift in the scenario driver's draw order, seed
-// derivation, tenant planning, or merge shows up as a tuple mismatch.
+// Property test for the scenario driver's central promise: the
+// PoissonSteady scenario draws, in both modes, exactly the streams of the
+// pre-scenario samplers — same seed, same (arrival, id, template, tenant,
+// deadline) tuples, bit for bit. Those samplers are reimplemented here,
+// verbatim, as the reference; any drift in the scenario driver's draw
+// order, seed derivation, tenant planning, or merge shows up as a tuple
+// mismatch.
 
 #include <algorithm>
 #include <cmath>
@@ -15,8 +15,8 @@
 
 #include "fleet/population.h"
 #include "scenario/scenario.h"
-#include "scenario/scenarios.h"
 #include "sched/request.h"
+#include "util/logging.h"
 #include "util/random.h"
 #include "util/units.h"
 
@@ -31,11 +31,11 @@ std::vector<units::Seconds> References(int n) {
   return refs;
 }
 
-// Verbatim reimplementation of the pre-scenario sched::GenerateArrivals
-// sampling loop (validation elided: parity cases are all valid).
+// Verbatim reimplementation of the pre-scenario single-node sampling loop
+// (validation elided: parity cases are all valid).
 std::vector<sched::Request> LegacyArrivals(
     const std::vector<units::Seconds>& reference_latencies,
-    const sched::ArrivalOptions& options) {
+    const scenario::ScenarioParams& options) {
   Rng rng(options.seed);
   std::vector<sched::Request> requests;
   units::Seconds clock;
@@ -66,13 +66,13 @@ struct LegacyDraw {
   int tenant_seq = 0;
 };
 
-// Verbatim reimplementation of the pre-scenario fleet::GeneratePopulation
-// planner + sampler + merge.
-fleet::Population LegacyPopulation(
+// Verbatim reimplementation of the pre-scenario fleet population planner
+// + sampler + merge.
+scenario::ScenarioTrace LegacyPopulation(
     const std::vector<units::Seconds>& reference_latencies,
-    const fleet::PopulationOptions& options) {
+    const scenario::ScenarioParams& options) {
   const int num_templates = static_cast<int>(reference_latencies.size());
-  fleet::Population population;
+  scenario::ScenarioTrace population;
   population.tenants.resize(static_cast<size_t>(options.num_tenants));
 
   double weight_sum = 0.0;
@@ -112,7 +112,8 @@ fleet::Population LegacyPopulation(
                         ? num_templates
                         : options.templates_per_tenant;
   for (int i = 0; i < options.num_tenants; ++i) {
-    fleet::TenantSpec& spec = population.tenants[static_cast<size_t>(i)];
+    scenario::TenantTraffic& spec =
+        population.tenants[static_cast<size_t>(i)];
     spec.num_requests = counts[static_cast<size_t>(i)];
     const int start = options.templates_per_tenant == 0
                           ? 0
@@ -134,7 +135,7 @@ fleet::Population LegacyPopulation(
 
   std::vector<LegacyDraw> draws;
   for (int i = 0; i < options.num_tenants; ++i) {
-    const fleet::TenantSpec& spec =
+    const scenario::TenantTraffic& spec =
         population.tenants[static_cast<size_t>(i)];
     if (spec.num_requests == 0) continue;
     Rng rng(tenant_seeds[static_cast<size_t>(i)]);
@@ -196,33 +197,39 @@ void ExpectIdentical(const std::vector<sched::Request>& got,
   }
 }
 
-TEST(ScenarioParityTest, GenerateArrivalsMatchesLegacyStream) {
+const scenario::Scenario& Poisson() {
+  const scenario::Scenario* poisson =
+      scenario::FindScenario(scenario::kPoissonSteadyName);
+  CONTENDER_CHECK(poisson != nullptr);
+  return *poisson;
+}
+
+TEST(ScenarioParityTest, SingleNodeTraceMatchesLegacyStream) {
   const std::vector<units::Seconds> refs = References(25);
   for (uint64_t seed : {1ULL, 42ULL, 1234ULL, 99991ULL}) {
     for (double deadline_probability : {0.0, 0.6, 1.0}) {
       for (int num_requests : {0, 1, 7, 64}) {
-        sched::ArrivalOptions options;
-        options.seed = seed;
-        options.deadline_probability = deadline_probability;
-        options.num_requests = num_requests;
-        options.mean_interarrival = units::Seconds(17.0);
+        scenario::ScenarioParams params;
+        params.seed = seed;
+        params.deadline_probability = deadline_probability;
+        params.num_requests = num_requests;
+        params.mean_interarrival = units::Seconds(17.0);
         SCOPED_TRACE("seed=" + std::to_string(seed) +
                      " p=" + std::to_string(deadline_probability) +
                      " n=" + std::to_string(num_requests));
-        auto got = sched::GenerateArrivals(refs, options);
+        auto got = Poisson().GenerateTrace(refs, params);
         ASSERT_TRUE(got.ok()) << got.status();
-        ExpectIdentical(*got, LegacyArrivals(refs, options));
+        ExpectIdentical(got->requests, LegacyArrivals(refs, params));
       }
     }
   }
 }
 
 TEST(ScenarioParityTest, FirstArrivalStaysAtTimeZero) {
-  sched::ArrivalOptions options;
-  auto got = sched::GenerateArrivals(References(5), options);
+  auto got = Poisson().GenerateTrace(References(5), {});
   ASSERT_TRUE(got.ok()) << got.status();
-  ASSERT_FALSE(got->empty());
-  EXPECT_EQ(got->front().arrival_time.value(), 0.0);
+  ASSERT_FALSE(got->requests.empty());
+  EXPECT_EQ(got->requests.front().arrival_time.value(), 0.0);
 }
 
 TEST(ScenarioParityTest, GeneratePopulationMatchesLegacyStream) {
@@ -231,29 +238,32 @@ TEST(ScenarioParityTest, GeneratePopulationMatchesLegacyStream) {
     for (double skew : {0.0, 1.0, 2.5}) {
       for (int templates_per_tenant : {0, 3, 10}) {
         for (int num_tenants : {1, 4, 9}) {
-          fleet::PopulationOptions options;
-          options.seed = seed;
-          options.skew = skew;
-          options.templates_per_tenant = templates_per_tenant;
-          options.num_tenants = num_tenants;
-          options.num_requests = 96;
-          options.deadline_probability = 0.5;
+          scenario::ScenarioParams params;
+          params.seed = seed;
+          params.skew = skew;
+          params.templates_per_tenant = templates_per_tenant;
+          params.num_tenants = num_tenants;
+          params.num_requests = 96;
+          params.mean_interarrival = units::Seconds(5.0);
+          params.deadline_probability = 0.5;
           SCOPED_TRACE("seed=" + std::to_string(seed) +
                        " skew=" + std::to_string(skew) +
                        " tpt=" + std::to_string(templates_per_tenant) +
                        " tenants=" + std::to_string(num_tenants));
-          auto got = fleet::GeneratePopulation(refs, options);
+          const scenario::ScenarioTrace want = LegacyPopulation(refs, params);
+          auto got = fleet::GeneratePopulation(refs, params, Poisson());
           ASSERT_TRUE(got.ok()) << got.status();
-          const fleet::Population want = LegacyPopulation(refs, options);
           ExpectIdentical(got->requests, want.requests);
-          ASSERT_EQ(got->tenants.size(), want.tenants.size());
+          auto plan = Poisson().GenerateFleetTrace(refs, params);
+          ASSERT_TRUE(plan.ok()) << plan.status();
+          ASSERT_EQ(plan->tenants.size(), want.tenants.size());
           for (size_t i = 0; i < want.tenants.size(); ++i) {
-            EXPECT_EQ(got->tenants[i].tenant_id, want.tenants[i].tenant_id);
-            EXPECT_EQ(got->tenants[i].rate_share,
+            EXPECT_EQ(plan->tenants[i].tenant_id, want.tenants[i].tenant_id);
+            EXPECT_EQ(plan->tenants[i].rate_share,
                       want.tenants[i].rate_share);
-            EXPECT_EQ(got->tenants[i].num_requests,
+            EXPECT_EQ(plan->tenants[i].num_requests,
                       want.tenants[i].num_requests);
-            EXPECT_EQ(got->tenants[i].templates, want.tenants[i].templates);
+            EXPECT_EQ(plan->tenants[i].templates, want.tenants[i].templates);
           }
         }
       }
@@ -261,76 +271,36 @@ TEST(ScenarioParityTest, GeneratePopulationMatchesLegacyStream) {
   }
 }
 
-TEST(ScenarioParityTest, DirectScenarioCallMatchesWrappedEntryPoints) {
-  const std::vector<units::Seconds> refs = References(12);
-  const scenario::Scenario* poisson =
-      scenario::FindScenario(scenario::kPoissonSteadyName);
-  ASSERT_NE(poisson, nullptr);
-
-  scenario::ScenarioParams params;
-  params.num_requests = 48;
-  params.mean_interarrival = units::Seconds(9.0);
-  params.deadline_probability = 0.4;
-  params.seed = 271828;
-
-  sched::ArrivalOptions arrival_options;
-  arrival_options.num_requests = params.num_requests;
-  arrival_options.mean_interarrival = params.mean_interarrival;
-  arrival_options.deadline_probability = params.deadline_probability;
-  arrival_options.seed = params.seed;
-  auto wrapped = sched::GenerateArrivals(refs, arrival_options);
-  ASSERT_TRUE(wrapped.ok()) << wrapped.status();
-  auto direct = poisson->GenerateTrace(refs, params);
-  ASSERT_TRUE(direct.ok()) << direct.status();
-  ExpectIdentical(direct->requests, *wrapped);
-
-  params.num_tenants = 4;
-  params.skew = 1.0;
-  params.templates_per_tenant = 5;
-  fleet::PopulationOptions population_options;
-  population_options.num_requests = params.num_requests;
-  population_options.mean_interarrival = params.mean_interarrival;
-  population_options.deadline_probability = params.deadline_probability;
-  population_options.seed = params.seed;
-  population_options.num_tenants = params.num_tenants;
-  population_options.skew = params.skew;
-  population_options.templates_per_tenant = params.templates_per_tenant;
-  auto wrapped_fleet = fleet::GeneratePopulation(refs, population_options);
-  ASSERT_TRUE(wrapped_fleet.ok()) << wrapped_fleet.status();
-  auto direct_fleet = poisson->GenerateFleetTrace(refs, params);
-  ASSERT_TRUE(direct_fleet.ok()) << direct_fleet.status();
-  ExpectIdentical(direct_fleet->requests, wrapped_fleet->requests);
-}
-
+// The pre-scenario entry points' rejections, still rejected by the
+// single-node trace and by the fleet population.
 TEST(ScenarioParityTest, ValidationFailuresSurviveTheRefactor) {
   const std::vector<units::Seconds> refs = References(4);
   {
-    sched::ArrivalOptions options;
-    EXPECT_FALSE(sched::GenerateArrivals({}, options).ok());
-    options.num_requests = -1;
-    EXPECT_FALSE(sched::GenerateArrivals(refs, options).ok());
-    options = sched::ArrivalOptions{};
-    options.mean_interarrival = units::Seconds(0.0);
-    EXPECT_FALSE(sched::GenerateArrivals(refs, options).ok());
-    options = sched::ArrivalOptions{};
-    options.deadline_probability = 1.5;
-    EXPECT_FALSE(sched::GenerateArrivals(refs, options).ok());
-    options = sched::ArrivalOptions{};
-    options.min_slack = 5.0;
-    options.max_slack = 1.0;
-    EXPECT_FALSE(sched::GenerateArrivals(refs, options).ok());
+    scenario::ScenarioParams params;
+    EXPECT_FALSE(Poisson().GenerateTrace({}, params).ok());
+    params.num_requests = -1;
+    EXPECT_FALSE(Poisson().GenerateTrace(refs, params).ok());
+    params = scenario::ScenarioParams{};
+    params.mean_interarrival = units::Seconds(0.0);
+    EXPECT_FALSE(Poisson().GenerateTrace(refs, params).ok());
+    params = scenario::ScenarioParams{};
+    params.deadline_probability = 1.5;
+    EXPECT_FALSE(Poisson().GenerateTrace(refs, params).ok());
+    params = scenario::ScenarioParams{};
+    params.min_slack = 5.0;
+    params.max_slack = 1.0;
+    EXPECT_FALSE(Poisson().GenerateTrace(refs, params).ok());
   }
   {
-    fleet::PopulationOptions options;
-    options.num_tenants = 0;
-    EXPECT_FALSE(fleet::GeneratePopulation(refs, options).ok());
-    options = fleet::PopulationOptions{};
-    options.skew = -0.5;
-    EXPECT_FALSE(fleet::GeneratePopulation(refs, options).ok());
-    options = fleet::PopulationOptions{};
-    options.templates_per_tenant =
-        static_cast<int>(refs.size()) + 1;
-    EXPECT_FALSE(fleet::GeneratePopulation(refs, options).ok());
+    scenario::ScenarioParams params;
+    params.num_tenants = 0;
+    EXPECT_FALSE(fleet::GeneratePopulation(refs, params, Poisson()).ok());
+    params = scenario::ScenarioParams{};
+    params.skew = -0.5;
+    EXPECT_FALSE(fleet::GeneratePopulation(refs, params, Poisson()).ok());
+    params = scenario::ScenarioParams{};
+    params.templates_per_tenant = static_cast<int>(refs.size()) + 1;
+    EXPECT_FALSE(fleet::GeneratePopulation(refs, params, Poisson()).ok());
   }
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "overload/shed_reason.h"
+#include "scenario/scenario.h"
 #include "sched/metrics.h"
 #include "sched/simulator.h"
 #include "test_support.h"
@@ -27,16 +28,17 @@ std::vector<Request> BurstyStream(int num_requests, double interarrival,
   for (const TemplateProfile& p : SharedPredictor().profiles()) {
     reference.push_back(p.isolated_latency);
   }
-  ArrivalOptions options;
+  scenario::ScenarioParams options;
   options.num_requests = num_requests;
   options.mean_interarrival = units::Seconds(interarrival);
   options.deadline_probability = 0.5;
   options.min_slack = 3.0;
   options.max_slack = 10.0;
   options.seed = seed;
-  auto requests = GenerateArrivals(reference, options);
-  CONTENDER_CHECK(requests.ok()) << requests.status();
-  return std::move(*requests);
+  auto trace = scenario::FindScenario(scenario::kPoissonSteadyName)
+                   ->GenerateTrace(reference, options);
+  CONTENDER_CHECK(trace.ok()) << trace.status();
+  return std::move(trace->requests);
 }
 
 StatusOr<ScheduleResult> RunWith(const std::vector<Request>& requests,

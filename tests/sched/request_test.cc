@@ -5,90 +5,76 @@
 #include <utility>
 #include <vector>
 
+#include "scenario/scenario.h"
+#include "util/statusor.h"
+#include "util/units.h"
+
 namespace contender::sched {
 namespace {
 
-ArrivalOptions SmallStream() {
-  ArrivalOptions options;
-  options.num_requests = 64;
-  options.mean_interarrival = units::Seconds(10.0);
-  options.deadline_probability = 0.5;
-  options.min_slack = 2.0;
-  options.max_slack = 5.0;
-  options.seed = 7;
-  return options;
+// The single-node request stream the scheduler consumes: poisson-steady's
+// GenerateTrace. The suite keeps the name of the sched entry point that
+// drew this stream before the scenario module owned it.
+scenario::ScenarioParams SmallStream() {
+  scenario::ScenarioParams params;
+  params.num_requests = 64;
+  params.mean_interarrival = units::Seconds(10.0);
+  params.deadline_probability = 0.5;
+  params.min_slack = 2.0;
+  params.max_slack = 5.0;
+  params.seed = 7;
+  return params;
 }
 
 std::vector<units::Seconds> Reference() {
   return {units::Seconds(30.0), units::Seconds(60.0), units::Seconds(90.0)};
 }
 
-// Unwraps a stream the test expects to be well-formed.
-std::vector<Request> MustGenerate(const std::vector<units::Seconds>& ref,
-                                  const ArrivalOptions& options) {
-  auto requests = GenerateArrivals(ref, options);
-  EXPECT_TRUE(requests.ok()) << requests.status();
-  return std::move(*requests);
+StatusOr<scenario::ScenarioTrace> Generate(
+    const std::vector<units::Seconds>& ref,
+    const scenario::ScenarioParams& params) {
+  return scenario::FindScenario(scenario::kPoissonSteadyName)
+      ->GenerateTrace(ref, params);
 }
 
-TEST(GenerateArrivalsTest, DeterministicUnderFixedSeed) {
-  const auto a = MustGenerate(Reference(), SmallStream());
-  const auto b = MustGenerate(Reference(), SmallStream());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].request_id, b[i].request_id);
-    EXPECT_EQ(a[i].template_index, b[i].template_index);
-    EXPECT_EQ(a[i].arrival_time, b[i].arrival_time);
-    EXPECT_EQ(a[i].deadline.has_value(), b[i].deadline.has_value());
-    if (a[i].deadline.has_value()) {
-      EXPECT_EQ(*a[i].deadline, *b[i].deadline);
-    }
-  }
+// Unwraps a stream the test expects to be well-formed.
+std::vector<Request> MustGenerate(const std::vector<units::Seconds>& ref,
+                                  const scenario::ScenarioParams& params) {
+  auto trace = Generate(ref, params);
+  EXPECT_TRUE(trace.ok()) << trace.status();
+  return std::move(trace->requests);
 }
 
 TEST(GenerateArrivalsTest, RejectsNonPositiveArrivalRate) {
-  ArrivalOptions options = SmallStream();
-  options.mean_interarrival = units::Seconds(0.0);
-  auto zero = GenerateArrivals(Reference(), options);
+  scenario::ScenarioParams params = SmallStream();
+  params.mean_interarrival = units::Seconds(0.0);
+  auto zero = Generate(Reference(), params);
   ASSERT_FALSE(zero.ok());
   EXPECT_EQ(zero.status().code(), StatusCode::kInvalidArgument);
 
-  options.mean_interarrival = units::Seconds(-3.0);
-  auto negative = GenerateArrivals(Reference(), options);
+  params.mean_interarrival = units::Seconds(-3.0);
+  auto negative = Generate(Reference(), params);
   ASSERT_FALSE(negative.ok());
   EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(GenerateArrivalsTest, RejectsMalformedOptions) {
-  auto no_templates = GenerateArrivals({}, SmallStream());
+  auto no_templates = Generate({}, SmallStream());
   ASSERT_FALSE(no_templates.ok());
   EXPECT_EQ(no_templates.status().code(), StatusCode::kInvalidArgument);
 
-  ArrivalOptions negative_count = SmallStream();
+  scenario::ScenarioParams negative_count = SmallStream();
   negative_count.num_requests = -1;
-  EXPECT_FALSE(GenerateArrivals(Reference(), negative_count).ok());
+  EXPECT_FALSE(Generate(Reference(), negative_count).ok());
 
-  ArrivalOptions bad_probability = SmallStream();
+  scenario::ScenarioParams bad_probability = SmallStream();
   bad_probability.deadline_probability = 1.5;
-  EXPECT_FALSE(GenerateArrivals(Reference(), bad_probability).ok());
+  EXPECT_FALSE(Generate(Reference(), bad_probability).ok());
 
-  ArrivalOptions inverted_slack = SmallStream();
+  scenario::ScenarioParams inverted_slack = SmallStream();
   inverted_slack.min_slack = 5.0;
   inverted_slack.max_slack = 2.0;
-  EXPECT_FALSE(GenerateArrivals(Reference(), inverted_slack).ok());
-}
-
-TEST(GenerateArrivalsTest, SeedChangesStream) {
-  ArrivalOptions other = SmallStream();
-  other.seed = 8;
-  const auto a = MustGenerate(Reference(), SmallStream());
-  const auto b = MustGenerate(Reference(), other);
-  bool differs = false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    differs |= a[i].template_index != b[i].template_index ||
-               a[i].arrival_time != b[i].arrival_time;
-  }
-  EXPECT_TRUE(differs);
+  EXPECT_FALSE(Generate(Reference(), inverted_slack).ok());
 }
 
 TEST(GenerateArrivalsTest, StreamShapeInvariants) {
@@ -108,24 +94,24 @@ TEST(GenerateArrivalsTest, StreamShapeInvariants) {
 }
 
 TEST(GenerateArrivalsTest, DeadlineSlackWithinConfiguredBand) {
-  ArrivalOptions options = SmallStream();
-  options.deadline_probability = 1.0;
+  scenario::ScenarioParams params = SmallStream();
+  params.deadline_probability = 1.0;
   const auto reference = Reference();
-  const auto requests = MustGenerate(reference, options);
+  const auto requests = MustGenerate(reference, params);
   for (const Request& r : requests) {
     ASSERT_TRUE(r.deadline.has_value());
     const double slack =
         (*r.deadline - r.arrival_time).value() /
         reference[static_cast<size_t>(r.template_index)].value();
-    EXPECT_GE(slack, options.min_slack);
-    EXPECT_LT(slack, options.max_slack);
+    EXPECT_GE(slack, params.min_slack);
+    EXPECT_LT(slack, params.max_slack);
   }
 }
 
 TEST(GenerateArrivalsTest, ZeroProbabilityMeansBestEffortOnly) {
-  ArrivalOptions options = SmallStream();
-  options.deadline_probability = 0.0;
-  for (const Request& r : MustGenerate(Reference(), options)) {
+  scenario::ScenarioParams params = SmallStream();
+  params.deadline_probability = 0.0;
+  for (const Request& r : MustGenerate(Reference(), params)) {
     EXPECT_FALSE(r.deadline.has_value());
   }
 }

@@ -4,6 +4,7 @@
 
 #include <utility>
 
+#include "scenario/scenario.h"
 #include "sched/metrics.h"
 #include "test_support.h"
 
@@ -19,16 +20,17 @@ std::vector<Request> TestStream(int num_requests, uint64_t seed) {
   for (const TemplateProfile& p : SharedPredictor().profiles()) {
     reference.push_back(p.isolated_latency);
   }
-  ArrivalOptions options;
+  scenario::ScenarioParams options;
   options.num_requests = num_requests;
   options.mean_interarrival = units::Seconds(25.0);
   options.deadline_probability = 0.5;
   options.min_slack = 3.0;
   options.max_slack = 10.0;
   options.seed = seed;
-  auto requests = GenerateArrivals(reference, options);
-  CONTENDER_CHECK(requests.ok()) << requests.status();
-  return std::move(*requests);
+  auto trace = scenario::FindScenario(scenario::kPoissonSteadyName)
+                   ->GenerateTrace(reference, options);
+  CONTENDER_CHECK(trace.ok()) << trace.status();
+  return std::move(trace->requests);
 }
 
 StatusOr<ScheduleResult> RunPolicy(const std::vector<Request>& requests,

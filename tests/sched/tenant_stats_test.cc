@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "scenario/scenario.h"
 #include "sched/mix_oracle.h"
 #include "sched/policy.h"
 #include "sched/request.h"
@@ -87,17 +88,18 @@ std::vector<Request> TenantStream(int num_requests, int num_tenants,
   for (const TemplateProfile& p : SharedPredictor().profiles()) {
     reference.push_back(p.isolated_latency);
   }
-  ArrivalOptions options;
+  scenario::ScenarioParams options;
   options.num_requests = num_requests;
   options.mean_interarrival = units::Seconds(25.0);
   options.deadline_probability = 0.5;
   options.seed = seed;
-  auto requests = GenerateArrivals(reference, options);
-  CONTENDER_CHECK(requests.ok()) << requests.status();
-  for (Request& r : *requests) {
+  auto trace = scenario::FindScenario(scenario::kPoissonSteadyName)
+                   ->GenerateTrace(reference, options);
+  CONTENDER_CHECK(trace.ok()) << trace.status();
+  for (Request& r : trace->requests) {
     r.tenant_id = r.request_id % num_tenants;
   }
-  return std::move(*requests);
+  return std::move(trace->requests);
 }
 
 TEST(TenantScheduleStatsTest, SimulatorMetricsPartitionByTenant) {
