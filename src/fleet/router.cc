@@ -164,13 +164,14 @@ units::Bytes Router::PredictedNodeBytes(const NodeState& node) const {
   return total;
 }
 
-units::Seconds Router::BestPredictedWait(const std::vector<int>& candidates,
-                                         units::Seconds now) const {
-  double best = std::numeric_limits<double>::infinity();
+std::vector<double> Router::PredictedWaits(const std::vector<int>& candidates,
+                                           units::Seconds now) const {
+  std::vector<double> waits;
+  waits.reserve(candidates.size());
   for (int n : candidates) {
-    best = std::min(best, PredictedWait(nodes_[static_cast<size_t>(n)], now));
+    waits.push_back(PredictedWait(nodes_[static_cast<size_t>(n)], now));
   }
-  return units::Seconds(candidates.empty() ? 0.0 : best);
+  return waits;
 }
 
 int Router::Outstanding(int node) const {
@@ -180,8 +181,10 @@ int Router::Outstanding(int node) const {
 }
 
 int Router::PickNode(const std::vector<int>& candidates,
-                     const sched::Request& request, units::Seconds now) {
+                     const std::vector<double>& waits,
+                     const sched::Request& request) {
   CONTENDER_CHECK(!candidates.empty());
+  CONTENDER_CHECK(waits.size() == candidates.size());
   switch (options_.policy) {
     case RoutePolicy::kRoundRobin:
       return candidates[round_robin_next_++ % candidates.size()];
@@ -201,19 +204,19 @@ int Router::PickNode(const std::vector<int>& candidates,
       oracle_->IsolatedLatency(request.template_index).value();
   int best = candidates.front();
   double best_score = std::numeric_limits<double>::infinity();
-  for (int n : candidates) {
-    const NodeState& node = nodes_[static_cast<size_t>(n)];
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const NodeState& node = nodes_[static_cast<size_t>(candidates[i])];
     std::vector<int> mix;
     mix.reserve(node.running.size());
     for (const PredictedQuery& q : node.running) {
       mix.push_back(q.template_index);
     }
     const double score =
-        (PredictedWait(node, now) +
+        (waits[i] +
          oracle_->PredictInMix(request.template_index, mix).value()) /
         isolated;
     if (score < best_score) {
-      best = n;
+      best = candidates[i];
       best_score = score;
     }
   }
@@ -257,9 +260,12 @@ StatusOr<int> Router::Route(const sched::Request& request) {
   // The door: every rejection — static quota included — flows through
   // the overload controller and comes back stamped with its ShedReason.
   const std::vector<int> healthy = HealthyNodes();
+  const std::vector<double> waits = PredictedWaits(healthy, now);
+  double best_wait = std::numeric_limits<double>::infinity();
+  for (double wait : waits) best_wait = std::min(best_wait, wait);
   overload::DoorSample sample;
   sample.now = now;
-  sample.queue_delay = BestPredictedWait(healthy, now);
+  sample.queue_delay = units::Seconds(waits.empty() ? 0.0 : best_wait);
   sample.criticality = request.criticality;
   sample.predicted_completions = predicted_completions_;
   sample.quota_exceeded =
@@ -291,7 +297,9 @@ StatusOr<int> Router::Route(const sched::Request& request) {
     return -1;
   }
 
-  const int pick = PickNode(healthy, request, now);
+  // Nothing since PredictedWaits touched nodes_, so the door's waits are
+  // the pick's too.
+  const int pick = PickNode(healthy, waits, request);
   Place(&nodes_[static_cast<size_t>(pick)], request, now);
   assignment.node = pick;
   assignment.degraded = oracle_->Degraded(request.template_index);
@@ -321,12 +329,12 @@ Status Router::BeginDrain(int node, units::Seconds now) {
   // Failover: the predicted backlog re-routes through the active policy
   // among the remaining healthy nodes, in FIFO order. Predicted-running
   // queries stay — drain means "finish what you started, accept nothing
-  // new".
+  // new". Each Place changes a node, so every pick replays fresh waits.
   std::deque<sched::Request> displaced;
   displaced.swap(draining.backlog);
   for (const sched::Request& r : displaced) {
     const std::vector<int> healthy = HealthyNodes();
-    const int pick = PickNode(healthy, r, now);
+    const int pick = PickNode(healthy, PredictedWaits(healthy, now), r);
     Place(&nodes_[static_cast<size_t>(pick)], r, now);
     Assignment& assignment =
         assignments_[static_cast<size_t>(r.request_id)];

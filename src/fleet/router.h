@@ -193,10 +193,10 @@ class Router {
   [[nodiscard]] std::vector<int> HealthyNodes() const;
 
   /// The policy: picks among `candidates` (non-empty, healthy) for
-  /// `request` at `now`.
+  /// `request`; `waits` is PredictedWaits(candidates, now).
   [[nodiscard]] int PickNode(const std::vector<int>& candidates,
-                             const sched::Request& request,
-                             units::Seconds now);
+                             const std::vector<double>& waits,
+                             const sched::Request& request);
 
   [[nodiscard]] int OutstandingForTenant(int tenant_id) const;
 
@@ -204,9 +204,10 @@ class Router {
   /// backlog), from the profiles' LearnedWMP-style footprints.
   [[nodiscard]] units::Bytes PredictedNodeBytes(const NodeState& node) const;
 
-  /// Best (smallest) predicted wait across `candidates` at `now` — the
-  /// door's queue-delay signal.
-  [[nodiscard]] units::Seconds BestPredictedWait(
+  /// PredictedWait of each of `candidates` at `now`, aligned with it.
+  /// Each entry replays that node's backlog, so Route computes them once
+  /// for both the door's queue-delay signal and the pick.
+  [[nodiscard]] std::vector<double> PredictedWaits(
       const std::vector<int>& candidates, units::Seconds now) const;
 
   const sched::MixOracle* const oracle_;

@@ -32,9 +32,12 @@ void RequestQueue::Push(const Request& request) {
 }
 
 size_t RequestQueue::ArrivedBy(units::Seconds t) const {
-  size_t n = 0;
-  while (n < requests_.size() && requests_[n].arrival_time <= t) ++n;
-  return n;
+  const auto end = std::upper_bound(
+      requests_.begin(), requests_.end(), t,
+      [](units::Seconds time, const Request& r) {
+        return time < r.arrival_time;
+      });
+  return static_cast<size_t>(end - requests_.begin());
 }
 
 units::Seconds RequestQueue::NextArrival() const {

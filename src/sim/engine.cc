@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 
-#include "sim/disk.h"
 #include "util/logging.h"
 
 namespace contender::sim {
@@ -39,14 +37,10 @@ int Engine::AddProcess(const QuerySpec& spec, units::Seconds start) {
   p.result.template_id = spec.template_id;
   p.result.name = spec.name;
   p.result.start_time = start_time;
+  if (!spec.immortal) ++unfinished_mortal_;
   processes_.push_back(std::move(p));
-  pending_.push_back(id);
-  std::sort(pending_.begin(), pending_.end(), [&](int a, int b) {
-    const double ta = processes_[static_cast<size_t>(a)].result.start_time;
-    const double tb = processes_[static_cast<size_t>(b)].result.start_time;
-    if (ta != tb) return ta < tb;
-    return a < b;  // deterministic tie-break: insertion order
-  });
+  // Ties in start time activate in id (insertion) order.
+  pending_.emplace(start_time, id);
   return id;
 }
 
@@ -67,12 +61,11 @@ void Engine::UpdateBufferPoolCapacity() {
 }
 
 void Engine::ActivateArrivals() {
-  while (!pending_.empty()) {
-    const int id = pending_.front();
+  while (!pending_.empty() && pending_.top().first <= now_ + kEps) {
+    const int id = pending_.top().second;
+    pending_.pop();
     Process& p = processes_[static_cast<size_t>(id)];
-    if (p.result.start_time > now_ + kEps) break;
-    pending_.erase(pending_.begin());
-    p.arrived = true;
+    active_.insert(std::upper_bound(active_.begin(), active_.end(), id), id);
     p.result.start_time = now_;
     // Pin memory with priority; the pin is bounded by what exists.
     const double grantable =
@@ -89,7 +82,7 @@ void Engine::ActivateArrivals() {
 
 double Engine::NextArrivalTime() const {
   if (pending_.empty()) return kInfinity;
-  return processes_[static_cast<size_t>(pending_.front())].result.start_time;
+  return pending_.top().first;
 }
 
 bool Engine::PhaseDone(const Process& p) {
@@ -175,8 +168,9 @@ double Engine::RevokeMemoryFromLargerHolders(Process* requester, double need,
   double freed = 0.0;
   while (need > 0.0) {
     Process* victim = nullptr;
-    for (Process& cand : processes_) {
-      if (&cand == requester || cand.done || !cand.arrived) continue;
+    for (const int id : active_) {
+      Process& cand = processes_[static_cast<size_t>(id)];
+      if (&cand == requester || cand.done) continue;
       // Only working sets of comparable or larger size are reclaim
       // victims; small residents are left alone.
       if (cand.mem_granted <= 0.5 * requester_demand) continue;
@@ -220,6 +214,8 @@ void Engine::CompletePhase(Process* p) {
 
 void Engine::CompleteProcess(Process* p) {
   p->done = true;
+  ++num_done_;
+  if (!p->spec.immortal) --unfinished_mortal_;
   p->phase_ready = false;
   p->result.end_time = now_;
   p->result.completed = true;
@@ -232,82 +228,79 @@ void Engine::CompleteProcess(Process* p) {
 }
 
 bool Engine::Step() {
+  // Drop the ids the previous step finished (erase_if keeps id order).
+  std::erase_if(active_, [&](int id) {
+    return processes_[static_cast<size_t>(id)].done;
+  });
   const size_t pending_before = pending_.size();
-  size_t done_before = 0;
-  for (const Process& p : processes_) {
-    if (p.done) ++done_before;
-  }
+  const size_t done_before = num_done_;
 
   ActivateArrivals();
 
-  for (Process& p : processes_) {
-    if (p.arrived && !p.done && !p.phase_ready) InitPhase(&p);
+  // Callbacks run inside these loops may AddProcess; that touches neither
+  // active_ nor any live Process, so the loops and their references hold.
+  for (const int id : active_) {
+    Process& p = processes_[static_cast<size_t>(id)];
+    if (!p.done && !p.phase_ready) InitPhase(&p);
   }
 
   // Build disk demand: shared scan groups for non-negative tables, private
   // sequential streams for negative tables, and seek-bound random streams
   // for index I/O and spill (swap) traffic.
-  std::map<TableId, std::vector<size_t>> scan_groups;
+  const size_t n = active_.size();
+  scan_members_.clear();
+  random_streams_.clear();
+  demand_.random_stream_caps.clear();
   int private_streams = 0;
-  enum class RndKind { kIndex, kSpill };
-  std::vector<std::pair<size_t, RndKind>> rnd_streams;
-  DiskDemand demand;
-  for (size_t i = 0; i < processes_.size(); ++i) {
-    Process& p = processes_[i];
-    if (!p.arrived || p.done || !p.phase_ready) continue;
+  int cpu_active = 0;
+  for (size_t slot = 0; slot < n; ++slot) {
+    const Process& p = processes_[static_cast<size_t>(active_[slot])];
+    if (p.done || !p.phase_ready) continue;
     if (p.seq_remaining > kByteEps) {
       if (p.seq_table >= 0) {
-        scan_groups[p.seq_table].push_back(i);
+        scan_members_.emplace_back(p.seq_table, slot);
       } else {
         ++private_streams;
       }
     }
     if (p.rnd_remaining > kByteEps) {
-      rnd_streams.emplace_back(i, RndKind::kIndex);
-      demand.random_stream_caps.push_back(config_.random_bandwidth *
-                                          p.rnd_rate_multiplier);
+      random_streams_.emplace_back(slot, false);
+      demand_.random_stream_caps.push_back(config_.random_bandwidth *
+                                           p.rnd_rate_multiplier);
     }
     if (p.spill_remaining > kByteEps) {
-      rnd_streams.emplace_back(i, RndKind::kSpill);
-      demand.random_stream_caps.push_back(config_.spill_bandwidth *
-                                          p.spill_rate_multiplier);
+      random_streams_.emplace_back(slot, true);
+      demand_.random_stream_caps.push_back(config_.spill_bandwidth *
+                                           p.spill_rate_multiplier);
+    }
+    if (p.cpu_remaining > kCpuEps) ++cpu_active;
+  }
+  // Sorting by table makes each scan group a contiguous run.
+  std::sort(scan_members_.begin(), scan_members_.end());
+  group_size_.assign(n, 1);
+  int scan_groups = 0;
+  for (size_t begin = 0, end = 0; begin < scan_members_.size(); begin = end) {
+    end = begin + 1;
+    while (end < scan_members_.size() &&
+           scan_members_[end].first == scan_members_[begin].first) {
+      ++end;
+    }
+    ++scan_groups;
+    for (size_t m = begin; m < end; ++m) {
+      group_size_[scan_members_[m].second] = static_cast<int>(end - begin);
     }
   }
-  demand.num_seq_groups =
-      static_cast<int>(scan_groups.size()) + private_streams;
-  const DiskAllocation alloc = AllocateDiskBandwidth(config_, demand);
+  demand_.num_seq_groups = scan_groups + private_streams;
+  const DiskAllocation alloc = AllocateDiskBandwidth(config_, demand_);
 
-  // Per-process rates.
-  const size_t n = processes_.size();
-  std::vector<double> seq_rate(n, 0.0), spill_rate(n, 0.0), rnd_rate(n, 0.0);
-  std::vector<int> group_size(n, 1);
-  for (const auto& [table, members] : scan_groups) {
-    for (size_t i : members) {
-      seq_rate[i] = alloc.seq_group_rate;
-      group_size[i] = static_cast<int>(members.size());
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    Process& p = processes_[i];
-    if (!p.arrived || p.done || !p.phase_ready) continue;
-    if (p.seq_remaining > kByteEps && p.seq_table < 0) {
-      seq_rate[i] = alloc.seq_group_rate;
-    }
-  }
-  for (size_t k = 0; k < rnd_streams.size(); ++k) {
-    const auto& [i, kind] = rnd_streams[k];
-    if (kind == RndKind::kIndex) {
-      rnd_rate[i] = alloc.random_stream_rates[k];
-    } else {
-      spill_rate[i] = alloc.random_stream_rates[k];
-    }
-  }
-
-  int cpu_active = 0;
-  for (const Process& p : processes_) {
-    if (p.arrived && !p.done && p.phase_ready && p.cpu_remaining > kCpuEps) {
-      ++cpu_active;
-    }
+  // Per-process rates. Every sequential stream, shared or private, runs
+  // at the group rate.
+  const double seq_rate = alloc.seq_group_rate;
+  rnd_rate_.assign(n, 0.0);
+  spill_rate_.assign(n, 0.0);
+  for (size_t k = 0; k < random_streams_.size(); ++k) {
+    const auto& [slot, spill] = random_streams_[k];
+    (spill ? spill_rate_ : rnd_rate_)[slot] = alloc.random_stream_rates[k];
   }
   const double cpu_rate =
       cpu_active == 0
@@ -317,17 +310,17 @@ bool Engine::Step() {
 
   // Earliest completion among all active demands, capped by next arrival.
   double dt = kInfinity;
-  for (size_t i = 0; i < n; ++i) {
-    const Process& p = processes_[i];
-    if (!p.arrived || p.done || !p.phase_ready) continue;
-    if (p.seq_remaining > kByteEps && seq_rate[i] > 0.0) {
-      dt = std::min(dt, p.seq_remaining / seq_rate[i]);
+  for (size_t slot = 0; slot < n; ++slot) {
+    const Process& p = processes_[static_cast<size_t>(active_[slot])];
+    if (p.done || !p.phase_ready) continue;
+    if (p.seq_remaining > kByteEps && seq_rate > 0.0) {
+      dt = std::min(dt, p.seq_remaining / seq_rate);
     }
-    if (p.spill_remaining > kByteEps && spill_rate[i] > 0.0) {
-      dt = std::min(dt, p.spill_remaining / spill_rate[i]);
+    if (p.spill_remaining > kByteEps && spill_rate_[slot] > 0.0) {
+      dt = std::min(dt, p.spill_remaining / spill_rate_[slot]);
     }
-    if (p.rnd_remaining > kByteEps && rnd_rate[i] > 0.0) {
-      dt = std::min(dt, p.rnd_remaining / rnd_rate[i]);
+    if (p.rnd_remaining > kByteEps && rnd_rate_[slot] > 0.0) {
+      dt = std::min(dt, p.rnd_remaining / rnd_rate_[slot]);
     }
     if (p.cpu_remaining > kCpuEps && cpu_rate > 0.0) {
       dt = std::min(dt, p.cpu_remaining / cpu_rate);
@@ -342,11 +335,7 @@ bool Engine::Step() {
     }
     // No advanceable demand: the step still made progress if it activated
     // arrivals or completed zero-demand processes (e.g., full cache hits).
-    size_t done_now = 0;
-    for (const Process& p : processes_) {
-      if (p.done) ++done_now;
-    }
-    return done_now != done_before || pending_.size() != pending_before;
+    return num_done_ != done_before || pending_.size() != pending_before;
   }
   if (has_arrival && arrival_gap < dt) {
     dt = std::max(0.0, arrival_gap);
@@ -354,26 +343,27 @@ bool Engine::Step() {
 
   // Advance.
   now_ += dt;
-  for (size_t i = 0; i < n; ++i) {
-    Process& p = processes_[i];
-    if (!p.arrived || p.done || !p.phase_ready) continue;
+  for (size_t slot = 0; slot < n; ++slot) {
+    Process& p = processes_[static_cast<size_t>(active_[slot])];
+    if (p.done || !p.phase_ready) continue;
     const bool had_io = p.seq_remaining > kByteEps ||
                         p.spill_remaining > kByteEps ||
                         p.rnd_remaining > kByteEps;
-    if (p.seq_remaining > kByteEps && seq_rate[i] > 0.0) {
-      const double bytes = std::min(p.seq_remaining, seq_rate[i] * dt);
+    if (p.seq_remaining > kByteEps && seq_rate > 0.0) {
+      const double bytes = std::min(p.seq_remaining, seq_rate * dt);
       p.seq_remaining -= bytes;
-      const double share = static_cast<double>(group_size[i]);
+      const double share = static_cast<double>(group_size_[slot]);
       p.result.disk_bytes_read += bytes / share;
       p.result.bytes_saved_by_shared_scan += bytes * (share - 1.0) / share;
     }
-    if (p.spill_remaining > kByteEps && spill_rate[i] > 0.0) {
-      const double bytes = std::min(p.spill_remaining, spill_rate[i] * dt);
+    if (p.spill_remaining > kByteEps && spill_rate_[slot] > 0.0) {
+      const double bytes =
+          std::min(p.spill_remaining, spill_rate_[slot] * dt);
       p.spill_remaining -= bytes;
       p.result.disk_bytes_read += bytes;
     }
-    if (p.rnd_remaining > kByteEps && rnd_rate[i] > 0.0) {
-      const double bytes = std::min(p.rnd_remaining, rnd_rate[i] * dt);
+    if (p.rnd_remaining > kByteEps && rnd_rate_[slot] > 0.0) {
+      const double bytes = std::min(p.rnd_remaining, rnd_rate_[slot] * dt);
       p.rnd_remaining -= bytes;
       p.result.disk_bytes_read += bytes;
     }
@@ -391,9 +381,9 @@ bool Engine::Step() {
   }
 
   // Phase / process completions (callbacks may add arrivals).
-  for (size_t i = 0; i < n; ++i) {
-    Process& p = processes_[i];
-    if (!p.arrived || p.done || !p.phase_ready) continue;
+  for (const int id : active_) {
+    Process& p = processes_[static_cast<size_t>(id)];
+    if (p.done || !p.phase_ready) continue;
     if (PhaseDone(p)) {
       CompletePhase(&p);
       InitPhase(&p);
@@ -404,15 +394,7 @@ bool Engine::Step() {
 
 Status Engine::Run() {
   stop_requested_ = false;
-  while (!stop_requested_) {
-    bool mortal_active = false;
-    for (const Process& p : processes_) {
-      if (!p.spec.immortal && !p.done) {
-        mortal_active = true;
-        break;
-      }
-    }
-    if (!mortal_active) break;
+  while (!stop_requested_ && unfinished_mortal_ > 0) {
     if (!Step()) {
       return Status::Internal("engine stalled with unfinished processes");
     }

@@ -17,12 +17,16 @@
 #ifndef CONTENDER_SIM_ENGINE_H_
 #define CONTENDER_SIM_ENGINE_H_
 
+#include <deque>
 #include <functional>
 #include <limits>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "sim/buffer_pool.h"
 #include "sim/config.h"
+#include "sim/disk.h"
 #include "sim/query_spec.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -36,7 +40,8 @@ namespace contender::sim {
 class Engine {
  public:
   /// Invoked when a process completes; may call AddProcess (steady-state
-  /// drivers) and may request a stop via RequestStop().
+  /// drivers) and may request a stop via RequestStop(). The result
+  /// reference stays valid for the whole call, AddProcess included.
   using CompletionCallback = std::function<void(const ProcessResult&)>;
 
   Engine(const SimConfig& config, uint64_t seed);
@@ -68,7 +73,8 @@ class Engine {
   /// Currently granted working memory plus pinned memory.
   units::Bytes memory_in_use() const;
 
-  /// Accounting for any process ever added.
+  /// Accounting for any process ever added. The reference stays valid
+  /// for the engine's lifetime (later AddProcess calls do not move it).
   const ProcessResult& result(int process_id) const;
   size_t num_processes() const { return processes_.size(); }
 
@@ -76,7 +82,6 @@ class Engine {
   struct Process {
     QuerySpec spec;
     ProcessResult result;
-    bool arrived = false;
     bool done = false;
     size_t phase_index = 0;
     bool phase_ready = false;
@@ -109,9 +114,10 @@ class Engine {
   void CompletePhase(Process* p);
   void CompleteProcess(Process* p);
 
-  /// Memory-pressure reclaim: takes up to `need` bytes from arrived
+  /// Memory-pressure reclaim: takes up to `need` bytes from active
   /// processes whose current grant exceeds `requester_demand` (largest
-  /// first); victims incur swap (spill) traffic. Returns the bytes freed.
+  /// first, ties to the lowest id); victims incur swap (spill) traffic.
+  /// Returns the bytes freed.
   double RevokeMemoryFromLargerHolders(Process* requester, double need,
                                        double requester_demand);
 
@@ -128,9 +134,30 @@ class Engine {
   double now_ = 0.0;
   bool stop_requested_ = false;
 
-  std::vector<Process> processes_;
-  // Indices of processes not yet arrived, kept sorted by start time.
-  std::vector<int> pending_;
+  // Every process ever added, indexed by id. A deque, so a completion
+  // callback's AddProcess never moves a live Process or ProcessResult.
+  std::deque<Process> processes_;
+  // Arrived, unfinished ids in ascending id order (finished ids linger
+  // until the next Step drops them). The order is observable: InitPhase
+  // draws from rng_ in it and reclaim breaks victim ties by it.
+  std::vector<int> active_;
+  // Not-yet-arrived processes as a min-heap on (start time, id).
+  std::priority_queue<std::pair<double, int>,
+                      std::vector<std::pair<double, int>>, std::greater<>>
+      pending_;
+  size_t num_done_ = 0;
+  // Mortal processes not yet completed, pending ones included: Run's
+  // termination test.
+  size_t unfinished_mortal_ = 0;
+
+  // Step's scratch, indexed by slot (position in active_) and reused
+  // across steps.
+  DiskDemand demand_;
+  std::vector<std::pair<TableId, size_t>> scan_members_;  // (table, slot)
+  std::vector<std::pair<size_t, bool>> random_streams_;   // (slot, spill?)
+  std::vector<double> rnd_rate_;
+  std::vector<double> spill_rate_;
+  std::vector<int> group_size_;
 
   BufferPool buffer_pool_;
   double pinned_memory_ = 0.0;

@@ -253,6 +253,48 @@ TEST(EngineTest, CompletionCallbackCanChainProcesses) {
   EXPECT_NEAR(engine.now().value(), 3.0, 1e-6);
 }
 
+// A phase-less process completes inside Step's activation pass (its
+// InitPhase finds no phases); the callback's AddProcess there must not
+// disturb the pass over the other newly arrived processes.
+TEST(EngineTest, CallbackAddingProcessDuringActivationIsSafe) {
+  Engine engine(QuietConfig(), 1);
+  bool added = false;
+  engine.SetCompletionCallback([&](const ProcessResult&) {
+    if (added) return;
+    added = true;
+    engine.AddProcess(ScanQuery("late", 1, 100.0 * kMB), engine.now());
+  });
+  QuerySpec empty;
+  empty.name = "empty";
+  const int a = engine.AddProcess(empty, units::Seconds(0.0));
+  const int b =
+      engine.AddProcess(ScanQuery("b", 0, 100.0 * kMB), units::Seconds(0.0));
+  ASSERT_TRUE(engine.Run().ok());
+  ASSERT_EQ(engine.num_processes(), 3u);
+  EXPECT_TRUE(engine.result(a).completed);
+  EXPECT_DOUBLE_EQ(engine.result(a).latency().value(), 0.0);
+  // b and the late scan share the disk from t = 0: 100 MB each at 50 MB/s.
+  EXPECT_NEAR(engine.result(b).latency().value(), 2.0, 1e-6);
+  EXPECT_NEAR(engine.result(2).latency().value(), 2.0, 1e-6);
+}
+
+TEST(EngineTest, CompletionResultOutlivesAddProcessInCallback) {
+  Engine engine(QuietConfig(), 1);
+  std::vector<double> end_times;
+  engine.SetCompletionCallback([&](const ProcessResult& r) {
+    if (end_times.empty()) {
+      for (int i = 0; i < 64; ++i) {
+        engine.AddProcess(ScanQuery("more", 0, 1.0 * kMB), engine.now());
+      }
+    }
+    end_times.push_back(r.end_time);
+  });
+  engine.AddProcess(ScanQuery("first", 0, 100.0 * kMB), units::Seconds(0.0));
+  ASSERT_TRUE(engine.Run().ok());
+  ASSERT_EQ(end_times.size(), 65u);
+  EXPECT_NEAR(end_times[0], 1.0, 1e-6);
+}
+
 TEST(EngineTest, RequestStopAbandonsRun) {
   Engine engine(QuietConfig(), 1);
   engine.SetCompletionCallback(
