@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/logging.h"
+
 namespace contender::fleet {
 
 namespace {
@@ -16,12 +18,50 @@ double Overlap(const sched::RequestOutcome& a,
   return std::max(0.0, hi - lo);
 }
 
+/// For each outcome, the ascending indices of the other outcomes whose
+/// execution intervals overlap its own. One sweep over the admit-sorted
+/// intervals finds each overlapping pair from its earlier-admitted side:
+/// the scan forward from an interval stops at the first admit at or after
+/// its completion. O(n log n + n * k log k) for n outcomes that each
+/// overlap at most k others, instead of all n^2 pairs.
+std::vector<std::vector<size_t>> CoRunners(
+    const std::vector<sched::RequestOutcome>& outcomes) {
+  // Only an interval of positive length can overlap another.
+  std::vector<size_t> order;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    if (outcomes[i].admit_time < outcomes[i].completion_time) {
+      order.push_back(i);
+    }
+  }
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (outcomes[a].admit_time != outcomes[b].admit_time) {
+      return outcomes[a].admit_time < outcomes[b].admit_time;
+    }
+    return a < b;
+  });
+  std::vector<std::vector<size_t>> corunners(outcomes.size());
+  for (size_t p = 0; p < order.size(); ++p) {
+    const units::Seconds completion = outcomes[order[p]].completion_time;
+    for (size_t q = p + 1;
+         q < order.size() && outcomes[order[q]].admit_time < completion;
+         ++q) {
+      corunners[order[p]].push_back(order[q]);
+      corunners[order[q]].push_back(order[p]);
+    }
+  }
+  for (std::vector<size_t>& list : corunners) {
+    std::sort(list.begin(), list.end());
+  }
+  return corunners;
+}
+
 }  // namespace
 
 std::vector<QueryBlame> ComputeNodeBlame(const NodeResult& node,
                                          const sched::MixOracle& oracle) {
   const std::vector<sched::RequestOutcome>& outcomes =
       node.schedule.outcomes;
+  const std::vector<std::vector<size_t>> corunners = CoRunners(outcomes);
   std::vector<QueryBlame> blames;
   blames.reserve(outcomes.size());
 
@@ -38,10 +78,11 @@ std::vector<QueryBlame> ComputeNodeBlame(const NodeResult& node,
         std::max(0.0, (victim.execution_latency -
                        blame.isolated_latency).value()));
 
-    // Co-residency scan: every other outcome whose execution interval
-    // overlaps the victim's. Local ids are dense, so index order == id
-    // order == deterministic share order (by culprit fleet id after the
-    // node's sort, which preserves arrival order).
+    // Co-residents: every other outcome whose execution interval
+    // overlaps the victim's, in index order. Local ids are dense, so
+    // index order == id order == deterministic share order (by culprit
+    // fleet id after the node's sort, which preserves arrival order), and
+    // the sums below add in the same order as an all-pairs scan would.
     struct Candidate {
       size_t index;
       double overlap;
@@ -50,10 +91,9 @@ std::vector<QueryBlame> ComputeNodeBlame(const NodeResult& node,
     std::vector<Candidate> candidates;
     double weighted_sum = 0.0;
     double overlap_sum = 0.0;
-    for (size_t j = 0; j < outcomes.size(); ++j) {
-      if (j == i) continue;
+    for (const size_t j : corunners[i]) {
       const double overlap = Overlap(victim, outcomes[j]);
-      if (overlap <= 0.0) continue;
+      CONTENDER_DCHECK(overlap > 0.0);
       // Pairwise antagonism: how much a mix of exactly this co-runner is
       // predicted to slow the victim — one oracle probe per overlapping
       // pair.

@@ -63,8 +63,11 @@ struct QueryBlame {
 
 /// Attributes blame for every completed query of one node's realized
 /// schedule. `oracle` supplies isolated latencies and the pairwise
-/// antagonism weights (the node's own memo — identical answers to the
-/// admission path's). Shares are ordered by culprit request id.
+/// antagonism weights (the node's own oracle, so the same ladder answers
+/// the admission path saw); it is probed once per overlapping pair, in
+/// (victim, culprit) index order. Co-runners are found by one sweep over
+/// the admit-sorted outcomes: O(n log n + n * k log k) for n outcomes that
+/// each overlap at most k others. Shares are ordered by culprit request id.
 std::vector<QueryBlame> ComputeNodeBlame(const NodeResult& node,
                                          const sched::MixOracle& oracle);
 

@@ -1,9 +1,8 @@
 #include "fleet/router.h"
 
 #include <algorithm>
-#include <functional>
+#include <cmath>
 #include <limits>
-#include <queue>
 
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -17,6 +16,23 @@ namespace {
 // instant. Firing is a pure hash of (root seed, evaluation index), so a
 // whole fleet chaos run replays bit-exactly from one number.
 auto& kDrainFailPoint = CONTENDER_DEFINE_FAILPOINT("fleet.node.drain");
+
+/// Replays a backlog over the ascending `slots` (`count` of them, the
+/// running queries' remaining times): each cached isolated latency in
+/// [isolated, end), in FIFO order, starts on the earliest slot and frees it
+/// that much later; the smaller slots shift down one place and the freed
+/// instant drops in after them, so the slots stay ascending. Returns the
+/// earliest slot once every backlogged query has started.
+double ReplayBacklog(double* slots, size_t count, const double* isolated,
+                     const double* end) {
+  for (; isolated != end; ++isolated) {
+    const double freed = slots[0] + *isolated;
+    size_t j = 1;
+    for (; j < count && slots[j] < freed; ++j) slots[j - 1] = slots[j];
+    slots[j - 1] = freed;
+  }
+  return slots[0];
+}
 
 }  // namespace
 
@@ -69,65 +85,100 @@ void Router::Advance(NodeState* node, units::Seconds now) {
         node->running[best].completion > now) {
       return;
     }
-    const units::Seconds freed = node->running[best].completion;
+    const PredictedQuery done = node->running[best];
     node->running.erase(node->running.begin() +
                         static_cast<std::ptrdiff_t>(best));
+    Account(node, done.template_index, done.tenant_id, -1);
     ++predicted_completions_;
     if (!node->backlog.empty()) {
       const sched::Request next = node->backlog.front();
       node->backlog.pop_front();
+      std::vector<double>& isolated = node->backlog_isolated;
+      ++node->backlog_head;
+      if (2 * node->backlog_head >= isolated.size()) {
+        isolated.erase(isolated.begin(),
+                       isolated.begin() +
+                           static_cast<std::ptrdiff_t>(node->backlog_head));
+        node->backlog_head = 0;
+      }
       // The promoted query was backlogged at its arrival (<= freed), so
       // its predicted start is the slot-free instant.
-      Place(node, next, freed);
+      Start(node, next, done.completion);
     }
+  }
+}
+
+void Router::Account(NodeState* node, int template_index, int tenant_id,
+                     int delta) {
+  tenant_outstanding_[tenant_id] += delta;
+  const units::Bytes footprint =
+      oracle_->predictor()
+          .profiles()[static_cast<size_t>(template_index)]
+          .working_set_bytes;
+  if (delta > 0) {
+    // Integer-valued footprints keep the byte ledger exact: its sums stay
+    // below 2^53, so they do not depend on the order of adds and removes.
+    CONTENDER_DCHECK(footprint.value() == std::floor(footprint.value()));
+    node->bytes += footprint;
+  } else {
+    node->bytes -= footprint;
   }
 }
 
 void Router::Place(NodeState* node, const sched::Request& request,
                    units::Seconds now) {
+  Account(node, request.template_index, request.tenant_id, +1);
   if (static_cast<int>(node->running.size()) < options_.target_mpl) {
-    std::vector<int> mix;
-    mix.reserve(node->running.size());
-    for (const PredictedQuery& q : node->running) {
-      mix.push_back(q.template_index);
-    }
-    PredictedQuery entry;
-    entry.template_index = request.template_index;
-    entry.tenant_id = request.tenant_id;
-    entry.request_id = request.request_id;
-    entry.completion =
-        now + oracle_->PredictInMix(request.template_index, mix);
-    node->running.push_back(entry);
+    Start(node, request, now);
     return;
   }
   node->backlog.push_back(request);
+  node->backlog_isolated.push_back(
+      oracle_->IsolatedLatency(request.template_index).value());
 }
 
-double Router::PredictedWait(const NodeState& node,
-                             units::Seconds now) const {
+void Router::Start(NodeState* node, const sched::Request& request,
+                   units::Seconds now) {
+  std::vector<int> mix;
+  mix.reserve(node->running.size());
+  for (const PredictedQuery& q : node->running) {
+    mix.push_back(q.template_index);
+  }
+  PredictedQuery entry;
+  entry.template_index = request.template_index;
+  entry.tenant_id = request.tenant_id;
+  entry.request_id = request.request_id;
+  entry.completion = now + oracle_->PredictInMix(request.template_index, mix);
+  node->running.push_back(entry);
+}
+
+double Router::PredictedWait(const NodeState& node, units::Seconds now,
+                             std::vector<double>* slots) const {
   if (static_cast<int>(node.running.size()) < options_.target_mpl) {
     return 0.0;
   }
-  std::vector<double> remaining;
-  remaining.reserve(node.running.size());
-  for (const PredictedQuery& q : node.running) {
-    remaining.push_back(std::max(0.0, (q.completion - now).value()));
-  }
   // The new request starts once the whole predicted backlog ahead of it
   // has been started and one more slot frees. Replay the slot-free events:
-  // pop the earliest predicted completion, start the next backlogged query
-  // there (charged at its isolated latency — the then-current mix is
+  // each backlogged query, in FIFO order, starts on the earliest-free slot
+  // and holds it for its isolated latency (the then-current mix is
   // unknowable, and isolated is the stable floor that keeps deep backlogs
-  // from looking cheap). O((mpl + backlog) log mpl) per candidate.
-  std::priority_queue<double, std::vector<double>, std::greater<>> slots(
-      remaining.begin(), remaining.end());
-  for (const sched::Request& r : node.backlog) {
-    const double freed = slots.top();
-    slots.pop();
-    slots.push(freed +
-               oracle_->IsolatedLatency(r.template_index).value());
+  // from looking cheap). The slots stay ascending (ReplayBacklog). That is
+  // the multiset a min-heap replay would hold, bit for bit: each step adds
+  // to a minimum slot, and equal slots are interchangeable. O(mpl *
+  // backlog) per candidate, with no oracle call: the isolated latencies
+  // were cached when the backlog grew.
+  slots->clear();
+  for (const PredictedQuery& q : node.running) {
+    // Every node is advanced to `now` before a wait is read, so no
+    // remaining time is negative.
+    CONTENDER_DCHECK(!(q.completion < now));
+    slots->push_back((q.completion - now).value());
   }
-  return slots.top();
+  std::sort(slots->begin(), slots->end());
+  const double* const isolated = node.backlog_isolated.data();
+  return ReplayBacklog(slots->data(), slots->size(),
+                       isolated + node.backlog_head,
+                       isolated + node.backlog_isolated.size());
 }
 
 std::vector<int> Router::HealthyNodes() const {
@@ -138,38 +189,19 @@ std::vector<int> Router::HealthyNodes() const {
   return healthy;
 }
 
-int Router::OutstandingForTenant(int tenant_id) const {
-  int outstanding = 0;
-  for (const NodeState& node : nodes_) {
-    for (const PredictedQuery& q : node.running) {
-      if (q.tenant_id == tenant_id) ++outstanding;
-    }
-    for (const sched::Request& r : node.backlog) {
-      if (r.tenant_id == tenant_id) ++outstanding;
-    }
-  }
-  return outstanding;
-}
-
-units::Bytes Router::PredictedNodeBytes(const NodeState& node) const {
-  const std::vector<TemplateProfile>& profiles =
-      oracle_->predictor().profiles();
-  units::Bytes total{0.0};
-  for (const PredictedQuery& q : node.running) {
-    total += profiles[static_cast<size_t>(q.template_index)].working_set_bytes;
-  }
-  for (const sched::Request& r : node.backlog) {
-    total += profiles[static_cast<size_t>(r.template_index)].working_set_bytes;
-  }
-  return total;
+bool Router::WaitsRead(bool door_reads) const {
+  return door_reads || options_.policy == RoutePolicy::kContentionAware;
 }
 
 std::vector<double> Router::PredictedWaits(const std::vector<int>& candidates,
                                            units::Seconds now) const {
   std::vector<double> waits;
   waits.reserve(candidates.size());
+  std::vector<double> slots;  // one replay buffer for every candidate
+  slots.reserve(static_cast<size_t>(options_.target_mpl));
   for (int n : candidates) {
-    waits.push_back(PredictedWait(nodes_[static_cast<size_t>(n)], now));
+    waits.push_back(
+        PredictedWait(nodes_[static_cast<size_t>(n)], now, &slots));
   }
   return waits;
 }
@@ -184,7 +216,6 @@ int Router::PickNode(const std::vector<int>& candidates,
                      const std::vector<double>& waits,
                      const sched::Request& request) {
   CONTENDER_CHECK(!candidates.empty());
-  CONTENDER_CHECK(waits.size() == candidates.size());
   switch (options_.policy) {
     case RoutePolicy::kRoundRobin:
       return candidates[round_robin_next_++ % candidates.size()];
@@ -200,6 +231,7 @@ int Router::PickNode(const std::vector<int>& candidates,
   }
   // Contention-aware: minimize the predicted response slowdown ratio
   // (wait + L(c|M)) / L_iso.
+  CONTENDER_CHECK(waits.size() == candidates.size());
   const double isolated =
       oracle_->IsolatedLatency(request.template_index).value();
   int best = candidates.front();
@@ -259,8 +291,12 @@ StatusOr<int> Router::Route(const sched::Request& request) {
 
   // The door: every rejection — static quota included — flows through
   // the overload controller and comes back stamped with its ShedReason.
+  // The enabled door reads the predicted waits as its queue-delay signal.
   const std::vector<int> healthy = HealthyNodes();
-  const std::vector<double> waits = PredictedWaits(healthy, now);
+  const std::vector<double> waits =
+      WaitsRead(/*door_reads=*/options_.door.enabled)
+          ? PredictedWaits(healthy, now)
+          : std::vector<double>();
   double best_wait = std::numeric_limits<double>::infinity();
   for (double wait : waits) best_wait = std::min(best_wait, wait);
   overload::DoorSample sample;
@@ -270,7 +306,7 @@ StatusOr<int> Router::Route(const sched::Request& request) {
   sample.predicted_completions = predicted_completions_;
   sample.quota_exceeded =
       options_.tenant_quota > 0 &&
-      OutstandingForTenant(request.tenant_id) >= options_.tenant_quota;
+      tenant_outstanding_[request.tenant_id] >= options_.tenant_quota;
   if (options_.door.enabled &&
       options_.door.node_memory_budget > units::Bytes(0.0)) {
     const units::Bytes footprint =
@@ -279,7 +315,7 @@ StatusOr<int> Router::Route(const sched::Request& request) {
             .working_set_bytes;
     bool any_headroom = false;
     for (int n : healthy) {
-      if (PredictedNodeBytes(nodes_[static_cast<size_t>(n)]) + footprint <=
+      if (nodes_[static_cast<size_t>(n)].bytes + footprint <=
           options_.door.node_memory_budget) {
         any_headroom = true;
         break;
@@ -313,13 +349,23 @@ Status Router::BeginDrain(int node, units::Seconds now) {
   if (node < 0 || node >= static_cast<int>(nodes_.size())) {
     return Status::InvalidArgument("Router::BeginDrain: unknown node");
   }
+  if (!assignments_.empty() && now < last_arrival_) {
+    return Status::InvalidArgument(
+        "Router::BeginDrain: drain before the last routed arrival");
+  }
   NodeState& draining = nodes_[static_cast<size_t>(node)];
   if (draining.draining) return Status::OK();
   if (HealthyNodes().size() <= 1) {
     return Status::FailedPrecondition(
         "Router::BeginDrain: cannot drain the last healthy node");
   }
-  Advance(&draining, now);
+  // `now` becomes the routing clock, and every node advances to it, not
+  // only the drained one: a failover must not queue behind a predicted
+  // completion that has already passed.
+  last_arrival_ = now;
+  for (NodeState& state : nodes_) {
+    Advance(&state, now);
+  }
   draining.draining = true;
 
   DrainEvent event;
@@ -329,12 +375,21 @@ Status Router::BeginDrain(int node, units::Seconds now) {
   // Failover: the predicted backlog re-routes through the active policy
   // among the remaining healthy nodes, in FIFO order. Predicted-running
   // queries stay — drain means "finish what you started, accept nothing
-  // new". Each Place changes a node, so every pick replays fresh waits.
+  // new". Each Place changes a node, so every contention-aware pick
+  // replays fresh waits.
   std::deque<sched::Request> displaced;
   displaced.swap(draining.backlog);
+  draining.backlog_isolated.clear();
+  draining.backlog_head = 0;
+  // Failovers bypass the door, so only the pick may read the waits.
+  const bool waits_read = WaitsRead(/*door_reads=*/false);
   for (const sched::Request& r : displaced) {
+    Account(&draining, r.template_index, r.tenant_id, -1);
     const std::vector<int> healthy = HealthyNodes();
-    const int pick = PickNode(healthy, PredictedWaits(healthy, now), r);
+    const int pick = PickNode(
+        healthy,
+        waits_read ? PredictedWaits(healthy, now) : std::vector<double>(),
+        r);
     Place(&nodes_[static_cast<size_t>(pick)], r, now);
     Assignment& assignment =
         assignments_[static_cast<size_t>(r.request_id)];

@@ -132,9 +132,12 @@ class Router {
   StatusOr<int> Route(const sched::Request& request);
 
   /// Marks `node` draining as of `now` and fails its predicted backlog
-  /// over to the remaining healthy nodes. No-op when already draining;
-  /// InvalidArgument for an unknown node; FailedPrecondition when it
-  /// would drain the last healthy node.
+  /// over to the remaining healthy nodes. Every node is first advanced to
+  /// `now`, so failovers see no predicted completion already in the past,
+  /// and `now` becomes the routing pass's clock. No-op when already
+  /// draining; InvalidArgument for an unknown node or a `now` before the
+  /// last routed arrival; FailedPrecondition when it would drain the last
+  /// healthy node.
   Status BeginDrain(int node, units::Seconds now);
 
   [[nodiscard]] bool draining(int node) const;
@@ -172,6 +175,16 @@ class Router {
   struct NodeState {
     std::vector<PredictedQuery> running;  // size <= target_mpl
     std::deque<sched::Request> backlog;   // FIFO, predicted-waiting
+    /// Isolated latency of each backlogged request, in backlog order from
+    /// `backlog_head` on: PredictedWait's replay input, contiguous and
+    /// free of oracle calls. The consumed prefix is dropped once it is at
+    /// least half the array.
+    std::vector<double> backlog_isolated;
+    size_t backlog_head = 0;
+    /// Predicted outstanding working-set bytes (running + backlog), from
+    /// the profiles' LearnedWMP-style footprints. Footprints are
+    /// integer-valued, so sums below 2^53 are exact in any order.
+    units::Bytes bytes{0.0};
     bool draining = false;
   };
 
@@ -179,30 +192,42 @@ class Router {
   /// completions and promotes backlog head(s) into freed slots.
   void Advance(NodeState* node, units::Seconds now);
 
-  /// Places `request` on `node` at `now`: into a free slot (predicted
-  /// completion = now + predicted in-mix latency) or the backlog.
+  /// Makes `request` outstanding on `node` at `now` (tenant and byte
+  /// ledgers included): into a free slot or the backlog.
   void Place(NodeState* node, const sched::Request& request,
              units::Seconds now);
 
+  /// Starts `request` in a free slot of `node` at `now`: predicted
+  /// completion = now + predicted in-mix latency.
+  void Start(NodeState* node, const sched::Request& request,
+             units::Seconds now);
+
   /// Predicted seconds until `node` can start one more request, given its
-  /// current backlog depth (0 when a slot is free).
+  /// current backlog depth (0 when a slot is free). `slots` is the
+  /// replay's scratch buffer.
   [[nodiscard]] double PredictedWait(const NodeState& node,
-                                     units::Seconds now) const;
+                                     units::Seconds now,
+                                     std::vector<double>* slots) const;
 
   /// Healthy = not draining.
   [[nodiscard]] std::vector<int> HealthyNodes() const;
 
+  /// Whether a routing step reads predicted waits: the contention-aware
+  /// pick always does, and the door when `door_reads`. Route and
+  /// BeginDrain skip the backlog replay otherwise.
+  [[nodiscard]] bool WaitsRead(bool door_reads) const;
+
   /// The policy: picks among `candidates` (non-empty, healthy) for
-  /// `request`; `waits` is PredictedWaits(candidates, now).
+  /// `request`; `waits` is PredictedWaits(candidates, now), or empty when
+  /// WaitsRead is false.
   [[nodiscard]] int PickNode(const std::vector<int>& candidates,
                              const std::vector<double>& waits,
                              const sched::Request& request);
 
-  [[nodiscard]] int OutstandingForTenant(int tenant_id) const;
-
-  /// Predicted outstanding working-set bytes on a node (running +
-  /// backlog), from the profiles' LearnedWMP-style footprints.
-  [[nodiscard]] units::Bytes PredictedNodeBytes(const NodeState& node) const;
+  /// Ledger bookkeeping for one request joining (+1) or leaving (-1) the
+  /// outstanding set of `node`: its tenant's count and the node's bytes.
+  void Account(NodeState* node, int template_index, int tenant_id,
+               int delta);
 
   /// PredictedWait of each of `candidates` at `now`, aligned with it.
   /// Each entry replays that node's backlog, so Route computes them once
@@ -214,6 +239,8 @@ class Router {
   const RouterOptions options_;
   std::vector<NodeState> nodes_;
   std::vector<Assignment> assignments_;
+  /// Outstanding (predicted unfinished) requests per tenant, fleet-wide.
+  std::map<int, int> tenant_outstanding_;
   RouterStats stats_;
   overload::DoorController door_;
   uint64_t predicted_completions_ = 0;
@@ -222,7 +249,8 @@ class Router {
   uint64_t round_robin_next_ = 0;
   /// Next chaos-drain victim (rotates over nodes).
   int next_chaos_drain_ = 0;
-  /// Clock of the routing pass (Route enforces monotonicity against it).
+  /// Clock of the routing pass: the last routed arrival or drain instant
+  /// (Route and BeginDrain enforce monotonicity against it).
   units::Seconds last_arrival_;
 };
 

@@ -157,6 +157,63 @@ TEST(RouterTest, DrainFailsOverPredictedBacklog) {
   EXPECT_FALSE(router.BeginDrain(7, units::Seconds(3.0)).ok());
 }
 
+TEST(RouterTest, DrainAdvancesEveryNodeBeforeFailingOver) {
+  // Node 0 runs the slowest template, node 1 the fastest; one more request
+  // waits in node 0's backlog (MPL 1).
+  const std::vector<TemplateProfile>& profiles = SharedPredictor().profiles();
+  int slowest = 0;
+  int fastest = 0;
+  for (int t = 0; t < static_cast<int>(profiles.size()); ++t) {
+    const auto idx = static_cast<size_t>(t);
+    if (profiles[idx].isolated_latency >
+        profiles[static_cast<size_t>(slowest)].isolated_latency) {
+      slowest = t;
+    }
+    if (profiles[idx].isolated_latency <
+        profiles[static_cast<size_t>(fastest)].isolated_latency) {
+      fastest = t;
+    }
+  }
+  const double fast = profiles[static_cast<size_t>(fastest)]
+                          .isolated_latency.value();
+  const double slow = profiles[static_cast<size_t>(slowest)]
+                          .isolated_latency.value();
+  ASSERT_LT(fast, slow);
+
+  sched::MixOracle oracle(&SharedPredictor());
+  RouterOptions options;
+  options.num_nodes = 2;
+  options.target_mpl = 1;
+  options.policy = RoutePolicy::kRoundRobin;
+  Router router(&oracle, options);
+  ASSERT_TRUE(router.Route(MakeRequest(0, slowest, 0.0)).ok());  // node 0
+  ASSERT_TRUE(router.Route(MakeRequest(1, fastest, 0.0)).ok());  // node 1
+  ASSERT_TRUE(router.Route(MakeRequest(2, fastest, 0.0)).ok());  // backlog
+  ASSERT_EQ(router.Outstanding(0), 2);
+  ASSERT_EQ(router.Outstanding(1), 1);
+
+  // Drain node 0 after node 1's query is predicted done but before node
+  // 0's is. The failover must start on node 1's free slot, not queue
+  // behind a completion that has already passed.
+  const double drain_at = 0.5 * (fast + slow);
+  ASSERT_TRUE(router.BeginDrain(0, units::Seconds(drain_at)).ok());
+  EXPECT_EQ(router.assignments()[2].node, 1);
+  EXPECT_TRUE(router.assignments()[2].failed_over);
+  EXPECT_EQ(router.Outstanding(0), 1);
+  EXPECT_EQ(router.Outstanding(1), 1);
+  EXPECT_EQ(router.predicted_completions(), 1u);
+
+  // The drain instant is the routing clock now: neither an arrival nor a
+  // drain may go back before it.
+  EXPECT_EQ(router.Route(MakeRequest(3, fastest, drain_at - 1.0))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(router.Route(MakeRequest(3, fastest, drain_at)).ok());
+  EXPECT_EQ(router.BeginDrain(1, units::Seconds(drain_at - 1.0)).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(RouterTest, DegradedTemplateDescendsTheLadder) {
   FakeHealth health({3});
   sched::MixOracle::Options oracle_options;
