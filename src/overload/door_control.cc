@@ -75,7 +75,6 @@ Status DoorController::ShedStatus(ShedReason reason) {
   switch (reason) {
     case ShedReason::kQuota:
     case ShedReason::kMemoryPressure:
-    case ShedReason::kRetryBudget:
       return Status::ResourceExhausted("shed: " + name);
     case ShedReason::kQueueDelay:
     case ShedReason::kCriticalityBrownout:

@@ -102,7 +102,7 @@ class DoorController {
   }
 
   /// The canonical Status for a shed: kResourceExhausted for the hard
-  /// limits (quota, memory, retry-budget — retrying cannot help),
+  /// limits (quota, memory — retrying cannot help),
   /// kUnavailable for the transient load sheds (retry later may).
   static Status ShedStatus(ShedReason reason);
 

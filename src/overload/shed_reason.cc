@@ -12,8 +12,6 @@ const char* ShedReasonName(ShedReason reason) {
       return "memory-pressure";
     case ShedReason::kCriticalityBrownout:
       return "criticality-brownout";
-    case ShedReason::kRetryBudget:
-      return "retry-budget";
   }
   return "unknown";
 }
@@ -29,7 +27,6 @@ const std::vector<ShedReason>& AllShedReasons() {
   static const std::vector<ShedReason>* all = new std::vector<ShedReason>{
       ShedReason::kQueueDelay,          ShedReason::kQuota,
       ShedReason::kMemoryPressure,      ShedReason::kCriticalityBrownout,
-      ShedReason::kRetryBudget,
   };
   return *all;
 }

@@ -33,8 +33,6 @@ enum class ShedReason {
   kMemoryPressure,
   /// The brownout ladder's criticality floor excluded this tier.
   kCriticalityBrownout,
-  /// A retry was denied because the tenant's retry budget ran dry.
-  kRetryBudget,
 };
 
 /// Stable lowercase-hyphen name ("queue-delay", "quota", ...).

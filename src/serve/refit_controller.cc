@@ -32,8 +32,6 @@ RefitController::RefitController(PredictionService* service,
   CONTENDER_CHECK(log_ != nullptr);
 }
 
-RefitController::~RefitController() { Stop(); }
-
 StatusOr<RefitStep> RefitController::Step() {
   MutexLock lock(&step_mutex_);
   RefitStep step;
@@ -86,8 +84,7 @@ StatusOr<RefitStep> RefitController::Step() {
     next = ModelSnapshot::Create(std::move(*refit), live->version() + 1);
     return Status::OK();
   };
-  const Status fit_status = overload::RetryWithBudget(
-      options_.retry_budget, options_.retry_budget_key,
+  const Status fit_status = RetryWithBackoff(
       options_.refit_retry, options_.retry_jitter_seed ^ step_index,
       options_.clock != nullptr ? options_.clock : Clock::System(), attempt);
   if (!fit_status.ok()) {
@@ -104,47 +101,6 @@ StatusOr<RefitStep> RefitController::Step() {
   step.refit = true;
   refits_.fetch_add(1, std::memory_order_relaxed);
   return step;
-}
-
-void RefitController::StartBackground(std::chrono::milliseconds interval) {
-  MutexLock lock(&background_mutex_);
-  CONTENDER_CHECK(!background_.joinable())
-      << "RefitController: background loop already running";
-  stop_requested_ = false;
-  background_ = std::thread([this, interval] {
-    // Explicit Lock/Unlock (not MutexLock) because the lock is dropped
-    // around Step() inside the loop: Step serializes on step_mutex_ and
-    // must never run under the background lock, or Stop() would block
-    // behind a whole refit.
-    background_mutex_.Lock();
-    // WaitFor evaluates the predicate with background_mutex_ held, but
-    // the analysis cannot see that through the template indirection
-    // (R8-budgeted suppression).
-    while (!background_wake_.WaitFor(
-        &background_mutex_, interval,
-        [this]() NO_THREAD_SAFETY_ANALYSIS { return stop_requested_; })) {
-      background_mutex_.Unlock();
-      auto step = Step();
-      if (!step.ok()) {
-        CONTENDER_LOG(Warning)
-            << "RefitController: background refit failed: " << step.status();
-      }
-      background_mutex_.Lock();
-    }
-    background_mutex_.Unlock();
-  });
-}
-
-void RefitController::Stop() {
-  std::thread to_join;
-  {
-    MutexLock lock(&background_mutex_);
-    if (!background_.joinable()) return;
-    stop_requested_ = true;
-    to_join = std::move(background_);
-  }
-  background_wake_.NotifyAll();
-  to_join.join();
 }
 
 size_t RefitController::training_set_size() const {

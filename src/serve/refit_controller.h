@@ -11,31 +11,26 @@
 //      throughout), and
 //   4. atomically hot-swaps the new snapshot into the service.
 //
-// Deterministic mode is the default: nothing happens except inside an
-// explicit Step() call, and a step's outcome is a pure function of (the
+// Nothing happens except inside an explicit Step() call, the one way to
+// drive a refit, and a step's outcome is a pure function of (the
 // observations ingested so far, the prior steps) — so cold-replaying the
-// same ingest/step sequence reproduces every snapshot bit-exactly. The
-// optional wall-clock background mode just calls the same Step() on an
-// interval for long-lived deployments; per-step behavior is identical.
+// same ingest/step sequence reproduces every snapshot bit-exactly.
 //
 // Failure handling (DESIGN.md §11): the refit runs entirely on a copy, so
 // a failing fit can never corrupt the live snapshot. A transient failure
-// is retried with seeded-jitter backoff (util/retry.h); once the budget is
-// exhausted the batch is quarantined into the log's dead-letter buffer —
-// observations that repeatedly break the fit must not silently rejoin the
-// training set.
+// is retried with seeded-jitter backoff (util/retry.h); once the attempts
+// or the deadline run out the batch is quarantined into the log's
+// dead-letter buffer — observations that repeatedly break the fit must
+// not silently rejoin the training set.
 
 #ifndef CONTENDER_SERVE_REFIT_CONTROLLER_H_
 #define CONTENDER_SERVE_REFIT_CONTROLLER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "core/template_profile.h"
-#include "overload/retry_budget.h"
 #include "serve/observation_log.h"
 #include "serve/service.h"
 #include "util/mutex.h"
@@ -53,7 +48,7 @@ struct RefitOptions {
   /// pending, so one noisy record cannot force a refit).
   double residual_threshold = 0.10;
   size_t drift_min_observations = 4;
-  /// Retry budget for one triggered refit: a transiently failing fit is
+  /// Retry policy for one triggered refit: a transiently failing fit is
   /// retried with seeded-jitter backoff until attempts or deadline run
   /// out (util/retry.h). Defaults keep a step bounded at a few seconds.
   RetryOptions refit_retry;
@@ -63,14 +58,6 @@ struct RefitOptions {
   /// Time source for backoff sleeps; null selects Clock::System(). Tests
   /// inject a FakeClock so retry paths run instantly.
   Clock* clock = nullptr;
-  /// Optional shared retry budget (overload/retry_budget.h): when set,
-  /// every refit retry must win a token under `retry_budget_key`, so a
-  /// chaos-induced failure burst cannot amplify into a retry storm — a
-  /// dry budget stops the step immediately (no backoff sleep) and the
-  /// batch goes to the dead-letter buffer exactly as on exhausted
-  /// attempts. Null = unbudgeted (plain RetryWithBackoff).
-  overload::RetryBudget* retry_budget = nullptr;
-  int retry_budget_key = 0;
 };
 
 /// What one Step() did.
@@ -96,31 +83,26 @@ class RefitController {
   RefitController(PredictionService* service, ObservationLog* log,
                   std::vector<MixObservation> base_observations,
                   const RefitOptions& options = {});
-  ~RefitController();
 
   RefitController(const RefitController&) = delete;
   RefitController& operator=(const RefitController&) = delete;
 
   /// One deterministic control step (see file comment). Thread-safe; steps
   /// serialize. A failing fit is retried with seeded-jitter backoff under
-  /// `options_.refit_retry`; a non-OK status means the whole budget was
-  /// exhausted (or the failure was non-retryable) — the old snapshot stays
-  /// live, nothing partial is ever published, and the drained batch is
-  /// quarantined into the log's dead-letter buffer instead of joining the
-  /// training set (it is suspected of poisoning the fit).
+  /// `options_.refit_retry`; a non-OK status means the attempts or the
+  /// deadline ran out (or the failure was non-retryable) — the old
+  /// snapshot stays live, nothing partial is ever published, and the
+  /// drained batch is quarantined into the log's dead-letter buffer
+  /// instead of joining the training set (it is suspected of poisoning
+  /// the fit).
   StatusOr<RefitStep> Step();
-
-  /// Wall-clock mode: calls Step() every `interval` on a background thread
-  /// until Stop() (or destruction). Failed steps are logged and skipped.
-  void StartBackground(std::chrono::milliseconds interval);
-  void Stop();
 
   /// Completed refits (snapshots published by this controller).
   [[nodiscard]] uint64_t refits() const {
     return refits_.load(std::memory_order_relaxed);
   }
-  /// Triggered steps whose refit exhausted the retry budget (their
-  /// batches are in the log's dead-letter buffer).
+  /// Triggered steps whose refit failed for good (their batches are in
+  /// the log's dead-letter buffer).
   [[nodiscard]] uint64_t failed_steps() const {
     return failed_steps_.load(std::memory_order_relaxed);
   }
@@ -138,11 +120,6 @@ class RefitController {
   uint64_t triggered_steps_ GUARDED_BY(step_mutex_) = 0;
   std::atomic<uint64_t> refits_{0};
   std::atomic<uint64_t> failed_steps_{0};
-
-  Mutex background_mutex_;
-  CondVar background_wake_;
-  std::thread background_ GUARDED_BY(background_mutex_);
-  bool stop_requested_ GUARDED_BY(background_mutex_) = false;
 };
 
 }  // namespace contender::serve

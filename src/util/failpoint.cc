@@ -35,20 +35,6 @@ uint64_t DeriveSiteSeed(uint64_t root, const std::string& name) {
 
 }  // namespace
 
-const char* FailPointModeName(FailPointMode mode) {
-  switch (mode) {
-    case FailPointMode::kOff:
-      return "off";
-    case FailPointMode::kProbability:
-      return "probability";
-    case FailPointMode::kNthHit:
-      return "nth-hit";
-    case FailPointMode::kOnce:
-      return "once";
-  }
-  return "unknown";
-}
-
 FailPoint::FailPoint(std::string name, uint64_t site_seed)
     : name_(std::move(name)), seed_(site_seed) {}
 

@@ -41,8 +41,6 @@ namespace contender {
 /// How an armed site decides to fire (see file comment).
 enum class FailPointMode { kOff = 0, kProbability, kNthHit, kOnce };
 
-const char* FailPointModeName(FailPointMode mode);
-
 /// One registered injection site. Instances are owned by the registry and
 /// live for the process lifetime; call sites hold a reference.
 class FailPoint {

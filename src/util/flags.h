@@ -1,7 +1,10 @@
 // Tiny command-line flag parser for bench and example binaries.
 //
 // Supports "--name=value" and "--name value" syntax plus boolean
-// "--name" / "--no-name". Unknown flags are reported but not fatal.
+// "--name" / "--no-name". Flags nobody looks up are ignored silently.
+// A flag that is looked up must parse completely: GetInt/GetDouble
+// accept only a whole, in-range (and for doubles finite) number, GetBool
+// only true/false/1/0; anything else CHECK-fails naming the flag.
 
 #ifndef CONTENDER_UTIL_FLAGS_H_
 #define CONTENDER_UTIL_FLAGS_H_

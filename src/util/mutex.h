@@ -1,11 +1,11 @@
 // The repo's ONLY sanctioned blocking-synchronization vocabulary:
-// annotated Mutex / MutexLock / CondVar wrappers over the std
-// primitives, visible to Clang Thread Safety Analysis
-// (util/thread_annotations.h). tools/lint.py rule R7 bans the raw
-// std::mutex family everywhere under src/ except this file, so every
-// lock in the tree carries TSA capability semantics: GUARDED_BY fields
-// are compiler-checked, REQUIRES contracts are compiler-checked, and a
-// forgotten unlock is a build break under the clang-tsa CI job.
+// annotated Mutex / MutexLock wrappers over the std primitives, visible
+// to Clang Thread Safety Analysis (util/thread_annotations.h).
+// tools/lint.py rule R7 bans the raw std::mutex family everywhere under
+// src/ except this file, so every lock in the tree carries TSA
+// capability semantics: GUARDED_BY fields are compiler-checked, REQUIRES
+// contracts are compiler-checked, and a forgotten unlock is a build
+// break under the clang-tsa CI job.
 //
 // Await: condition waits are NOT spelled as bare wait loops over a
 // std::condition_variable. `mu.Await(pred)` (caller holds mu) blocks
@@ -13,15 +13,7 @@
 // explicit signaling: Mutex::Unlock notifies Await-waiters whenever any
 // are registered, so "change guarded state under the lock, drop the
 // lock" is the complete publication protocol (the shape
-// absl::Mutex::Await pioneered). CondVar remains for call sites that
-// want explicitly targeted NotifyOne/NotifyAll signaling; its Wait
-// takes the Mutex* so the REQUIRES contract is visible to the analysis.
-//
-// Mixing discipline: use Await *or* a CondVar per mutex, not both for
-// cross-dependent predicates — each side's pre-sleep unlock bypasses
-// the other's notification channel (both do a courtesy wake of Await
-// waiters before sleeping, but a CondVar waiter can only be woken by
-// its own Notify). Every module in this tree uses one style per mutex.
+// absl::Mutex::Await pioneered). Await is the tree's one wait primitive.
 //
 // Cost: Unlock reads one int (guarded, uncontended) and notifies only
 // when a waiter is actually registered; the wrappers otherwise compile
@@ -31,16 +23,12 @@
 #ifndef CONTENDER_UTIL_MUTEX_H_
 #define CONTENDER_UTIL_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <utility>
 
 #include "util/thread_annotations.h"
 
 namespace contender {
-
-class CondVar;
 
 /// An exclusive lock with TSA capability semantics. Non-reentrant.
 class CAPABILITY("mutex") Mutex {
@@ -90,14 +78,6 @@ class CAPABILITY("mutex") Mutex {
   }
 
  private:
-  friend class CondVar;
-
-  /// Pre-sleep courtesy from CondVar waiters (their internal unlock
-  /// also bypasses Unlock's notify path).
-  void WakeAwaitWaiters() REQUIRES(this) {
-    if (await_waiters_ > 0) await_cv_.notify_all();
-  }
-
   std::mutex mu_;
   /// Await-waiters registered on await_cv_. Only read/written with mu_
   /// held (including inside the wait loop, which re-holds mu_ whenever
@@ -119,62 +99,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// A condition variable for explicitly signaled waits. Every Wait takes
-/// the Mutex* it rides on, so the caller-holds-the-lock contract is a
-/// compiler-checked REQUIRES instead of a comment.
-class CondVar {
- public:
-  CondVar() = default;
-
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Releases `mu`, waits for a notification (or a spurious wakeup),
-  /// and re-acquires `mu` before returning.
-  void Wait(Mutex* mu) REQUIRES(mu) {
-    mu->WakeAwaitWaiters();
-    std::unique_lock<std::mutex> waiter(mu->mu_, std::adopt_lock);
-    cv_.wait(waiter);
-    waiter.release();
-  }
-
-  /// Waits until `pred()` — evaluated with `mu` held — returns true.
-  template <typename Pred>
-  void Wait(Mutex* mu, Pred pred) REQUIRES(mu) {
-    while (!pred()) Wait(mu);
-  }
-
-  /// Waits up to `timeout` for a notification; false on timeout.
-  template <typename Rep, typename Period>
-  bool WaitFor(Mutex* mu, std::chrono::duration<Rep, Period> timeout)
-      REQUIRES(mu) {
-    mu->WakeAwaitWaiters();
-    std::unique_lock<std::mutex> waiter(mu->mu_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_for(waiter, timeout);
-    waiter.release();
-    return status == std::cv_status::no_timeout;
-  }
-
-  /// Waits up to `timeout` for `pred()` (evaluated with `mu` held) to
-  /// turn true; returns the final pred() value, exactly like
-  /// std::condition_variable::wait_for's predicate overload.
-  template <typename Pred, typename Rep, typename Period>
-  bool WaitFor(Mutex* mu, std::chrono::duration<Rep, Period> timeout,
-               Pred pred) REQUIRES(mu) {
-    mu->WakeAwaitWaiters();
-    std::unique_lock<std::mutex> waiter(mu->mu_, std::adopt_lock);
-    const bool result = cv_.wait_for(waiter, timeout, std::move(pred));
-    waiter.release();
-    return result;
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace contender

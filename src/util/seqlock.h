@@ -33,9 +33,6 @@
 #include <type_traits>
 
 #include "util/logging.h"
-#include "util/retry.h"
-#include "util/status.h"
-#include "util/units.h"
 
 namespace contender {
 
@@ -124,26 +121,6 @@ class Seqlock {
       if (TryReadOnce(out)) return true;
     }
     return false;
-  }
-
-  /// Spinning read with a time budget: rounds of `spins_per_probe` probes
-  /// separated by `probe_pause` sleeps on `clock` until `budget` elapses
-  /// (then kDeadlineExceeded). Injecting a FakeClock makes the timeout
-  /// path deterministic and instant — the bounded-spin timeout test
-  /// drives this with a writer section deliberately held open.
-  Status ReadWithBudget(T* out, Clock* clock, units::Seconds budget,
-                        int spins_per_probe = 64,
-                        units::Seconds probe_pause = units::Seconds(1e-6)) const {
-    CONTENDER_CHECK(clock != nullptr) << "Seqlock: clock must be non-null";
-    const units::Seconds start = clock->Now();
-    while (true) {
-      if (TryRead(out, spins_per_probe)) return Status::OK();
-      if (clock->Now() - start >= budget) {
-        return Status::DeadlineExceeded(
-            "Seqlock: read budget exhausted while a write section was held");
-      }
-      clock->Sleep(probe_pause);
-    }
   }
 
   /// Sequence counter value (even = quiescent); for tests and metrics.

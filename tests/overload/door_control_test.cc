@@ -182,8 +182,6 @@ TEST_F(DoorControlTest, ShedStatusMapsHardAndTransientCodes) {
             StatusCode::kResourceExhausted);
   EXPECT_EQ(DoorController::ShedStatus(ShedReason::kMemoryPressure).code(),
             StatusCode::kResourceExhausted);
-  EXPECT_EQ(DoorController::ShedStatus(ShedReason::kRetryBudget).code(),
-            StatusCode::kResourceExhausted);
   // Transient load sheds: retry-with-backoff later may succeed.
   EXPECT_EQ(DoorController::ShedStatus(ShedReason::kQueueDelay).code(),
             StatusCode::kUnavailable);

@@ -19,7 +19,6 @@ TEST(ShedReasonTest, NamesAreStable) {
                "memory-pressure");
   EXPECT_STREQ(ShedReasonName(ShedReason::kCriticalityBrownout),
                "criticality-brownout");
-  EXPECT_STREQ(ShedReasonName(ShedReason::kRetryBudget), "retry-budget");
 }
 
 TEST(ShedReasonTest, EveryReasonRoundTrips) {
@@ -31,7 +30,7 @@ TEST(ShedReasonTest, EveryReasonRoundTrips) {
     ASSERT_TRUE(parsed.has_value()) << name;
     EXPECT_EQ(*parsed, reason) << name;
   }
-  EXPECT_EQ(AllShedReasons().size(), 5u);
+  EXPECT_EQ(AllShedReasons().size(), 4u);
   EXPECT_FALSE(ShedReasonFromString("").has_value());
   EXPECT_FALSE(ShedReasonFromString("oom").has_value());
   EXPECT_FALSE(ShedReasonFromString("Queue-Delay").has_value());

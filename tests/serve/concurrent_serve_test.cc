@@ -11,9 +11,14 @@
 // after the run every recorded answer must bit-equal a recompute on the
 // retained snapshot of that version — proving each batch was answered by
 // one consistent snapshot even while swaps were in flight.
+//
+// Step() itself is documented thread-safe: a second test runs it from
+// several threads at once and checks that the steps serialized.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <thread>
@@ -147,6 +152,87 @@ TEST(ConcurrentServeTest, ClientsStayConsistentAcrossHotSwaps) {
   EXPECT_GT(checked, 0u);
   EXPECT_GE(controller.refits(), 1u);
   EXPECT_GE(service.served(), static_cast<uint64_t>(kClients * kIterations));
+}
+
+// Four threads call Step() in a loop while a fifth ingests. Steps
+// serialize on the controller, so every published version is issued
+// exactly once (2, 3, ..., refits() + 1) and every ingested record is
+// drained by exactly one step into the training set.
+TEST(ConcurrentServeTest, ConcurrentStepCallersSerialize) {
+  PredictionService service(ModelSnapshot::Create(SharedPredictor(), 1));
+  ObservationLog log(&service);
+  RefitOptions refit_options;
+  // Any pending record triggers, so the steppers always drain the tail.
+  refit_options.min_new_observations = 1;
+  RefitController controller(&service, &log,
+                             SharedTrainingData().observations,
+                             refit_options);
+  const size_t base = controller.training_set_size();
+
+  constexpr int kSteppers = 4;
+  constexpr size_t kIngests = 24;
+  const auto& training = SharedTrainingData().observations;
+  std::atomic<bool> ingest_done{false};
+  std::thread ingester([&] {
+    for (size_t i = 0; i < kIngests; ++i) {
+      MixObservation copy = training[(i * 7) % training.size()];
+      copy.latency = copy.latency * 1.1;
+      EXPECT_TRUE(log.Ingest(copy).ok());
+      // Wait for a step to drain it, so every record is raced for by all
+      // the steppers and the next ingest overlaps that step's refit.
+      while (log.pending() != 0) std::this_thread::yield();
+    }
+    ingest_done.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::vector<RefitStep>> refits(kSteppers);
+  std::vector<std::thread> steppers;
+  steppers.reserve(kSteppers);
+  for (int t = 0; t < kSteppers; ++t) {
+    steppers.emplace_back([&, t] {
+      while (true) {
+        // Read before stepping: once the ingester is done, a step that
+        // leaves nothing pending means every record has been drained.
+        const bool done = ingest_done.load(std::memory_order_acquire);
+        auto step = controller.Step();
+        if (!step.ok()) {
+          ADD_FAILURE() << step.status();  // keep stepping: no hang
+        } else if (step->refit) {
+          refits[static_cast<size_t>(t)].push_back(*step);
+          // The mutex is not fair: hand the next refit to another
+          // stepper by standing aside until someone else publishes.
+          while (controller.refits() + 1 == step->published_version &&
+                 !(ingest_done.load() && log.pending() == 0)) {
+            std::this_thread::yield();
+          }
+        }
+        if (done && log.pending() == 0) break;
+        std::this_thread::yield();
+      }
+    });
+  }
+  ingester.join();
+  for (std::thread& t : steppers) t.join();
+
+  std::vector<uint64_t> versions;
+  size_t consumed = 0;
+  for (const auto& per_thread : refits) {
+    for (const RefitStep& step : per_thread) {
+      versions.push_back(step.published_version);
+      consumed += step.observations_consumed;
+    }
+  }
+  std::sort(versions.begin(), versions.end());
+  ASSERT_EQ(versions.size(), controller.refits());
+  for (size_t i = 0; i < versions.size(); ++i) {
+    EXPECT_EQ(versions[i], i + 2) << "published version " << i;
+  }
+  EXPECT_GE(controller.refits(), 1u);
+  EXPECT_EQ(service.snapshot()->version(), controller.refits() + 1);
+  EXPECT_EQ(log.ingested(), kIngests);
+  EXPECT_EQ(consumed, log.ingested());
+  EXPECT_EQ(controller.training_set_size(), base + consumed);
+  EXPECT_EQ(controller.failed_steps(), 0u);
 }
 
 }  // namespace

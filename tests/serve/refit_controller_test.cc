@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "test_support.h"
@@ -331,29 +329,6 @@ TEST_F(RefitFailureTest, ReplayAfterFailureIsBitExact) {
     return out;
   };
   EXPECT_EQ(run(), run());
-}
-
-TEST(RefitControllerTest, BackgroundModeRunsTheSameStep) {
-  Stack s;
-  RefitOptions options;
-  options.min_new_observations = 8;
-  RefitController controller(&s.service, &s.log,
-                             SharedTrainingData().observations, options);
-  for (const MixObservation& o : ShiftedObservations(4, 8, 1.2)) {
-    ASSERT_TRUE(s.log.Ingest(o).ok());
-  }
-  controller.StartBackground(std::chrono::milliseconds(5));
-  // Wait (bounded) for the background loop to pick up the pending batch.
-  for (int i = 0; i < 2000 && controller.refits() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  controller.Stop();
-  EXPECT_EQ(controller.refits(), 1u);
-  EXPECT_EQ(s.service.snapshot()->version(), 2u);
-  // Stop is idempotent and restart works.
-  controller.Stop();
-  controller.StartBackground(std::chrono::milliseconds(5));
-  controller.Stop();
 }
 
 }  // namespace

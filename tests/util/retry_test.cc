@@ -63,7 +63,7 @@ TEST(RetryablePolicyTest, ClassifiesEveryCode) {
   EXPECT_TRUE(IsRetryableStatusCode(StatusCode::kNotFound));
   EXPECT_TRUE(IsRetryableStatusCode(StatusCode::kInternal));
   EXPECT_TRUE(IsRetryableStatusCode(StatusCode::kDeadlineExceeded));
-  // Transient overload sheds are worth retrying — under a retry budget.
+  // Transient overload sheds are worth retrying, with backoff.
   EXPECT_TRUE(IsRetryableStatusCode(StatusCode::kUnavailable));
 }
 

@@ -1,9 +1,9 @@
 // Battery for the TSAN-clean seqlock (util/seqlock.h): single-threaded
 // round-trips, the multi-word torn-read stress (readers must never
 // observe a payload that violates the writer's invariant), the write-side
-// reentrancy death, the detection-idiom negative-compile check that a
-// non-trivially-copyable payload cannot instantiate the template, and the
-// FakeClock-driven bounded-spin timeout of ReadWithBudget.
+// reentrancy death, the bounded-spin read refusing while a write section
+// is open, and the detection-idiom negative-compile check that a
+// non-trivially-copyable payload cannot instantiate the template.
 
 #include "util/seqlock.h"
 
@@ -14,8 +14,6 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "util/retry.h"
 
 namespace contender {
 namespace {
@@ -152,28 +150,6 @@ static_assert(!SeqlockAdmits<std::string>::value,
               "non-trivially-copyable payloads must be rejected");
 static_assert(!SeqlockAdmits<std::vector<int>>::value,
               "non-trivially-copyable payloads must be rejected");
-
-TEST(SeqlockTest, ReadWithBudgetTimesOutDeterministically) {
-  Seqlock<uint64_t> lock(9);
-  FakeClock clock;
-  uint64_t got = 0;
-
-  // Quiescent lock: succeeds on the first probe round, no sleeps.
-  ASSERT_TRUE(lock.ReadWithBudget(&got, &clock, units::Seconds(0.01)).ok());
-  EXPECT_EQ(got, 9u);
-  EXPECT_TRUE(clock.sleeps().empty());
-
-  // Writer holds the section open: every probe round fails, the clock
-  // advances by exactly one probe_pause per round, and the budget bounds
-  // the spin — DeadlineExceeded, deterministically and instantly.
-  auto guard = lock.StartWrite();
-  const Status status = lock.ReadWithBudget(
-      &got, &clock, units::Seconds(0.001), /*spins_per_probe=*/4,
-      /*probe_pause=*/units::Seconds(1e-4));
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-  // 10 pauses of 1e-4 reach the 1e-3 budget exactly.
-  EXPECT_EQ(clock.sleeps().size(), 10u);
-}
 
 }  // namespace
 }  // namespace contender

@@ -1,17 +1,15 @@
 // Positive battery for the annotated synchronization wrappers
 // (util/mutex.h): Mutex/MutexLock exclusion, Await's no-explicit-signal
 // wakeup contract (Unlock publishes, waiters wake, multiple waiters,
-// already-true predicates), CondVar notify/timeout semantics, and a
-// behavioral-parity scenario proving the wrappers compute exactly what
-// the raw std primitives compute. Runs under the TSan `scaling`/`chaos`
-// CI batteries; the negative half (what must NOT compile) lives in
-// tsa_violations.cc.
+// already-true predicates), and a behavioral-parity scenario proving the
+// wrappers compute exactly what the raw std primitives compute. Runs
+// under the TSan `scaling`/`chaos` CI batteries; the negative half (what
+// must NOT compile) lives in tsa_violations.cc.
 
 #include "util/mutex.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -136,55 +134,6 @@ TEST(MutexTest, AwaitChainsThroughIntermediateStates) {
   odds.join();
   MutexLock lock(&mutex);
   EXPECT_EQ(token, kRounds);
-}
-
-TEST(CondVarTest, NotifyWakesPredicateWait) {
-  Mutex mutex;
-  CondVar cv;
-  bool ready = false;
-  std::thread waiter([&] {
-    MutexLock lock(&mutex);
-    cv.Wait(&mutex, [&] { return ready; });
-    EXPECT_TRUE(ready);
-  });
-  {
-    MutexLock lock(&mutex);
-    ready = true;
-  }
-  cv.NotifyAll();
-  waiter.join();
-}
-
-TEST(CondVarTest, WaitForTimesOutWithoutNotify) {
-  Mutex mutex;
-  CondVar cv;
-  const bool notified =
-      [&]() {
-        MutexLock lock(&mutex);
-        return cv.WaitFor(&mutex, std::chrono::milliseconds(5));
-      }();
-  EXPECT_FALSE(notified);
-}
-
-TEST(CondVarTest, WaitForPredicateReturnsFinalPredicateValue) {
-  Mutex mutex;
-  CondVar cv;
-  bool ready = false;
-  std::thread notifier([&] {
-    {
-      MutexLock lock(&mutex);
-      ready = true;
-    }
-    cv.NotifyOne();
-  });
-  bool result = false;
-  {
-    MutexLock lock(&mutex);
-    result = cv.WaitFor(&mutex, std::chrono::seconds(30),
-                        [&] { return ready; });
-  }
-  notifier.join();
-  EXPECT_TRUE(result);
 }
 
 // The parity scenario: a bounded handoff pipeline (producers push tokens,

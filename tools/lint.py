@@ -89,11 +89,6 @@ SUPPRESSION_BUDGET = {
             (1, "WorkerLoop's Await predicate runs with mutex_ held; TSA "
                 "cannot see through the template indirection"),
     },
-    os.path.join("src", "serve", "refit_controller.cc"): {
-        "no-thread-safety-analysis":
-            (1, "background WaitFor predicate runs with background_mutex_ "
-                "held; TSA cannot see through the template indirection"),
-    },
     os.path.join("src", "util", "thread_pool.h"): {
         "lock-free":
             (1, "workers_ is written only by the constructor and joined "
