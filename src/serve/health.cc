@@ -72,11 +72,21 @@ void CircuitBreaker::Record(double abs_residual) {
   }
 }
 
-HealthTracker::HealthTracker(int num_templates, const BreakerOptions& options)
-    : breakers_(static_cast<size_t>(num_templates), CircuitBreaker(options)),
-      published_(static_cast<size_t>(num_templates)) {
+namespace {
+
+// Validates before the member vectors are sized: a negative count cast to
+// size_t would otherwise fail allocation instead of this check.
+size_t CheckedTemplateCount(int num_templates) {
   CONTENDER_CHECK(num_templates >= 1)
       << "HealthTracker: num_templates must be >= 1";
+  return static_cast<size_t>(num_templates);
+}
+
+}  // namespace
+
+HealthTracker::HealthTracker(int num_templates, const BreakerOptions& options)
+    : breakers_(CheckedTemplateCount(num_templates), CircuitBreaker(options)),
+      published_(static_cast<size_t>(num_templates)) {
   for (std::atomic<uint8_t>& s : published_) {
     s.store(static_cast<uint8_t>(BreakerState::kClosed),
             std::memory_order_relaxed);

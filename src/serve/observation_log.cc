@@ -68,7 +68,7 @@ StatusOr<IngestResult> ObservationLog::Ingest(
   // profile carries no spoiler latency there, degrade to the relative
   // latency error so the drift trigger still sees the record.
   IngestResult result;
-  result.snapshot_version = view.version();
+  result.snapshot_version = view->version();
   const TieredPrediction scored = view->predictor().PredictInMix(
       observation.primary_index, observation.concurrent_indices);
   const units::Seconds predicted = scored.latency;

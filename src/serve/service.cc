@@ -93,7 +93,7 @@ std::vector<PredictResult> PredictionService::PredictBatch(
   const SnapshotHolder::View view = holder_.Acquire();
   std::vector<PredictResult> results(batch.size());
   served_.Add(view.stats_slot(), batch.size());
-  if (batch.size() <= options_.inline_batch_limit ||
+  if (batch.size() <= kInlineBatchLimit ||
       pool_.num_threads() < 2) {
     std::array<uint64_t, 3> counts{};
     for (size_t i = 0; i < batch.size(); ++i) {

@@ -4,20 +4,19 @@
 // across a util::ThreadPool.
 //
 // Read path: Predict/PredictDetailed/PredictBatch acquire a
-// SnapshotHolder::View — an epoch registration plus a bounded-spin
-// seqlock read (DESIGN.md §12); no mutex, no refcount bump, no shared
-// line written except the reader's own padded epoch slot and counter
-// stripes. Single-threaded answers are bit-identical to the pre-lock-free
-// implementation: the prediction itself is the same pure function of
-// (snapshot, request), only the pointer-publication mechanism changed.
+// SnapshotHolder::View — an epoch registration plus one acquire load of
+// the snapshot pointer (DESIGN.md §12); no mutex, no refcount bump, no
+// shared line written except the reader's own padded epoch slot and
+// counter stripes. Each answer is a pure function of (snapshot, request),
+// so how the snapshot pointer is published cannot change it.
 //
-// Write path: Publish() — the designated writer seam — rewrites the
-// seqlock pair under the holder's writer mutex and retires the displaced
-// snapshot into the epoch domain. In-flight readers finish on the
-// snapshot they pinned; cold-path handles from snapshot() keep versions
-// alive arbitrarily long, exactly as before. There is no torn state — a
-// batch is answered entirely by the single snapshot pinned at its start,
-// and every answer is stamped with that snapshot's version.
+// Write path: Publish() — the designated writer seam — stores the new
+// snapshot pointer under the holder's writer mutex and retires the
+// displaced snapshot into the epoch domain. In-flight readers finish on
+// the snapshot they pinned; cold-path handles from snapshot() keep
+// versions alive arbitrarily long. There is no torn state — a batch is
+// answered entirely by the single snapshot pinned at its start, and every
+// answer is stamped with that snapshot's version.
 
 #ifndef CONTENDER_SERVE_SERVICE_H_
 #define CONTENDER_SERVE_SERVICE_H_
@@ -62,12 +61,13 @@ struct PredictResult {
 /// Thread-safe prediction service over a hot-swappable model snapshot.
 class PredictionService {
  public:
+  /// PredictBatch answers batches at or below this size inline (a pool
+  /// round-trip costs more than the predictions).
+  static constexpr size_t kInlineBatchLimit = 16;
+
   struct Options {
     /// Pool width for PredictBatch; <= 0 selects hardware concurrency.
     int num_threads = 0;
-    /// Batches at or below this size are answered inline (a pool
-    /// round-trip costs more than the predictions).
-    size_t inline_batch_limit = 16;
     /// Optional model-health signal. When a template's breaker is open,
     /// answers for it start at tier 1 of the degradation ladder
     /// (transferred-QS) instead of its quarantined full model. Null

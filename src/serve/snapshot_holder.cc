@@ -10,7 +10,8 @@ SnapshotHolder::SnapshotHolder(std::shared_ptr<const ModelSnapshot> initial)
     : current_(std::move(initial)) {
   CONTENDER_CHECK(current_ != nullptr)
       << "SnapshotHolder: initial snapshot must be non-null";
-  ref_.Write({current_.get(), current_->version()});
+  // Constructor-time store: no reader can observe the holder yet.
+  snapshot_.store(current_.get(), std::memory_order_relaxed);
 }
 
 SnapshotHolder::~SnapshotHolder() = default;
@@ -18,21 +19,15 @@ SnapshotHolder::~SnapshotHolder() = default;
 SnapshotHolder::View::View(const SnapshotHolder* holder)
     : guard_(&holder->epochs_) {
   // Epoch registration (the guard, already constructed) MUST precede the
-  // seqlock read: the reclamation proof relies on the pointer being
+  // pointer load: the reclamation proof relies on the pointer being
   // loaded after this reader's announcement is visible to writers.
   if (guard_.engaged()) {
-    Ref ref;
-    if (holder->ref_.TryRead(&ref, kReadSpins)) {
-      snapshot_ = ref.snapshot;
-      version_ = ref.version;
-      return;
-    }
+    snapshot_ = holder->snapshot_.load(std::memory_order_acquire);
+    return;
   }
-  // Slow path (slot saturation or writer churn): pin by refcount. The
-  // guard stays registered but unused — harmless.
+  // Slow path (every epoch slot taken): pin by refcount.
   fallback_ = holder->shared();
   snapshot_ = fallback_.get();
-  version_ = fallback_->version();
 }
 
 std::shared_ptr<const ModelSnapshot> SnapshotHolder::shared() const {
@@ -46,7 +41,7 @@ void SnapshotHolder::Publish(std::shared_ptr<const ModelSnapshot> next) {
   std::shared_ptr<const ModelSnapshot> displaced;
   {
     const MutexLock lock(&writer_mutex_);  // contender-lint: writer-seam
-    ref_.Write({next.get(), next->version()});
+    snapshot_.store(next.get(), std::memory_order_release);
     displaced = std::move(current_);
     current_ = std::move(next);
   }

@@ -1,39 +1,37 @@
 // The lock-free home of the currently-served ModelSnapshot.
 //
 // Read side (Acquire): an epoch reader registration (util/epoch.h) plus
-// a bounded-spin seqlock read (util/seqlock.h) of the {snapshot pointer,
-// version} pair — no mutex, no shared_ptr refcount bump, no shared
-// cache line written besides the reader's own padded epoch slot. The
-// returned View pins the snapshot for its lifetime: any snapshot the
-// view can point at is either still current or parked in the epoch
-// domain's retired list until this reader (and every other) moves past
-// its epoch.
+// one acquire load of the snapshot pointer — no mutex, no shared_ptr
+// refcount bump, no shared cache line written besides the reader's own
+// padded epoch slot. The version is a field of the immutable snapshot,
+// so the pointer alone names both. The returned View pins the snapshot
+// for its lifetime: any snapshot the view can point at is either still
+// current or parked in the epoch domain's retired list until this reader
+// (and every other) moves past its epoch.
 //
 // Write side (Publish): serialized by a mutex — the designated writer
-// seam; nothing on the read path ever touches it — which (1) rewrites
-// the seqlock pair, (2) retires the displaced snapshot into the epoch
-// domain, advancing the epoch and reclaiming whatever no reader can
-// still see. shared() hands out a classic shared_ptr copy for cold-path
-// consumers (refit, tests, anyone who wants to hold a snapshot across
-// arbitrary code); handles taken there keep a snapshot alive past
-// reclamation exactly as before.
+// seam; nothing on the read path ever touches it — which (1) stores the
+// new pointer with release ordering, (2) retires the displaced snapshot
+// into the epoch domain, advancing the epoch and reclaiming whatever no
+// reader can still see. shared() hands out a classic shared_ptr copy for
+// cold-path consumers (refit, tests, anyone who wants to hold a snapshot
+// across arbitrary code); handles taken there keep a snapshot alive past
+// reclamation.
 //
-// Degradations, never failures: a saturated epoch domain (more than
-// kNumSlots simultaneous readers) or a seqlock read that keeps losing to
-// writers falls back to the shared() slow path — correctness identical,
-// just a mutex-priced read. DESIGN.md §12 is the full memory-model
-// writeup.
+// Degradation, never failure: a saturated epoch domain (more than
+// kNumSlots simultaneous readers) falls back to the shared() slow path —
+// correctness identical, just a mutex-priced read. DESIGN.md §12 is the
+// full memory-model writeup.
 
 #ifndef CONTENDER_SERVE_SNAPSHOT_HOLDER_H_
 #define CONTENDER_SERVE_SNAPSHOT_HOLDER_H_
 
-#include <cstdint>
+#include <atomic>
 #include <memory>
 
 #include "serve/model_snapshot.h"
 #include "util/epoch.h"
 #include "util/mutex.h"
-#include "util/seqlock.h"
 #include "util/thread_annotations.h"
 
 namespace contender::serve {
@@ -59,9 +57,6 @@ class SnapshotHolder {
     [[nodiscard]] const ModelSnapshot* get() const { return snapshot_; }
     const ModelSnapshot& operator*() const { return *snapshot_; }
     const ModelSnapshot* operator->() const { return snapshot_; }
-    /// Version of the pinned snapshot (consistent with get() by seqlock
-    /// construction, not by a second read).
-    [[nodiscard]] uint64_t version() const { return version_; }
     /// This reader's epoch slot: a contention-free stripe index for
     /// reader-side statistics. -1 on the fallback path (folded by
     /// ShardedCounter::Add).
@@ -76,7 +71,6 @@ class SnapshotHolder {
 
     EpochDomain::ReaderGuard guard_;
     const ModelSnapshot* snapshot_ = nullptr;
-    uint64_t version_ = 0;
     /// Engaged only on the slow path; pins the snapshot by refcount.
     std::shared_ptr<const ModelSnapshot> fallback_;
   };
@@ -97,22 +91,11 @@ class SnapshotHolder {
   }
 
  private:
-  /// The seqlock payload: the raw pointer and its version, published and
-  /// read as one unit so a version stamp can never drift from the
-  /// snapshot that answered.
-  struct Ref {
-    const ModelSnapshot* snapshot = nullptr;
-    uint64_t version = 0;
-  };
-
-  /// Spin budget per lock-free read probe; a publish's write section is
-  /// a handful of stores, so losing this many probes in a row means
-  /// pathological writer churn and the view degrades to shared().
-  static constexpr int kReadSpins = 128;
-
-  /// Read path: seqlock + epoch domain only, never a lock.
-  Seqlock<Ref> ref_;                // contender-lint: lock-free
-  mutable EpochDomain epochs_;      // contender-lint: lock-free
+  /// Read path: this pointer and the epoch domain only, never a lock.
+  /// Always names current_'s snapshot; stored (release) under the writer
+  /// seam, loaded (acquire) once a reader's epoch guard is engaged.
+  std::atomic<const ModelSnapshot*> snapshot_{nullptr};
+  mutable EpochDomain epochs_;
   mutable Mutex writer_mutex_;  // contender-lint: writer-seam
   std::shared_ptr<const ModelSnapshot> current_ GUARDED_BY(writer_mutex_);
 };

@@ -1,9 +1,9 @@
 // Concurrency torture for the serving layer: N client threads predict
 // (singles and batches) while the main thread ingests observations and
-// hot-swaps refit snapshots through RefitController::Step(). TSAN-clean by
-// construction: clients copy the snapshot handle in a one-pointer critical
-// section and predict with no lock held; the publisher's swap is equally
-// brief, so it never stalls them.
+// hot-swaps refit snapshots through RefitController::Step(). Clients pin
+// the snapshot through the holder's lock-free view and predict with no
+// lock held. Their batches exceed PredictionService::kInlineBatchLimit, so
+// the pooled fan-out runs under hot swaps too.
 //
 // Correctness oracle: the main thread is the only publisher, so right
 // after each Step() it can retain the exact snapshot for every version
@@ -55,7 +55,6 @@ PredictRequest DrawRequest(Rng* rng, int num_templates) {
 TEST(ConcurrentServeTest, ClientsStayConsistentAcrossHotSwaps) {
   PredictionService::Options service_options;
   service_options.num_threads = 2;
-  service_options.inline_batch_limit = 4;
   PredictionService service(ModelSnapshot::Create(SharedPredictor(), 1),
                             service_options);
   ObservationLog log(&service);
@@ -69,6 +68,8 @@ TEST(ConcurrentServeTest, ClientsStayConsistentAcrossHotSwaps) {
   constexpr int kClients = 4;
   constexpr int kIterations = 120;
   constexpr int kRefitRounds = 4;
+  // Past the inline limit, so every batch fans out across the pool.
+  constexpr size_t kBatchSize = PredictionService::kInlineBatchLimit + 4;
 
   // Only this (main) thread publishes, so snapshot() right after a Step is
   // exactly the snapshot serving that version.
@@ -84,7 +85,7 @@ TEST(ConcurrentServeTest, ClientsStayConsistentAcrossHotSwaps) {
       for (int i = 0; i < kIterations; ++i) {
         if (i % 3 == 0) {
           std::vector<PredictRequest> batch;
-          for (int j = 0; j < 6; ++j) {
+          for (size_t j = 0; j < kBatchSize; ++j) {
             batch.push_back(DrawRequest(&rng, num_templates));
           }
           const auto results = service.PredictBatch(batch);

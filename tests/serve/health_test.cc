@@ -131,5 +131,15 @@ TEST(HealthTrackerTest, ImplementsSchedTemplateHealth) {
   EXPECT_TRUE(health->Degraded(0));
 }
 
+// The count is checked before the breaker vectors are sized, so -1 dies on
+// the check's message rather than on a vector length error.
+TEST(HealthTrackerDeathTest, RejectsFewerThanOneTemplate) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH({ HealthTracker tracker(0); },
+               "num_templates must be >= 1");
+  EXPECT_DEATH({ HealthTracker tracker(-1); },
+               "num_templates must be >= 1");
+}
+
 }  // namespace
 }  // namespace contender::serve

@@ -69,7 +69,6 @@ TEST(PredictionServiceTest, BatchIsBitIdenticalAcrossPoolWidths) {
 
   PredictionService::Options wide;
   wide.num_threads = 4;
-  wide.inline_batch_limit = 8;
   PredictionService pooled(snapshot, wide);
 
   PredictionService::Options narrow;

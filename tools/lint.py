@@ -104,11 +104,6 @@ SUPPRESSION_BUDGET = {
             (1, "published_ is sized once and holds atomics written under "
                 "mutex_, read lock-free by state()"),
     },
-    os.path.join("src", "serve", "snapshot_holder.h"): {
-        "lock-free":
-            (2, "ref_ (seqlock) and epochs_ (epoch domain) ARE the "
-                "lock-free read path (DESIGN.md §12)"),
-    },
 }
 
 
@@ -289,7 +284,7 @@ _SKIP_FIRST_TOKENS = ("using", "typedef", "friend", "static", "enum",
 # GUARDED_BY (the wrappers/atomics/lock-free primitives carry their own
 # contracts).
 _SELF_SYNC_RE = re.compile(
-    r"\b(?:std::atomic|ShardedCounter|CachePadded|Seqlock|EpochDomain|"
+    r"\b(?:std::atomic|ShardedCounter|CachePadded|EpochDomain|"
     r"Mutex|CondVar)\b")
 _OWNS_MUTEX_RE = re.compile(r"\bMutex\s+\w+")
 _TEMPLATE_ARGS_RE = re.compile(r"<[^<>]*>")
@@ -703,8 +698,8 @@ RULES = (
         "annotated Mutex/MutexLock/CondVar wrappers — in the serving "
         "read-path files (src/serve/service.* and "
         "src/serve/snapshot_holder.*). The read path is lock-free by "
-        "design (DESIGN.md §12): readers go seqlock + epoch guard, and the "
-        "ONLY sanctioned lock is the writer seam inside "
+        "design (DESIGN.md §12): readers go epoch guard + atomic pointer "
+        "load, and the ONLY sanctioned lock is the writer seam inside "
         "SnapshotHolder::Publish / shared(), whose lines carry the "
         "explicit `// contender-lint: writer-seam` marker. A new lock "
         "anywhere else reintroduces reader serialization.",
@@ -741,8 +736,8 @@ RULES = (
         "and lock ordering. Pass 2 (guard completeness): inside any class "
         "that owns a Mutex, every mutable field must carry GUARDED_BY/"
         "PT_GUARDED_BY, be a self-synchronizing type (std::atomic, "
-        "ShardedCounter, CachePadded, Seqlock, EpochDomain, Mutex, "
-        "CondVar), be const, or carry an explicit `// contender-lint: "
+        "ShardedCounter, CachePadded, EpochDomain, Mutex, CondVar), be "
+        "const, or carry an explicit `// contender-lint: "
         "lock-free` marker (budgeted by suppression-budget).",
         check_raw_lock,
         {
