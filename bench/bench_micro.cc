@@ -1,10 +1,15 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
-// the fluid engine, steady-state mix execution, CQI computation, QS
-// fitting, spoiler prediction, and LHS generation.
+// the fluid engine, steady-state mix execution, CQI computation, the
+// degradation ladder's in-mix predictions, QS fitting, spoiler prediction,
+// and LHS generation.
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/cqi.h"
+#include "core/predictor.h"
 #include "core/qs_model.h"
 #include "core/spoiler_model.h"
 #include "math/regression.h"
@@ -12,6 +17,7 @@
 #include "sim/engine.h"
 #include "sim/spoiler.h"
 #include "util/logging.h"
+#include "util/random.h"
 #include "workload/sampler.h"
 #include "workload/steady_state.h"
 #include "workload/workload.h"
@@ -93,6 +99,54 @@ void BM_ComputeCqi(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComputeCqi);
+
+const ContenderPredictor& BenchPredictor() {
+  static const ContenderPredictor* predictor = [] {
+    const TrainingData& data = BenchData();
+    auto trained =
+        ContenderPredictor::Train(data.profiles, data.scan_times,
+                                  data.observations,
+                                  ContenderPredictor::Options{});
+    CONTENDER_CHECK(trained.ok()) << trained.status();
+    return new ContenderPredictor(std::move(*trained));
+  }();
+  return *predictor;
+}
+
+// One ladder answer per iteration, cycling through 256 fixed seeded
+// (template, unsorted co-runners) pairs at MPL range(0). range(1) is
+// allow_full_model: 1 answers at tier 0, 0 at tier 1 (transferred QS,
+// whose KNN spoiler prediction dominates).
+void BM_PredictInMix(benchmark::State& state) {
+  const ContenderPredictor& predictor = BenchPredictor();
+  const int mpl = static_cast<int>(state.range(0));
+  const bool allow_full_model = state.range(1) != 0;
+  const DegradationTier expected = allow_full_model
+                                       ? DegradationTier::kFullModel
+                                       : DegradationTier::kTransferredQs;
+  const int64_t n = static_cast<int64_t>(predictor.profiles().size());
+  Rng rng(19);
+  std::vector<std::pair<int, std::vector<int>>> mixes(256);
+  for (auto& [t, mix] : mixes) {
+    t = static_cast<int>(rng.UniformInt(0, n - 1));
+    for (int i = 1; i < mpl; ++i) {
+      mix.push_back(static_cast<int>(rng.UniformInt(0, n - 1)));
+    }
+    CONTENDER_CHECK(predictor.PredictInMix(t, mix, allow_full_model).tier ==
+                    expected);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const auto& [t, mix] = mixes[next++ % mixes.size()];
+    benchmark::DoNotOptimize(
+        predictor.PredictInMix(t, mix, allow_full_model).latency);
+  }
+}
+BENCHMARK(BM_PredictInMix)
+    ->ArgNames({"mpl", "full_model"})
+    ->Args({2, 1})
+    ->Args({5, 1})
+    ->Args({2, 0});
 
 void BM_FitReferenceModels(benchmark::State& state) {
   const TrainingData& data = BenchData();

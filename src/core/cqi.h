@@ -7,6 +7,7 @@
 #ifndef CONTENDER_CORE_CQI_H_
 #define CONTENDER_CORE_CQI_H_
 
+#include <span>
 #include <vector>
 
 #include "core/template_profile.h"
@@ -35,12 +36,17 @@ StatusOr<units::Cqi> ComputeCqi(const std::vector<TemplateProfile>& profiles,
                                 const std::vector<int>& concurrent_indices,
                                 CqiVariant variant);
 
-/// Profile-based overload: the primary need not belong to `profiles`
-/// (used when predicting for a new, unseen template).
-StatusOr<units::Cqi> ComputeCqiFor(
-    const TemplateProfile& primary,
-    const std::vector<const TemplateProfile*>& concurrent,
-    const ScanTimes& scan_times, CqiVariant variant);
+/// Profile-primary form: the primary need not belong to `profiles` (used
+/// when predicting for a new, unseen template); `concurrent_indices` are
+/// still indices into `profiles`. ComputeCqi, ComputeCqiTerms, the QS
+/// training sets and every ContenderPredictor answer run the same kernel:
+/// it gathers the fact tables the mix scans into a table on the stack,
+/// looks up each contributing s_f once, and allocates nothing.
+StatusOr<units::Cqi> ComputeCqiFor(const TemplateProfile& primary,
+                                   const std::vector<TemplateProfile>& profiles,
+                                   std::span<const int> concurrent_indices,
+                                   const ScanTimes& scan_times,
+                                   CqiVariant variant);
 
 /// Per-concurrent-query breakdown (exposed for tests and diagnostics).
 struct CqiTerms {

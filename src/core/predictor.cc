@@ -1,6 +1,7 @@
 #include "core/predictor.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "core/continuum.h"
@@ -16,6 +17,11 @@ namespace {
 // tier's model had failed.
 auto& kFullModelFailPoint = CONTENDER_DEFINE_FAILPOINT("core.ladder.full_model");
 auto& kTransferFailPoint = CONTENDER_DEFINE_FAILPOINT("core.ladder.transfer");
+
+Status NoMeasuredSpoilerLatency() {
+  return Status::FailedPrecondition(
+      "profile has no measured spoiler latency at this MPL");
+}
 
 }  // namespace
 
@@ -79,7 +85,7 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
   for (size_t k = 0; k < options.mpls.size(); ++k) {
     if (!fits[k].ok()) return fits[k].status();
     const int mpl = options.mpls[k];
-    p.reference_models_[mpl] = std::move(fits[k]->first);
+    p.SetReferenceModels(mpl, fits[k]->first);
     p.transfer_models_.emplace(mpl, std::move(fits[k]->second));
   }
 
@@ -103,7 +109,8 @@ StatusOr<ContenderPredictor> ContenderPredictor::WithRefitTemplates(
   }
   ContenderPredictor refit = *this;
   for (const int mpl : options_.mpls) {
-    auto& models = refit.reference_models_[mpl];
+    std::vector<ReferenceCell>& row =
+        refit.reference_cells_[static_cast<size_t>(mpl)];
     for (int t : template_indices) {
       auto set = BuildQsTrainingSet(profiles_, scan_times_, observations, t,
                                     units::Mpl(mpl), options_.variant);
@@ -112,19 +119,49 @@ StatusOr<ContenderPredictor> ContenderPredictor::WithRefitTemplates(
       if (!set.ok() || set->cqi.size() < 3) continue;
       auto model = FitQsModel(set->cqi, set->continuum);
       if (!model.ok()) continue;
-      models[t] = *model;
+      row[static_cast<size_t>(t)].model = *model;
     }
   }
   return refit;
 }
 
+void ContenderPredictor::SetReferenceModels(
+    int mpl, const std::map<int, QsModel>& models) {
+  CONTENDER_CHECK(mpl >= 0) << "reference models at MPL " << mpl;
+  const size_t m = static_cast<size_t>(mpl);
+  if (m >= reference_cells_.size()) reference_cells_.resize(m + 1);
+  std::vector<ReferenceCell>& row = reference_cells_[m];
+  row.assign(profiles_.size(), ReferenceCell{});
+  for (size_t t = 0; t < profiles_.size(); ++t) {
+    auto it = profiles_[t].spoiler_latency.find(mpl);
+    if (it != profiles_[t].spoiler_latency.end()) row[t].l_max = it->second;
+  }
+  for (const auto& [t, model] : models) {
+    row[static_cast<size_t>(t)].model = model;
+  }
+}
+
+const std::vector<ContenderPredictor::ReferenceCell>*
+ContenderPredictor::ReferenceRow(units::Mpl mpl) const {
+  const size_t m = static_cast<size_t>(mpl.value());
+  if (mpl.value() < 0 || m >= reference_cells_.size() ||
+      reference_cells_[m].empty()) {
+    return nullptr;
+  }
+  return &reference_cells_[m];
+}
+
 StatusOr<std::map<int, QsModel>> ContenderPredictor::ReferenceModels(
     units::Mpl mpl) const {
-  auto it = reference_models_.find(mpl.value());
-  if (it == reference_models_.end()) {
+  const std::vector<ReferenceCell>* row = ReferenceRow(mpl);
+  if (row == nullptr) {
     return Status::NotFound("no reference models at this MPL");
   }
-  return it->second;
+  std::map<int, QsModel> models;
+  for (size_t t = 0; t < row->size(); ++t) {
+    if ((*row)[t].model) models.emplace(static_cast<int>(t), *(*row)[t].model);
+  }
+  return models;
 }
 
 StatusOr<QsTransferModel> ContenderPredictor::TransferModel(
@@ -146,10 +183,7 @@ StatusOr<units::Seconds> ContenderPredictor::ResolveSpoiler(
     SpoilerSource source) const {
   if (source == SpoilerSource::kMeasured) {
     auto it = profile.spoiler_latency.find(mpl.value());
-    if (it == profile.spoiler_latency.end()) {
-      return Status::FailedPrecondition(
-          "profile has no measured spoiler latency at this MPL");
-    }
+    if (it == profile.spoiler_latency.end()) return NoMeasuredSpoilerLatency();
     return it->second;
   }
   return PredictSpoilerLatency(profile, mpl);
@@ -157,15 +191,16 @@ StatusOr<units::Seconds> ContenderPredictor::ResolveSpoiler(
 
 StatusOr<units::Seconds> ContenderPredictor::PredictWithModel(
     const TemplateProfile& primary, const QsModel& qs,
-    const std::vector<int>& concurrent, units::Seconds l_max) const {
-  std::vector<const TemplateProfile*> conc;
+    std::span<const int> concurrent, units::Seconds l_max) const {
+  // Checked ahead of the kernel so PredictKnown and PredictNew keep their
+  // own message for a bad co-runner.
   for (int c : concurrent) {
     if (c < 0 || static_cast<size_t>(c) >= profiles_.size()) {
       return Status::InvalidArgument("bad concurrent template index");
     }
-    conc.push_back(&profiles_[static_cast<size_t>(c)]);
   }
-  auto cqi = ComputeCqiFor(primary, conc, scan_times_, options_.variant);
+  auto cqi = ComputeCqiFor(primary, profiles_, concurrent, scan_times_,
+                           options_.variant);
   if (!cqi.ok()) return cqi.status();
   // Predictions are clamped to the continuum with a small margin: positive
   // interactions can push latency slightly below l_min and steady-state
@@ -184,30 +219,39 @@ StatusOr<units::Seconds> ContenderPredictor::PredictWithModel(
 
 StatusOr<units::Seconds> ContenderPredictor::PredictKnown(
     int template_index, const std::vector<int>& concurrent_indices) const {
+  return PredictKnownImpl(template_index, concurrent_indices);
+}
+
+StatusOr<units::Seconds> ContenderPredictor::PredictKnownImpl(
+    int template_index, std::span<const int> concurrent_indices) const {
   if (template_index < 0 ||
       static_cast<size_t>(template_index) >= profiles_.size()) {
     return Status::InvalidArgument("unknown template index");
   }
   const units::Mpl mpl(static_cast<int>(concurrent_indices.size()) + 1);
-  auto models_it = reference_models_.find(mpl.value());
-  if (models_it == reference_models_.end()) {
+  const std::vector<ReferenceCell>* row = ReferenceRow(mpl);
+  if (row == nullptr) {
     return Status::NotFound("no reference models at this MPL");
   }
-  auto model_it = models_it->second.find(template_index);
-  if (model_it == models_it->second.end()) {
+  const ReferenceCell& cell = (*row)[static_cast<size_t>(template_index)];
+  if (!cell.model) {
     return Status::NotFound("no QS model for this template at this MPL");
   }
-  const TemplateProfile& primary =
-      profiles_[static_cast<size_t>(template_index)];
-  auto l_max = ResolveSpoiler(primary, mpl, SpoilerSource::kMeasured);
-  if (!l_max.ok()) return l_max.status();
-  return PredictWithModel(primary, model_it->second, concurrent_indices,
-                          *l_max);
+  if (!cell.l_max) return NoMeasuredSpoilerLatency();
+  return PredictWithModel(profiles_[static_cast<size_t>(template_index)],
+                          *cell.model, concurrent_indices, *cell.l_max);
 }
 
 StatusOr<units::Seconds> ContenderPredictor::PredictNew(
     const TemplateProfile& new_profile,
     const std::vector<int>& concurrent_indices,
+    SpoilerSource spoiler_source) const {
+  return PredictNewImpl(new_profile, concurrent_indices, spoiler_source);
+}
+
+StatusOr<units::Seconds> ContenderPredictor::PredictNewImpl(
+    const TemplateProfile& new_profile,
+    std::span<const int> concurrent_indices,
     SpoilerSource spoiler_source) const {
   const units::Mpl mpl(static_cast<int>(concurrent_indices.size()) + 1);
   auto transfer_it = transfer_models_.find(mpl.value());
@@ -229,11 +273,15 @@ StatusOr<units::Seconds> ContenderPredictor::PredictNew(
 }
 
 TieredPrediction ContenderPredictor::PredictInMix(
-    int template_index, std::vector<int> concurrent,
+    int template_index, const std::vector<int>& concurrent,
     bool allow_full_model) const {
   CONTENDER_CHECK(template_index >= 0 &&
                   static_cast<size_t>(template_index) < profiles_.size())
       << "PredictInMix: unknown template index " << template_index;
+  for (int c : concurrent) {
+    CONTENDER_CHECK(c >= 0 && static_cast<size_t>(c) < profiles_.size())
+        << "PredictInMix: unknown co-runner index " << c;
+  }
   const TemplateProfile& profile =
       profiles_[static_cast<size_t>(template_index)];
   // MPL 1: the isolated latency IS the model's answer, not a degradation.
@@ -242,14 +290,23 @@ TieredPrediction ContenderPredictor::PredictInMix(
   if (concurrent.empty()) {
     return {profile.isolated_latency, DegradationTier::kFullModel};
   }
-  std::sort(concurrent.begin(), concurrent.end());
+  std::array<int, kInlineMix> inline_mix{};
+  std::vector<int> spilled_mix;
+  int* first = inline_mix.data();
+  if (concurrent.size() > inline_mix.size()) {
+    spilled_mix.resize(concurrent.size());
+    first = spilled_mix.data();
+  }
+  const std::span<int> mix(first, concurrent.size());
+  std::copy(concurrent.begin(), concurrent.end(), mix.begin());
+  std::sort(mix.begin(), mix.end());
   if (allow_full_model && !kFullModelFailPoint.ShouldFail()) {
-    auto full = PredictKnown(template_index, concurrent);
+    auto full = PredictKnownImpl(template_index, mix);
     if (full.ok()) return {*full, DegradationTier::kFullModel};
   }
   if (!kTransferFailPoint.ShouldFail()) {
     auto transferred =
-        PredictNew(profile, concurrent, SpoilerSource::kKnnPredicted);
+        PredictNewImpl(profile, mix, SpoilerSource::kKnnPredicted);
     if (transferred.ok()) {
       return {*transferred, DegradationTier::kTransferredQs};
     }

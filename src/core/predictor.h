@@ -10,6 +10,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/cqi.h"
@@ -111,16 +112,19 @@ class ContenderPredictor {
   ///   tier 1  PredictNew on the template's own profile with a
   ///           KNN-predicted spoiler latency;
   ///   tier 2  the isolated latency l_min.
-  /// The mix is sorted first — CQI sums over the mix and floating-point
-  /// addition is not associative — so the answer is a pure function of the
-  /// (template, multiset, allow_full_model) triple. An empty mix is MPL 1:
+  /// A copy of the mix is sorted first — CQI sums over the mix and
+  /// floating-point addition is not associative — so the answer is a pure
+  /// function of the (template, multiset, allow_full_model) triple. The
+  /// copy lives on the stack up to kInlineMix (16) co-runners, so such a
+  /// call allocates nothing unless it falls to tier 1. An empty mix is MPL 1:
   /// l_min at tier 0. Every consumer of in-mix predictions (scheduler,
   /// fleet router, serving) answers through this one function. The chaos
   /// sites "core.ladder.full_model" and "core.ladder.transfer" are probed
   /// once per call, each only when its tier is attempted; a fire skips
-  /// that tier. `template_index` must be a valid workload index.
+  /// that tier. `template_index` and every co-runner must be valid workload
+  /// indices (CHECKed before any fail-point probe).
   [[nodiscard]] TieredPrediction PredictInMix(
-      int template_index, std::vector<int> concurrent,
+      int template_index, const std::vector<int>& concurrent,
       bool allow_full_model = true) const;
 
   /// Unknown-Y variant (§6.3): the new template's own QS slope is supplied;
@@ -155,20 +159,47 @@ class ContenderPredictor {
       const TemplateProfile& profile, units::Mpl mpl) const;
 
  private:
+  /// Co-runners PredictInMix sorts on the stack; a larger mix is copied to
+  /// the heap.
+  static constexpr size_t kInlineMix = 16;
+
   ContenderPredictor() = default;
 
+  // PredictKnown and PredictNew over any contiguous mix; the ladder passes
+  // its sorted stack copy.
+  StatusOr<units::Seconds> PredictKnownImpl(
+      int template_index, std::span<const int> concurrent_indices) const;
+  StatusOr<units::Seconds> PredictNewImpl(
+      const TemplateProfile& new_profile,
+      std::span<const int> concurrent_indices,
+      SpoilerSource spoiler_source) const;
   StatusOr<units::Seconds> PredictWithModel(
       const TemplateProfile& primary, const QsModel& qs,
-      const std::vector<int>& concurrent, units::Seconds l_max) const;
+      std::span<const int> concurrent, units::Seconds l_max) const;
   StatusOr<units::Seconds> ResolveSpoiler(const TemplateProfile& profile,
                                           units::Mpl mpl,
                                           SpoilerSource source) const;
 
+  /// One tier-0 cell: a template's QS reference model at one MPL, if it
+  /// has one, and its measured spoiler latency l_max there. Cells hold
+  /// values, so a copied predictor stands alone.
+  struct ReferenceCell {
+    std::optional<QsModel> model;
+    std::optional<units::Seconds> l_max;
+  };
+
+  /// Fills the row of `mpl` from the fitted `models` (template -> model).
+  void SetReferenceModels(int mpl, const std::map<int, QsModel>& models);
+  /// The row of `mpl`, or nullptr when it has no reference models.
+  const std::vector<ReferenceCell>* ReferenceRow(units::Mpl mpl) const;
+
   Options options_;
   std::vector<TemplateProfile> profiles_;
   ScanTimes scan_times_;
-  std::map<int, std::map<int, QsModel>> reference_models_;  // mpl -> models
-  std::map<int, QsTransferModel> transfer_models_;          // mpl -> transfer
+  /// Reference models indexed [MPL][template index]; the row of an MPL
+  /// without reference models is empty.
+  std::vector<std::vector<ReferenceCell>> reference_cells_;
+  std::map<int, QsTransferModel> transfer_models_;  // mpl -> transfer
   std::optional<KnnSpoilerPredictor> knn_spoiler_;
 };
 

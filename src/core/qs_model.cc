@@ -49,8 +49,8 @@ StatusOr<QsTrainingSet> BuildQsTrainingSet(
       ++set.dropped_outliers;
       continue;
     }
-    auto cqi = ComputeCqi(profiles, scan_times, primary_index,
-                          obs.concurrent_indices, variant);
+    auto cqi = ComputeCqiFor(primary, profiles, obs.concurrent_indices,
+                             scan_times, variant);
     if (!cqi.ok()) return cqi.status();
     auto point = ContinuumPoint(obs.latency, range);
     if (!point.ok()) return point.status();

@@ -132,14 +132,26 @@ TEST(CqiTest, InvalidArguments) {
 }
 
 TEST(CqiTest, ProfileOverloadMatchesIndexVersion) {
-  auto profiles = TestProfiles();
-  auto scans = TestScanTimes();
-  std::vector<const TemplateProfile*> conc = {&profiles[1], &profiles[2]};
-  auto a = ComputeCqiFor(profiles[0], conc, scans, CqiVariant::kFull);
-  auto b = ComputeCqi(profiles, scans, 0, {1, 2}, CqiVariant::kFull);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ(a->value(), b->value());
+  const auto profiles = TestProfiles();
+  const auto scans = TestScanTimes();
+  // The primary need not belong to `profiles`: a copy outside the vector
+  // (a new template's profile) answers exactly as the indexed one does.
+  const TemplateProfile outside = profiles[0];
+  const std::vector<int> mix = {1, 2};
+  for (CqiVariant variant : {CqiVariant::kBaselineIo, CqiVariant::kPositiveIo,
+                             CqiVariant::kFull}) {
+    auto a = ComputeCqiFor(outside, profiles, mix, scans, variant);
+    auto b = ComputeCqi(profiles, scans, 0, {1, 2}, variant);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a->value(), b->value());
+  }
+  EXPECT_FALSE(ComputeCqiFor(outside, profiles, std::vector<int>{}, scans,
+                             CqiVariant::kFull)
+                   .ok());
+  EXPECT_FALSE(ComputeCqiFor(outside, profiles, std::vector<int>{3}, scans,
+                             CqiVariant::kFull)
+                   .ok());
 }
 
 }  // namespace

@@ -242,6 +242,18 @@ TEST(PredictorLadderTest, UntrainedMplAnswersIsolatedLatency) {
   }
 }
 
+// An out-of-range co-runner is a caller bug, like an out-of-range
+// template: it must not come back as l_min at tier 2 (nor count as a
+// MixOracle fallback).
+TEST(PredictorLadderDeathTest, OutOfRangeCoRunnerDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const ContenderPredictor& p = SharedPredictor();
+  EXPECT_DEATH((void)p.PredictInMix(0, {999}),
+               "unknown co-runner index 999");
+  EXPECT_DEATH((void)p.PredictInMix(0, {-5, 1}),
+               "unknown co-runner index -5");
+}
+
 TEST(PredictorLadderTest, PermutedMixesAnswerBitIdentically) {
   const ContenderPredictor& p = SharedPredictor();
   const std::vector<std::vector<int>> permutations = {
