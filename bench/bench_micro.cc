@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // the fluid engine, steady-state mix execution, CQI computation, the
-// degradation ladder's in-mix predictions, QS fitting, spoiler prediction,
-// and LHS generation.
+// degradation ladder's in-mix predictions, the greedy admission Pick, QS
+// fitting, spoiler prediction, and LHS generation.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,9 @@
 #include "core/spoiler_model.h"
 #include "math/regression.h"
 #include "ml/lhs.h"
+#include "sched/mix_oracle.h"
+#include "sched/policy.h"
+#include "sched/request.h"
 #include "sim/engine.h"
 #include "sim/spoiler.h"
 #include "util/logging.h"
@@ -147,6 +150,41 @@ BENCHMARK(BM_PredictInMix)
     ->Args({2, 1})
     ->Args({5, 1})
     ->Args({2, 0});
+
+// One greedy-contention Pick per iteration over an arrived queue of
+// range(0) requests drawn from 13 of the 25 templates (about the breadth a
+// sched-backlog queue settles at), scored against the four co-runners of
+// an MPL-5 node. Pick does not consume the queue, so every iteration
+// decides over the same depth; a flat time across depths means the cost
+// follows the templates, not the backlog.
+void BM_GreedyPick(benchmark::State& state) {
+  sched::MixOracle oracle(&BenchPredictor());
+  const int depth = static_cast<int>(state.range(0));
+  Rng rng(13);
+  std::vector<int> templates = rng.Permutation(oracle.num_templates());
+  templates.resize(13);
+  // Drawn before the stream, so every depth scores against the same mix.
+  std::vector<int> running(4);
+  for (int& t : running) {
+    t = static_cast<int>(rng.UniformInt(
+        static_cast<uint64_t>(oracle.num_templates())));
+  }
+  std::vector<sched::Request> requests(static_cast<size_t>(depth));
+  for (int id = 0; id < depth; ++id) {
+    sched::Request& r = requests[static_cast<size_t>(id)];
+    r.request_id = id;
+    r.template_index = templates[rng.UniformInt(templates.size())];
+    r.arrival_time = units::Seconds(static_cast<double>(id));
+  }
+  const sched::RequestQueue queue(std::move(requests));
+  const sched::SchedContext ctx{units::Seconds(static_cast<double>(depth)),
+                                &running, &oracle};
+  auto policy = sched::MakePolicy(sched::PolicyKind::kGreedyContention);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy->Pick(queue, ctx).value());
+  }
+}
+BENCHMARK(BM_GreedyPick)->ArgName("depth")->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_FitReferenceModels(benchmark::State& state) {
   const TrainingData& data = BenchData();

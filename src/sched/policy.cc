@@ -22,62 +22,43 @@ Status ValidateContext(const RequestQueue& queue, const SchedContext& ctx,
   return Status::OK();
 }
 
-/// The earliest arrived request of one template.
-struct TemplateHead {
-  int template_index;
-  size_t position;
-};
+using TemplateHead = RequestQueue::TemplateHead;
 
 /// The distinct templates of the arrived prefix, each with the queue
-/// position of its earliest request, in order of that position. The scan
-/// stops once every template has been seen, so on a deep queue it reads
-/// only the leading requests.
-std::vector<TemplateHead> DistinctTemplates(const RequestQueue& queue,
-                                            size_t arrived,
-                                            const MixOracle& oracle) {
-  const size_t num_templates = static_cast<size_t>(oracle.num_templates());
-  std::vector<bool> seen(num_templates, false);
-  std::vector<TemplateHead> heads;
-  for (size_t i = 0; i < arrived && heads.size() < num_templates; ++i) {
-    const int t = queue.at(i).template_index;
-    CONTENDER_CHECK(t >= 0 && static_cast<size_t>(t) < num_templates)
-        << "Pick: unknown template index " << t;
-    if (seen[static_cast<size_t>(t)]) continue;
-    seen[static_cast<size_t>(t)] = true;
-    heads.push_back({t, i});
+/// position of its earliest request, in order of that position — the
+/// queue's template index answers in O(T log n), so no Pick reads the
+/// prefix to find them.
+std::vector<TemplateHead> ArrivedHeads(const RequestQueue& queue,
+                                       size_t arrived,
+                                       const MixOracle& oracle) {
+  std::vector<TemplateHead> heads = queue.LeadingTemplateHeads(arrived);
+  for (const TemplateHead& head : heads) {
+    CONTENDER_CHECK(head.template_index < oracle.num_templates())
+        << "Pick: unknown template index " << head.template_index;
   }
   return heads;
 }
 
-/// Minimal score wins, strict `<` so the lowest index takes ties.
-/// ScoreFn: size_t index -> double.
-template <typename ScoreFn>
-size_t ArgMinScore(size_t count, ScoreFn&& score) {
-  size_t best = 0;
-  double best_score = score(size_t{0});
-  for (size_t i = 1; i < count; ++i) {
-    const double s = score(i);
-    if (s < best_score) {
-      best = i;
-      best_score = s;
-    }
-  }
-  return best;
-}
-
 /// Queue position of the earliest request of the template minimizing
-/// `score` (ScoreFn: int template -> double). For a score that depends
-/// only on the template (and the running mix), this is exactly the
-/// position a per-request scan with earliest-position ties would pick —
-/// at one evaluation per distinct template instead of one per request.
+/// `score` (ScoreFn: int template -> double); strict `<`, so the earliest
+/// head takes ties. For a score that depends only on the template (and
+/// the running mix), this is exactly the position a per-request scan with
+/// earliest-position ties would pick — at one evaluation per distinct
+/// template instead of one per request. `heads` is never empty: every
+/// arrived request has a head.
 template <typename ScoreFn>
 size_t PickBestTemplate(const std::vector<TemplateHead>& heads,
                         ScoreFn&& score) {
-  return heads[ArgMinScore(heads.size(),
-                           [&](size_t k) {
-                             return score(heads[k].template_index);
-                           })]
-      .position;
+  size_t best = 0;
+  double best_score = score(heads[0].template_index);
+  for (size_t k = 1; k < heads.size(); ++k) {
+    const double s = score(heads[k].template_index);
+    if (s < best_score) {
+      best = k;
+      best_score = s;
+    }
+  }
+  return heads[best].position;
 }
 
 /// Greedy contention score of admitting a request of `template_index`:
@@ -116,7 +97,7 @@ class ShortestIsolatedFirstPolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    return PickBestTemplate(DistinctTemplates(queue, arrived, *ctx.oracle),
+    return PickBestTemplate(ArrivedHeads(queue, arrived, *ctx.oracle),
                             [&](int t) {
                               return ctx.oracle->IsolatedLatency(t).value();
                             });
@@ -133,7 +114,7 @@ class GreedyContentionPolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    return PickBestTemplate(DistinctTemplates(queue, arrived, *ctx.oracle),
+    return PickBestTemplate(ArrivedHeads(queue, arrived, *ctx.oracle),
                             [&](int t) { return GreedyScore(t, ctx); });
   }
 };
@@ -149,11 +130,12 @@ class DeadlineAwarePolicy : public Policy {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
     const std::vector<TemplateHead> heads =
-        DistinctTemplates(queue, arrived, *ctx.oracle);
+        ArrivedHeads(queue, arrived, *ctx.oracle);
     bool any_deadline = false;
-    for (size_t i = 0; i < arrived && !any_deadline; ++i) {
-      any_deadline = queue.at(i).deadline.has_value();
-    }
+    queue.ForEachLeadingDeadline(arrived, [&](const Request&) {
+      any_deadline = true;
+      return false;
+    });
     if (!any_deadline) {
       // Nothing to protect: behave exactly like greedy.
       return PickBestTemplate(heads,
@@ -168,17 +150,29 @@ class DeadlineAwarePolicy : public Policy {
           ctx.oracle->PredictInMix(head.template_index,
                                    *ctx.running_templates);
     }
-    // Earliest predicted slack first; best-effort requests rank after every
-    // deadline-carrying one (infinite slack).
-    return ArgMinScore(arrived, [&](size_t i) {
-      const Request& r = queue.at(i);
+    const auto slack = [&](const Request& r) {
       if (!r.deadline.has_value()) {
         return std::numeric_limits<double>::infinity();
       }
       return (*r.deadline - ctx.now -
               predicted[static_cast<size_t>(r.template_index)])
           .value();
+    };
+    // Earliest predicted slack first, strict `<` so the earliest position
+    // takes ties, starting from position 0. A best-effort request has
+    // infinite slack, so past position 0 it never wins: the walk visits
+    // only the deadline-carrying requests.
+    const Request* best = &queue.at(0);
+    double best_slack = slack(*best);
+    queue.ForEachLeadingDeadline(arrived, [&](const Request& r) {
+      const double s = slack(r);
+      if (s < best_slack) {
+        best = &r;
+        best_slack = s;
+      }
+      return true;
     });
+    return queue.PositionOf(*best);
   }
 };
 

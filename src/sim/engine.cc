@@ -26,12 +26,15 @@ int Engine::AddProcess(const QuerySpec& spec, units::Seconds start) {
   CONTENDER_CHECK(start_time >= now_ - kEps)
       << "process scheduled in the past";
   Process p;
-  p.spec = spec;
-  if (!spec.immortal && config_.startup_cpu_seconds > 0.0) {
-    Phase startup;
-    startup.cpu_seconds = config_.startup_cpu_seconds;
-    p.spec.phases.insert(p.spec.phases.begin(), startup);
+  // One allocation for the phase list, startup phase first.
+  const bool startup = !spec.immortal && config_.startup_cpu_seconds > 0.0;
+  p.phases.reserve(spec.phases.size() + (startup ? 1 : 0));
+  if (startup) {
+    p.phases.emplace_back().cpu_seconds = config_.startup_cpu_seconds;
   }
+  p.phases.insert(p.phases.end(), spec.phases.begin(), spec.phases.end());
+  p.immortal = spec.immortal;
+  p.pinned_memory_bytes = spec.pinned_memory_bytes;
   const int id = static_cast<int>(processes_.size());
   p.result.process_id = id;
   p.result.template_id = spec.template_id;
@@ -72,7 +75,7 @@ void Engine::ActivateArrivals() {
         std::max(0.0, config_.ram_bytes - config_.os_reserved_bytes);
     const double available =
         std::max(0.0, grantable - pinned_memory_ - granted_working_memory_);
-    p.pinned = std::min(p.spec.pinned_memory_bytes, available);
+    p.pinned = std::min(p.pinned_memory_bytes, available);
     pinned_memory_ += p.pinned;
     p.result.max_memory_granted =
         std::max(p.result.max_memory_granted, p.pinned);
@@ -92,11 +95,11 @@ bool Engine::PhaseDone(const Process& p) {
 
 void Engine::InitPhase(Process* p) {
   while (!p->done) {
-    if (p->phase_index >= p->spec.phases.size()) {
+    if (p->phase_index >= p->phases.size()) {
       CompleteProcess(p);
       return;
     }
-    const Phase& phase = p->spec.phases[p->phase_index];
+    const Phase& phase = p->phases[p->phase_index];
 
     p->seq_remaining = phase.seq_io_bytes;
     p->seq_table = phase.table;
@@ -198,7 +201,7 @@ double Engine::RevokeMemoryFromLargerHolders(Process* requester, double need,
 }
 
 void Engine::CompletePhase(Process* p) {
-  const Phase& phase = p->spec.phases[p->phase_index];
+  const Phase& phase = p->phases[p->phase_index];
   if (p->mem_granted > 0.0) {
     granted_working_memory_ -= p->mem_granted;
     p->mem_granted = 0.0;
@@ -215,7 +218,7 @@ void Engine::CompletePhase(Process* p) {
 void Engine::CompleteProcess(Process* p) {
   p->done = true;
   ++num_done_;
-  if (!p->spec.immortal) --unfinished_mortal_;
+  if (!p->immortal) --unfinished_mortal_;
   p->phase_ready = false;
   p->result.end_time = now_;
   p->result.completed = true;

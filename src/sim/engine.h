@@ -80,7 +80,10 @@ class Engine {
 
  private:
   struct Process {
-    QuerySpec spec;
+    /// The spec's phases, startup phase first when the config adds one.
+    std::vector<Phase> phases;
+    bool immortal = false;
+    double pinned_memory_bytes = 0.0;
     ProcessResult result;
     bool done = false;
     size_t phase_index = 0;

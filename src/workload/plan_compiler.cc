@@ -48,17 +48,20 @@ class Compiler {
       case PlanNodeType::kSeqScan: {
         // A scan begins a new pipeline segment.
         Flush();
-        auto def = catalog_.FindById(node.table);
-        CONTENDER_CHECK(def.ok()) << "scan of unknown table";
+        const std::vector<TableDef>& tables = catalog_.tables();
+        CONTENDER_CHECK(node.table >= 0 &&
+                        static_cast<size_t>(node.table) < tables.size())
+            << "scan of unknown table";
+        const TableDef& def = tables[static_cast<size_t>(node.table)];
         double fraction = node.scan_fraction;
         if (fraction < 1.0) {
           // Predicate-dependent partial scans vary with the parameters.
           fraction = std::clamp(fraction * params_.selectivity, 0.0, 1.0);
         }
         current_.table = node.table;
-        current_.table_bytes = def->bytes;
-        current_.cacheable = !def->is_fact;
-        current_.seq_io_bytes = def->bytes * fraction * params_.io_scale;
+        current_.table_bytes = def.bytes;
+        current_.cacheable = !def.is_fact;
+        current_.seq_io_bytes = def.bytes * fraction * params_.io_scale;
         current_.cpu_seconds += node.cpu_seconds * params_.selectivity;
         break;
       }

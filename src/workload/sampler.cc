@@ -66,7 +66,7 @@ TemplateProfile WorkloadSampler::MakeProfileSkeleton(int index) const {
   TemplateProfile profile;
   profile.template_index = index;
   profile.template_id = workload_->tmpl(index).id;
-  const PlanNode plan = workload_->NominalPlan(index);
+  const PlanNode& plan = workload_->NominalPlan(index);
   profile.plan_steps = CountPlanSteps(plan);
   profile.records_accessed = SumPlanRows(plan);
   profile.fact_tables = FactTablesScanned(plan, workload_->catalog());

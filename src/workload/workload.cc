@@ -2,13 +2,30 @@
 
 #include <algorithm>
 
+#include "util/logging.h"
+
 namespace contender {
 
 Workload::Workload(Catalog catalog, std::vector<QueryTemplate> templates)
-    : catalog_(std::move(catalog)), templates_(std::move(templates)) {}
+    : catalog_(std::move(catalog)), templates_(std::move(templates)) {
+  plans_.reserve(templates_.size());
+  for (const QueryTemplate& t : templates_) {
+    plans_.push_back(t.build(catalog_));
+  }
+}
 
 Workload Workload::Paper() {
   return Workload(Catalog::TpcDs100(), MakePaperTemplates());
+}
+
+size_t Workload::CheckedIndex(int index) const {
+  CONTENDER_CHECK(index >= 0 && index < size())
+      << "unknown template index " << index;
+  return static_cast<size_t>(index);
+}
+
+const QueryTemplate& Workload::tmpl(int index) const {
+  return templates_[CheckedIndex(index)];
 }
 
 int Workload::IndexOfId(int template_id) const {
@@ -18,8 +35,8 @@ int Workload::IndexOfId(int template_id) const {
   return -1;
 }
 
-PlanNode Workload::NominalPlan(int index) const {
-  return templates_[static_cast<size_t>(index)].build(catalog_);
+const PlanNode& Workload::NominalPlan(int index) const {
+  return plans_[CheckedIndex(index)];
 }
 
 InstanceParams Workload::DrawParams(Rng* rng) {
@@ -32,15 +49,16 @@ InstanceParams Workload::DrawParams(Rng* rng) {
 }
 
 sim::QuerySpec Workload::Instantiate(int index, Rng* rng) const {
-  const QueryTemplate& t = templates_[static_cast<size_t>(index)];
-  InstanceParams params = DrawParams(rng);
-  return CompilePlan(t.build(catalog_), catalog_, params, t.name, t.id);
+  const size_t i = CheckedIndex(index);
+  const InstanceParams params = DrawParams(rng);
+  return CompilePlan(plans_[i], catalog_, params, templates_[i].name,
+                     templates_[i].id);
 }
 
 sim::QuerySpec Workload::InstantiateNominal(int index) const {
-  const QueryTemplate& t = templates_[static_cast<size_t>(index)];
-  return CompilePlan(t.build(catalog_), catalog_, InstanceParams{}, t.name,
-                     t.id);
+  const size_t i = CheckedIndex(index);
+  return CompilePlan(plans_[i], catalog_, InstanceParams{},
+                     templates_[i].name, templates_[i].id);
 }
 
 }  // namespace contender

@@ -26,17 +26,19 @@ class Workload {
 
   const Catalog& catalog() const { return catalog_; }
   int size() const { return static_cast<int>(templates_.size()); }
-  const QueryTemplate& tmpl(int index) const {
-    return templates_[static_cast<size_t>(index)];
-  }
+  /// Every index-taking method CHECK-fails on an index outside
+  /// [0, size()) with "unknown template index N".
+  const QueryTemplate& tmpl(int index) const;
 
   /// Index of the template with the given paper id; -1 when absent.
   int IndexOfId(int template_id) const;
 
-  /// The nominal (optimizer-estimate) plan for a template.
-  PlanNode NominalPlan(int index) const;
+  /// The nominal (optimizer-estimate) plan for a template, built once at
+  /// construction.
+  const PlanNode& NominalPlan(int index) const;
 
-  /// Compiles an instance with randomly drawn predicate parameters.
+  /// Compiles an instance with randomly drawn predicate parameters (one
+  /// DrawParams per call) from the template's nominal plan.
   sim::QuerySpec Instantiate(int index, Rng* rng) const;
 
   /// Compiles the nominal instance (parameters at their expected values).
@@ -46,8 +48,13 @@ class Workload {
   static InstanceParams DrawParams(Rng* rng);
 
  private:
+  /// `index` as a position into templates_ and plans_ (CHECK).
+  size_t CheckedIndex(int index) const;
+
   Catalog catalog_;
   std::vector<QueryTemplate> templates_;
+  /// templates_[i].build(catalog_), one per template.
+  std::vector<PlanNode> plans_;
 };
 
 }  // namespace contender

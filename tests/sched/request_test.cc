@@ -116,10 +116,10 @@ TEST(GenerateArrivalsTest, ZeroProbabilityMeansBestEffortOnly) {
   }
 }
 
-Request MakeRequest(int id, double arrival) {
+Request MakeRequest(int id, double arrival, int template_index = 0) {
   Request r;
   r.request_id = id;
-  r.template_index = 0;
+  r.template_index = template_index;
   r.arrival_time = units::Seconds(arrival);
   return r;
 }
@@ -153,15 +153,77 @@ TEST(RequestQueueTest, TakeRemovesExactlyOnePosition) {
   EXPECT_EQ(queue.at(1).request_id, 2);
 }
 
-TEST(RequestQueueTest, PushKeepsQueueOrder) {
-  RequestQueue queue;
-  queue.Push(MakeRequest(0, 6.0));
-  queue.Push(MakeRequest(1, 2.0));
-  queue.Push(MakeRequest(2, 6.0));
-  ASSERT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.at(0).request_id, 1);
-  EXPECT_EQ(queue.at(1).request_id, 0);
-  EXPECT_EQ(queue.at(2).request_id, 2);
+TEST(RequestQueueTest, TemplateHeadsFollowTakes) {
+  // Queue order: ids 0..5; templates 3, 1, 3, 1, 0, 3.
+  RequestQueue queue({MakeRequest(0, 0.0, 3), MakeRequest(1, 1.0, 1),
+                      MakeRequest(2, 2.0, 3), MakeRequest(3, 3.0, 1),
+                      MakeRequest(4, 4.0, 0), MakeRequest(5, 5.0, 3)});
+  const auto heads_of = [&](size_t count) {
+    std::vector<std::pair<int, size_t>> out;
+    for (const auto& h : queue.LeadingTemplateHeads(count)) {
+      out.emplace_back(h.template_index, h.position);
+    }
+    return out;
+  };
+  using Heads = std::vector<std::pair<int, size_t>>;
+  EXPECT_EQ(heads_of(0), Heads{});
+  EXPECT_EQ(heads_of(4), (Heads{{3, 0}, {1, 1}}));
+  EXPECT_EQ(heads_of(6), (Heads{{3, 0}, {1, 1}, {0, 4}}));
+
+  // A non-head take of template 3 (id 2) leaves its head in place; taking
+  // the head (id 0) then skips the taken id 2 and lands on id 5.
+  EXPECT_EQ(queue.Take(2).request_id, 2);
+  EXPECT_EQ(heads_of(5), (Heads{{3, 0}, {1, 1}, {0, 3}}));
+  EXPECT_EQ(queue.Take(0).request_id, 0);
+  EXPECT_EQ(heads_of(4), (Heads{{1, 0}, {0, 2}, {3, 3}}));
+  EXPECT_EQ(heads_of(2), (Heads{{1, 0}}));
+  EXPECT_EQ(queue.NextArrival(), units::Seconds(1.0));
+}
+
+TEST(RequestQueueTest, DeadlineWalkSkipsBestEffortAndTakenRequests) {
+  // Queue order: ids 0..4; ids 1, 2 and 4 carry deadlines.
+  std::vector<Request> requests;
+  for (int id = 0; id < 5; ++id) {
+    requests.push_back(MakeRequest(id, static_cast<double>(id)));
+  }
+  for (int id : {1, 2, 4}) {
+    requests[static_cast<size_t>(id)].deadline = units::Seconds(100.0);
+  }
+  RequestQueue queue(std::move(requests));
+  const auto walk = [&](size_t count, int stop_after_id) {
+    std::vector<std::pair<int, size_t>> out;
+    queue.ForEachLeadingDeadline(count, [&](const Request& r) {
+      out.emplace_back(r.request_id, queue.PositionOf(r));
+      return r.request_id != stop_after_id;
+    });
+    return out;
+  };
+  using Walk = std::vector<std::pair<int, size_t>>;
+  EXPECT_EQ(walk(5, -1), (Walk{{1, 1}, {2, 2}, {4, 4}}));
+  EXPECT_EQ(walk(3, -1), (Walk{{1, 1}, {2, 2}}));
+  EXPECT_EQ(walk(5, 2), (Walk{{1, 1}, {2, 2}}));
+  EXPECT_EQ(walk(1, -1), Walk{});
+  // Taking ids 2 (a deadline) and 0 (best-effort) unlinks and shifts.
+  EXPECT_EQ(queue.Take(2).request_id, 2);
+  EXPECT_EQ(queue.Take(0).request_id, 0);
+  EXPECT_EQ(walk(3, -1), (Walk{{1, 0}, {4, 2}}));
+  EXPECT_EQ(queue.Take(0).request_id, 1);
+  EXPECT_EQ(walk(2, -1), (Walk{{4, 1}}));
+}
+
+TEST(RequestQueueDeathTest, NegativeTemplateIndexChecks) {
+  EXPECT_DEATH(RequestQueue({MakeRequest(0, 0.0, -1)}),
+               "negative template index -1");
+}
+
+TEST(RequestQueueDeathTest, PositionOfRejectsForeignAndTakenRequests) {
+  RequestQueue queue({MakeRequest(0, 0.0), MakeRequest(1, 1.0)});
+  const Request foreign = MakeRequest(0, 0.0);
+  EXPECT_DEATH((void)queue.PositionOf(foreign), "not a request of this queue");
+  const Request& second = queue.at(1);
+  EXPECT_EQ(queue.PositionOf(second), 1u);
+  (void)queue.Take(1);
+  EXPECT_DEATH((void)queue.PositionOf(second), "already taken");
 }
 
 }  // namespace

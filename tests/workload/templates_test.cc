@@ -4,11 +4,13 @@
 #include "workload/templates.h"
 
 #include <algorithm>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "sim/engine.h"
 #include "test_support.h"
+#include "util/random.h"
 #include "util/summary_stats.h"
 
 namespace contender {
@@ -156,6 +158,21 @@ TEST(TemplatesTest, TemplatesTouchOneToThreeFactTables) {
       EXPECT_GE(facts.size(), 1u) << w.tmpl(i).name;
     }
     EXPECT_LE(facts.size(), 3u) << w.tmpl(i).name;
+  }
+}
+
+// Every index-taking Workload method CHECK-fails on an index outside
+// [0, size()) instead of reading past its template and plan arrays.
+TEST(WorkloadDeathTest, UnknownTemplateIndexChecks) {
+  const Workload& w = PaperWorkload();
+  for (const int index : {-1, w.size()}) {
+    const std::string message =
+        "unknown template index " + std::to_string(index);
+    Rng rng(1);
+    EXPECT_DEATH((void)w.Instantiate(index, &rng), message);
+    EXPECT_DEATH((void)w.InstantiateNominal(index), message);
+    EXPECT_DEATH((void)w.NominalPlan(index), message);
+    EXPECT_DEATH((void)w.tmpl(index), message);
   }
 }
 
