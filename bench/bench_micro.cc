@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // the fluid engine, steady-state mix execution, CQI computation, the
-// degradation ladder's in-mix predictions, the greedy admission Pick, QS
-// fitting, spoiler prediction, and LHS generation.
+// degradation ladder's in-mix predictions, the greedy admission Pick, the
+// fleet Route, QS fitting, spoiler prediction, and LHS generation.
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/predictor.h"
 #include "core/qs_model.h"
 #include "core/spoiler_model.h"
+#include "fleet/router.h"
 #include "math/regression.h"
 #include "ml/lhs.h"
 #include "sched/mix_oracle.h"
@@ -185,6 +187,50 @@ void BM_GreedyPick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyPick)->ArgName("depth")->Arg(64)->Arg(512)->Arg(4096);
+
+// One contention-aware Route per iteration on a 4-node fleet at MPL 3
+// whose nodes hold about range(0) backlogged requests each. Every request
+// arrives at t = 0, so no predicted completion pops and each route joins
+// a full node's backlog: this is the append path of the cached replay
+// (perfbench fleet-skewed's fleet.route_us covers promotions). The router
+// is rebuilt off the clock once the timed routes have grown the backlogs
+// by a quarter, so the depth stays within 25% of nominal; a flat time
+// across depths means a route does not replay the backlog.
+void BM_RouterRoute(benchmark::State& state) {
+  constexpr int kNodes = 4;
+  const int depth = static_cast<int>(state.range(0));
+  const sched::MixOracle oracle(&BenchPredictor());
+  fleet::RouterOptions options;
+  options.num_nodes = kNodes;
+  options.target_mpl = 3;
+  options.policy = fleet::RoutePolicy::kContentionAware;
+  const size_t prefill =
+      static_cast<size_t>(kNodes * (options.target_mpl + depth));
+  Rng rng(23);
+  std::vector<sched::Request> stream(prefill +
+                                     static_cast<size_t>(kNodes * depth / 4));
+  for (size_t id = 0; id < stream.size(); ++id) {
+    sched::Request& r = stream[id];
+    r.request_id = static_cast<int>(id);
+    r.template_index = static_cast<int>(
+        rng.UniformInt(static_cast<uint64_t>(oracle.num_templates())));
+    r.arrival_time = units::Seconds(0.0);
+  }
+  std::optional<fleet::Router> router;
+  size_t next = stream.size();
+  for (auto _ : state) {
+    if (next == stream.size()) {
+      state.PauseTiming();
+      router.emplace(&oracle, options);
+      for (next = 0; next < prefill; ++next) {
+        CONTENDER_CHECK(router->Route(stream[next]).ok());
+      }
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(router->Route(stream[next++]).value());
+  }
+}
+BENCHMARK(BM_RouterRoute)->ArgName("depth")->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_FitReferenceModels(benchmark::State& state) {
   const TrainingData& data = BenchData();

@@ -17,21 +17,21 @@ namespace {
 // whole fleet chaos run replays bit-exactly from one number.
 auto& kDrainFailPoint = CONTENDER_DEFINE_FAILPOINT("fleet.node.drain");
 
-/// Replays a backlog over the ascending `slots` (`count` of them, the
-/// running queries' remaining times): each cached isolated latency in
+/// Replays backlogged queries over the ascending `slots` (`count` of
+/// them, slot-free instants): each cached isolated latency in
 /// [isolated, end), in FIFO order, starts on the earliest slot and frees it
 /// that much later; the smaller slots shift down one place and the freed
-/// instant drops in after them, so the slots stay ascending. Returns the
-/// earliest slot once every backlogged query has started.
-double ReplayBacklog(double* slots, size_t count, const double* isolated,
-                     const double* end) {
+/// instant drops in after them, so the slots stay ascending. That is the
+/// multiset a min-heap replay would hold, bit for bit: each step adds to a
+/// minimum slot, and equal slots are interchangeable.
+void ReplayBacklog(double* slots, size_t count, const double* isolated,
+                   const double* end) {
   for (; isolated != end; ++isolated) {
     const double freed = slots[0] + *isolated;
     size_t j = 1;
     for (; j < count && slots[j] < freed; ++j) slots[j - 1] = slots[j];
     slots[j - 1] = freed;
   }
-  return slots[0];
 }
 
 }  // namespace
@@ -90,6 +90,10 @@ void Router::Advance(NodeState* node, units::Seconds now) {
                         static_cast<std::ptrdiff_t>(best));
     Account(node, done.template_index, done.tenant_id, -1);
     ++predicted_completions_;
+    // The one event that changes a full running set: the freed slot goes
+    // to the backlog head at its in-mix latency, where the replay assumed
+    // isolated, or stays free. The next wait read replays afresh.
+    node->replay.clear();
     if (!node->backlog.empty()) {
       const sched::Request next = node->backlog.front();
       node->backlog.pop_front();
@@ -133,12 +137,22 @@ void Router::Place(NodeState* node, const sched::Request& request,
     return;
   }
   node->backlog.push_back(request);
-  node->backlog_isolated.push_back(
-      oracle_->IsolatedLatency(request.template_index).value());
+  const double isolated =
+      oracle_->IsolatedLatency(request.template_index).value();
+  node->backlog_isolated.push_back(isolated);
+  // The replay is a FIFO fold over the backlog, so a new tail extends a
+  // valid one by one step.
+  if (!node->replay.empty()) {
+    ReplayBacklog(node->replay.data(), node->replay.size(), &isolated,
+                  &isolated + 1);
+  }
 }
 
 void Router::Start(NodeState* node, const sched::Request& request,
                    units::Seconds now) {
+  // A valid replay implies a full running set that has not changed since
+  // it was built; only Advance's pop frees a slot, and it drops the replay.
+  CONTENDER_DCHECK(node->replay.empty());
   std::vector<int> mix;
   mix.reserve(node->running.size());
   for (const PredictedQuery& q : node->running) {
@@ -152,33 +166,33 @@ void Router::Start(NodeState* node, const sched::Request& request,
   node->running.push_back(entry);
 }
 
-double Router::PredictedWait(const NodeState& node, units::Seconds now,
-                             std::vector<double>* slots) const {
-  if (static_cast<int>(node.running.size()) < options_.target_mpl) {
+double Router::PredictedWait(NodeState* node, units::Seconds now) {
+  if (static_cast<int>(node->running.size()) < options_.target_mpl) {
     return 0.0;
   }
-  // The new request starts once the whole predicted backlog ahead of it
-  // has been started and one more slot frees. Replay the slot-free events:
-  // each backlogged query, in FIFO order, starts on the earliest-free slot
-  // and holds it for its isolated latency (the then-current mix is
-  // unknowable, and isolated is the stable floor that keeps deep backlogs
-  // from looking cheap). The slots stay ascending (ReplayBacklog). That is
-  // the multiset a min-heap replay would hold, bit for bit: each step adds
-  // to a minimum slot, and equal slots are interchangeable. O(mpl *
-  // backlog) per candidate, with no oracle call: the isolated latencies
-  // were cached when the backlog grew.
-  slots->clear();
-  for (const PredictedQuery& q : node.running) {
-    // Every node is advanced to `now` before a wait is read, so no
-    // remaining time is negative.
-    CONTENDER_DCHECK(!(q.completion < now));
-    slots->push_back((q.completion - now).value());
+  if (node->replay.empty()) {
+    // The new request starts once the whole predicted backlog ahead of it
+    // has been started and one more slot frees. Replay the slot-free
+    // events in absolute time: each backlogged query, in FIFO order,
+    // starts on the earliest-free slot and holds it for its isolated
+    // latency (the then-current mix is unknowable, and isolated is the
+    // stable floor that keeps deep backlogs from looking cheap). O(mpl *
+    // backlog), with no oracle call: the isolated latencies were cached
+    // when the backlog grew. Place extends the result per request
+    // backlogged after this, so a backlog is replayed once per promotion.
+    for (const PredictedQuery& q : node->running) {
+      node->replay.push_back(q.completion.value());
+    }
+    std::sort(node->replay.begin(), node->replay.end());
+    const double* const isolated = node->backlog_isolated.data();
+    ReplayBacklog(node->replay.data(), node->replay.size(),
+                  isolated + node->backlog_head,
+                  isolated + node->backlog_isolated.size());
   }
-  std::sort(slots->begin(), slots->end());
-  const double* const isolated = node.backlog_isolated.data();
-  return ReplayBacklog(slots->data(), slots->size(),
-                       isolated + node.backlog_head,
-                       isolated + node.backlog_isolated.size());
+  // Every node is advanced to `now` before a wait is read, so no running
+  // query's completion, and hence no slot, is in the past.
+  CONTENDER_DCHECK(!(node->replay[0] < now.value()));
+  return node->replay[0] - now.value();
 }
 
 std::vector<int> Router::HealthyNodes() const {
@@ -194,14 +208,11 @@ bool Router::WaitsRead(bool door_reads) const {
 }
 
 std::vector<double> Router::PredictedWaits(const std::vector<int>& candidates,
-                                           units::Seconds now) const {
+                                           units::Seconds now) {
   std::vector<double> waits;
   waits.reserve(candidates.size());
-  std::vector<double> slots;  // one replay buffer for every candidate
-  slots.reserve(static_cast<size_t>(options_.target_mpl));
   for (int n : candidates) {
-    waits.push_back(
-        PredictedWait(nodes_[static_cast<size_t>(n)], now, &slots));
+    waits.push_back(PredictedWait(&nodes_[static_cast<size_t>(n)], now));
   }
   return waits;
 }
@@ -260,7 +271,7 @@ StatusOr<int> Router::Route(const sched::Request& request) {
     return Status::InvalidArgument(
         "Router::Route: request ids must be dense and in order");
   }
-  if (!assignments_.empty() && request.arrival_time < last_arrival_) {
+  if (request.arrival_time < last_arrival_) {
     // Arrival order is the routing pass's clock; going backwards would
     // silently corrupt every predicted state.
     return Status::InvalidArgument(
@@ -349,7 +360,7 @@ Status Router::BeginDrain(int node, units::Seconds now) {
   if (node < 0 || node >= static_cast<int>(nodes_.size())) {
     return Status::InvalidArgument("Router::BeginDrain: unknown node");
   }
-  if (!assignments_.empty() && now < last_arrival_) {
+  if (now < last_arrival_) {
     return Status::InvalidArgument(
         "Router::BeginDrain: drain before the last routed arrival");
   }
@@ -376,11 +387,12 @@ Status Router::BeginDrain(int node, units::Seconds now) {
   // among the remaining healthy nodes, in FIFO order. Predicted-running
   // queries stay — drain means "finish what you started, accept nothing
   // new". Each Place changes a node, so every contention-aware pick
-  // replays fresh waits.
+  // reads fresh waits; a placement behind a full node extends its replay.
   std::deque<sched::Request> displaced;
   displaced.swap(draining.backlog);
   draining.backlog_isolated.clear();
   draining.backlog_head = 0;
+  draining.replay.clear();
   // Failovers bypass the door, so only the pick may read the waits.
   const bool waits_read = WaitsRead(/*door_reads=*/false);
   for (const sched::Request& r : displaced) {

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -163,6 +164,8 @@ class Router {
   }
 
  private:
+  friend class RouterTestPeer;
+
   /// One predicted-unfinished query on a node.
   struct PredictedQuery {
     units::Seconds completion;
@@ -176,11 +179,19 @@ class Router {
     std::vector<PredictedQuery> running;  // size <= target_mpl
     std::deque<sched::Request> backlog;   // FIFO, predicted-waiting
     /// Isolated latency of each backlogged request, in backlog order from
-    /// `backlog_head` on: PredictedWait's replay input, contiguous and
-    /// free of oracle calls. The consumed prefix is dropped once it is at
-    /// least half the array.
+    /// `backlog_head` on: the replay's input, contiguous and free of
+    /// oracle calls. The consumed prefix is dropped once it is at least
+    /// half the array.
     std::vector<double> backlog_isolated;
     size_t backlog_head = 0;
+    /// The slot-free instants (absolute, ascending, target_mpl of them)
+    /// left once the whole backlog has been replayed over the running
+    /// completions; replay[0] is when one more request could start. Empty
+    /// while stale. PredictedWait builds it on a full node, Place extends
+    /// it by one step per request backlogged after that, and only
+    /// Advance's pop of a predicted completion (which changes the running
+    /// set) drops it, so a backlog is replayed once per promotion.
+    std::vector<double> replay;
     /// Predicted outstanding working-set bytes (running + backlog), from
     /// the profiles' LearnedWMP-style footprints. Footprints are
     /// integer-valued, so sums below 2^53 are exact in any order.
@@ -203,18 +214,17 @@ class Router {
              units::Seconds now);
 
   /// Predicted seconds until `node` can start one more request, given its
-  /// current backlog depth (0 when a slot is free). `slots` is the
-  /// replay's scratch buffer.
-  [[nodiscard]] double PredictedWait(const NodeState& node,
-                                     units::Seconds now,
-                                     std::vector<double>* slots) const;
+  /// current backlog depth (0 when a slot is free): replay[0] - now,
+  /// rebuilding the replay first when it is stale. `node` must already be
+  /// advanced to `now`.
+  [[nodiscard]] double PredictedWait(NodeState* node, units::Seconds now);
 
   /// Healthy = not draining.
   [[nodiscard]] std::vector<int> HealthyNodes() const;
 
   /// Whether a routing step reads predicted waits: the contention-aware
   /// pick always does, and the door when `door_reads`. Route and
-  /// BeginDrain skip the backlog replay otherwise.
+  /// BeginDrain build no replay otherwise.
   [[nodiscard]] bool WaitsRead(bool door_reads) const;
 
   /// The policy: picks among `candidates` (non-empty, healthy) for
@@ -230,10 +240,10 @@ class Router {
                int delta);
 
   /// PredictedWait of each of `candidates` at `now`, aligned with it.
-  /// Each entry replays that node's backlog, so Route computes them once
-  /// for both the door's queue-delay signal and the pick.
+  /// Route computes them once for both the door's queue-delay signal and
+  /// the pick.
   [[nodiscard]] std::vector<double> PredictedWaits(
-      const std::vector<int>& candidates, units::Seconds now) const;
+      const std::vector<int>& candidates, units::Seconds now);
 
   const sched::MixOracle* const oracle_;
   const RouterOptions options_;
@@ -249,9 +259,10 @@ class Router {
   uint64_t round_robin_next_ = 0;
   /// Next chaos-drain victim (rotates over nodes).
   int next_chaos_drain_ = 0;
-  /// Clock of the routing pass: the last routed arrival or drain instant
-  /// (Route and BeginDrain enforce monotonicity against it).
-  units::Seconds last_arrival_;
+  /// Clock of the routing pass: the last routed arrival or drain instant,
+  /// -inf before the first of either (Route and BeginDrain enforce
+  /// monotonicity against it).
+  units::Seconds last_arrival_{-std::numeric_limits<double>::infinity()};
 };
 
 }  // namespace contender::fleet

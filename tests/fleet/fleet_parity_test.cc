@@ -14,6 +14,12 @@
 // chaos drains, degraded templates and simultaneous arrivals; every
 // assignment, RouterStats, DoorStats, predicted_completions() and every
 // node's outstanding count after each call must match with exact ==.
+// The reference replays each backlog per route in time relative to the
+// arrival; Router caches one replay per node in absolute time and
+// subtracts the arrival once, so a wait can differ from the reference's
+// in its last bits. The decisions must still match exactly. The same
+// streams drive the cache-coherence test: after every call, each cached
+// replay must equal a from-scratch absolute-time one with ==.
 // Blame parity runs seeded random outcome sets (tied admits, zero-length
 // and shed outcomes) and whole fleet runs, comparing every QueryBlame
 // field and the oracle's probe count.
@@ -586,6 +592,42 @@ std::vector<QueryBlame> ComputeNodeBlame(const NodeResult& node,
 
 }  // namespace reference
 
+/// Reads Router's per-node replay caches for the coherence test.
+class RouterTestPeer {
+ public:
+  /// Checks every node whose replay is valid (non-empty): its running set
+  /// must be full, and the replay must equal, with ==, a from-scratch
+  /// min-heap replay in absolute time of its running completions and
+  /// backlog, with isolated latencies asked of the oracle afresh. Returns
+  /// how many valid replays it checked over a non-empty backlog.
+  static int ExpectCoherent(const Router& router) {
+    int checked = 0;
+    for (size_t n = 0; n < router.nodes_.size(); ++n) {
+      const Router::NodeState& node = router.nodes_[n];
+      if (node.replay.empty()) continue;
+      SCOPED_TRACE("node " + std::to_string(n));
+      EXPECT_EQ(static_cast<int>(node.running.size()),
+                router.options_.target_mpl);
+      std::priority_queue<double, std::vector<double>, std::greater<>> slots;
+      for (const Router::PredictedQuery& q : node.running) {
+        slots.push(q.completion.value());
+      }
+      for (const sched::Request& r : node.backlog) {
+        const double freed =
+            slots.top() +
+            router.oracle_->IsolatedLatency(r.template_index).value();
+        slots.pop();
+        slots.push(freed);
+      }
+      std::vector<double> fresh;
+      for (; !slots.empty(); slots.pop()) fresh.push_back(slots.top());
+      EXPECT_EQ(node.replay, fresh);
+      if (!node.backlog.empty()) ++checked;
+    }
+    return checked;
+  }
+};
+
 namespace {
 
 using contender::testing::DefaultConfig;
@@ -758,8 +800,11 @@ CallRecord Observe(const R& router, int num_nodes, const Status& status,
   return record;
 }
 
+/// Runs `c` through a router of type R; `after_call`, when set, sees the
+/// router after every Route and BeginDrain.
 template <typename R>
-RouterTrace RunRouter(const RouterCase& c) {
+RouterTrace RunRouter(const RouterCase& c,
+                      const std::function<void(const R&)>& after_call = {}) {
   auto& registry = FailPointRegistry::Global();
   if (c.chaos_drain_p > 0.0 || c.chaos_shed_p > 0.0) {
     // Re-arming restarts the evaluation count, so both routers see the
@@ -787,6 +832,7 @@ RouterTrace RunRouter(const RouterCase& c) {
       const Status status = router.BeginDrain(d.node, units::Seconds(d.time));
       trace.calls.push_back(
           Observe(router, c.options.num_nodes, status, d.node));
+      if (after_call) after_call(router);
     }
   };
   for (size_t i = 0; i < c.requests.size(); ++i) {
@@ -794,6 +840,7 @@ RouterTrace RunRouter(const RouterCase& c) {
     const StatusOr<int> node = router.Route(c.requests[i]);
     trace.calls.push_back(Observe(router, c.options.num_nodes, node.status(),
                                   node.ok() ? *node : -2));
+    if (after_call) after_call(router);
   }
   drain_until(c.requests.size());
   // A drain before the routing clock is refused by both.
@@ -928,6 +975,27 @@ TEST(RouterParityCoverage, CasesExerciseEveryBehaviour) {
         "drain/chaos", "drain/explicit", "degraded", "chaos_shed",
         "simultaneous", "late_drain_refused"}) {
     EXPECT_GT(seen[key], 0) << key;
+  }
+}
+
+/// Router keeps each node's backlog replay between routes and extends it
+/// as the backlog grows. After every Route and BeginDrain of every parity
+/// case, each cached replay must equal a from-scratch one.
+TEST(RouterCacheCoherence, EveryCachedReplayMatchesAFreshOne) {
+  std::map<std::string, int> checked;
+  for (int index = 0; index < kRouterCases; ++index) {
+    SCOPED_TRACE("case " + std::to_string(index));
+    const RouterCase c = MakeRouterCase(index);
+    int& count = checked[RoutePolicyName(c.options.policy)];
+    RunRouter<Router>(c, [&count](const Router& router) {
+      count += RouterTestPeer::ExpectCoherent(router);
+    });
+  }
+  // Every policy reads waits through the door, so each must have held
+  // valid replays over real backlogs.
+  for (const RoutePolicy policy : AllRoutePolicies()) {
+    EXPECT_GT(checked[RoutePolicyName(policy)], 100)
+        << RoutePolicyName(policy);
   }
 }
 

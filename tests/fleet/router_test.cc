@@ -214,6 +214,26 @@ TEST(RouterTest, DrainAdvancesEveryNodeBeforeFailingOver) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(RouterTest, FirstDrainStartsTheRoutingClock) {
+  sched::MixOracle oracle(&SharedPredictor());
+  RouterOptions options;
+  options.num_nodes = 3;
+  Router router(&oracle, options);
+  // Nothing is routed yet, so the drain alone starts the clock: the node
+  // states now stand at 100 s, and neither a drain nor an arrival may be
+  // placed before that.
+  ASSERT_TRUE(router.BeginDrain(0, units::Seconds(100.0)).ok());
+  EXPECT_EQ(router.BeginDrain(1, units::Seconds(50.0)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(router.draining(1));
+  EXPECT_EQ(router.Route(MakeRequest(0, 0, 50.0)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(router.assignments().empty());
+  auto on_time = router.Route(MakeRequest(0, 0, 100.0));
+  ASSERT_TRUE(on_time.ok()) << on_time.status();
+  EXPECT_NE(*on_time, 0);
+}
+
 TEST(RouterTest, DegradedTemplateDescendsTheLadder) {
   FakeHealth health({3});
   sched::MixOracle::Options oracle_options;
