@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -270,6 +271,11 @@ StatusOr<int> Router::Route(const sched::Request& request) {
   if (request.request_id != static_cast<int>(assignments_.size())) {
     return Status::InvalidArgument(
         "Router::Route: request ids must be dense and in order");
+  }
+  if (request.template_index < 0 ||
+      request.template_index >= oracle_->num_templates()) {
+    return Status::InvalidArgument("Router::Route: unknown template index " +
+                                   std::to_string(request.template_index));
   }
   if (request.arrival_time < last_arrival_) {
     // Arrival order is the routing pass's clock; going backwards would

@@ -129,7 +129,9 @@ class Router {
   /// node states to the arrival instant, applies any chaos-fired drain,
   /// then places (or rejects) the request. Returns the chosen node, or -1
   /// for a quota rejection. The final placement (which a later drain may
-  /// still change) is read back through assignments().
+  /// still change) is read back through assignments(). An out-of-order id
+  /// or arrival, or a template index outside the oracle's templates, is
+  /// InvalidArgument and leaves the router untouched.
   StatusOr<int> Route(const sched::Request& request);
 
   /// Marks `node` draining as of `now` and fails its predicted backlog

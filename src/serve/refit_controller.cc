@@ -10,12 +10,10 @@ namespace contender::serve {
 
 namespace {
 
-// Chaos sites: kFit fails the (retryable) model fit, kPublish aborts the
-// step after a successful fit but before the snapshot swap — the publish
-// itself is atomic, so the only injectable publish failure is "never
-// happened", which is exactly what kAborted reports.
+// Chaos site: fails the step's model fit. The publish that follows a
+// successful fit is one atomic swap, so a failed fit is the only way a
+// triggered step can end with nothing published.
 auto& kFitFailPoint = CONTENDER_DEFINE_FAILPOINT("serve.refit.fit");
-auto& kPublishFailPoint = CONTENDER_DEFINE_FAILPOINT("serve.refit.publish");
 
 }  // namespace
 
@@ -56,7 +54,6 @@ StatusOr<RefitStep> RefitController::Step() {
   step.refit_templates.erase(std::unique(step.refit_templates.begin(),
                                          step.refit_templates.end()),
                              step.refit_templates.end());
-  const uint64_t step_index = triggered_steps_++;
 
   // Candidate training set: the batch joins `observations_` only if the
   // refit succeeds. Until then everything runs on copies — the live
@@ -66,36 +63,23 @@ StatusOr<RefitStep> RefitController::Step() {
                    batch.observations.end());
 
   const std::shared_ptr<const ModelSnapshot> live = service_->snapshot();
-  std::shared_ptr<const ModelSnapshot> next;
-  auto attempt = [&]() -> Status {
-    next = nullptr;
-    if (kFitFailPoint.ShouldFail()) {
-      return Status::Internal("RefitController: injected fit failure");
-    }
-    auto refit = live->predictor().WithRefitTemplates(candidate,
-                                                      step.refit_templates);
-    if (!refit.ok()) return refit.status();
-    if (kPublishFailPoint.ShouldFail()) {
-      // The swap in Publish() is atomic, so a "publish failure" can only
-      // mean the new snapshot never went live — deliberate abandonment,
-      // which kAborted marks as non-retryable.
-      return Status::Aborted("RefitController: injected publish abort");
-    }
-    next = ModelSnapshot::Create(std::move(*refit), live->version() + 1);
-    return Status::OK();
-  };
-  const Status fit_status = RetryWithBackoff(
-      options_.refit_retry, options_.retry_jitter_seed ^ step_index,
-      options_.clock != nullptr ? options_.clock : Clock::System(), attempt);
-  if (!fit_status.ok()) {
-    // Quarantine the batch: it broke the fit repeatedly, so letting it
-    // rejoin the training set would poison every future refit too.
+  StatusOr<ContenderPredictor> refit =
+      kFitFailPoint.ShouldFail()
+          ? StatusOr<ContenderPredictor>(
+                Status::Internal("RefitController: injected fit failure"))
+          : live->predictor().WithRefitTemplates(candidate,
+                                                 step.refit_templates);
+  if (!refit.ok()) {
+    // Quarantine the batch: it broke the fit, so letting it rejoin the
+    // training set would poison every future refit too.
     log_->Quarantine(std::move(batch.observations));
     failed_steps_.fetch_add(1, std::memory_order_relaxed);
-    return fit_status;
+    return refit.status();
   }
 
   observations_ = std::move(candidate);
+  std::shared_ptr<const ModelSnapshot> next =
+      ModelSnapshot::Create(std::move(*refit), live->version() + 1);
   step.published_version = next->version();
   service_->Publish(std::move(next));
   step.refit = true;

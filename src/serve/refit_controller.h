@@ -17,11 +17,11 @@
 // same ingest/step sequence reproduces every snapshot bit-exactly.
 //
 // Failure handling (DESIGN.md §11): the refit runs entirely on a copy, so
-// a failing fit can never corrupt the live snapshot. A transient failure
-// is retried with seeded-jitter backoff (util/retry.h); once the attempts
-// or the deadline run out the batch is quarantined into the log's
-// dead-letter buffer — observations that repeatedly break the fit must
-// not silently rejoin the training set.
+// a failing fit can never corrupt the live snapshot. The fit is a pure
+// function of (training set, touched templates), so a failure would only
+// repeat on a second attempt: each step fits once, and a failing step
+// quarantines its batch into the log's dead-letter buffer — observations
+// that break the fit must not silently rejoin the training set.
 
 #ifndef CONTENDER_SERVE_REFIT_CONTROLLER_H_
 #define CONTENDER_SERVE_REFIT_CONTROLLER_H_
@@ -34,7 +34,6 @@
 #include "serve/observation_log.h"
 #include "serve/service.h"
 #include "util/mutex.h"
-#include "util/retry.h"
 #include "util/statusor.h"
 #include "util/thread_annotations.h"
 
@@ -48,16 +47,6 @@ struct RefitOptions {
   /// pending, so one noisy record cannot force a refit).
   double residual_threshold = 0.10;
   size_t drift_min_observations = 4;
-  /// Retry policy for one triggered refit: a transiently failing fit is
-  /// retried with seeded-jitter backoff until attempts or deadline run
-  /// out (util/retry.h). Defaults keep a step bounded at a few seconds.
-  RetryOptions refit_retry;
-  /// Seed for the backoff jitter (combined with the step index, so each
-  /// step's schedule differs but the whole run replays bit-exactly).
-  uint64_t retry_jitter_seed = 0xC0117E17DE5ULL;
-  /// Time source for backoff sleeps; null selects Clock::System(). Tests
-  /// inject a FakeClock so retry paths run instantly.
-  Clock* clock = nullptr;
 };
 
 /// What one Step() did.
@@ -88,9 +77,7 @@ class RefitController {
   RefitController& operator=(const RefitController&) = delete;
 
   /// One deterministic control step (see file comment). Thread-safe; steps
-  /// serialize. A failing fit is retried with seeded-jitter backoff under
-  /// `options_.refit_retry`; a non-OK status means the attempts or the
-  /// deadline ran out (or the failure was non-retryable) — the old
+  /// serialize. A non-OK status means the step's one fit failed: the old
   /// snapshot stays live, nothing partial is ever published, and the
   /// drained batch is quarantined into the log's dead-letter buffer
   /// instead of joining the training set (it is suspected of poisoning
@@ -101,8 +88,8 @@ class RefitController {
   [[nodiscard]] uint64_t refits() const {
     return refits_.load(std::memory_order_relaxed);
   }
-  /// Triggered steps whose refit failed for good (their batches are in
-  /// the log's dead-letter buffer).
+  /// Triggered steps whose refit failed (their batches are in the log's
+  /// dead-letter buffer).
   [[nodiscard]] uint64_t failed_steps() const {
     return failed_steps_.load(std::memory_order_relaxed);
   }
@@ -117,7 +104,6 @@ class RefitController {
   mutable Mutex step_mutex_;  // serializes Step()
   /// Cumulative training set: base + successfully refit batches.
   std::vector<MixObservation> observations_ GUARDED_BY(step_mutex_);
-  uint64_t triggered_steps_ GUARDED_BY(step_mutex_) = 0;
   std::atomic<uint64_t> refits_{0};
   std::atomic<uint64_t> failed_steps_{0};
 };

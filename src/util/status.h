@@ -24,17 +24,14 @@ enum class StatusCode {
   kInternal,
   kUnimplemented,
   kResourceExhausted,
-  /// A time or retry budget ran out before the operation completed
-  /// (util/retry.h returns this when a deadline cuts retries short).
+  /// A time budget ran out before the operation completed.
   kDeadlineExceeded,
-  /// The operation was deliberately abandoned and must not be retried
-  /// (util/retry.h treats this as terminal).
+  /// The operation was deliberately abandoned and must not be retried.
   kAborted,
-  /// The service is transiently overloaded and shed the request; retrying
-  /// later (with backoff, against the caller's retry budget) may succeed.
-  /// This is the canonical code for load sheds — in contrast with
-  /// kResourceExhausted, which marks a hard quota/budget that retries
-  /// cannot refill (util/retry.h treats that one as terminal).
+  /// The service is transiently overloaded and shed the request; a caller
+  /// that comes back later may succeed. This is the canonical code for
+  /// load sheds — in contrast with kResourceExhausted, which marks a hard
+  /// quota/budget that waiting cannot refill.
   kUnavailable,
 };
 

@@ -1,6 +1,6 @@
 // Chaos suite for the serving and scheduling paths (DESIGN.md §11).
 //
-// Arms the registered fail points — refit fit/publish, observation ingest,
+// Arms the registered fail points — refit fit, observation ingest,
 // both core ladder tiers, thread-pool submit — while client threads keep
 // predicting, and asserts the invariants that define graceful degradation:
 //   * no deadlock and no torn snapshot (every batch answers from ONE
@@ -35,7 +35,6 @@
 #include "test_support.h"
 #include "util/failpoint.h"
 #include "util/random.h"
-#include "util/retry.h"
 #include "util/thread_pool.h"
 
 namespace contender::serve {
@@ -48,8 +47,7 @@ std::shared_ptr<const ModelSnapshot> MakeSnapshot(uint64_t version = 1) {
   return ModelSnapshot::Create(SharedPredictor(), version);
 }
 
-// The full serving stack with an attached health tracker and a FakeClock
-// so injected refit retries back off instantly.
+// The full serving stack with an attached health tracker.
 struct ChaosStack {
   ChaosStack() {
     PredictionService::Options service_options;
@@ -64,14 +62,11 @@ struct ChaosStack {
     log = std::make_unique<ObservationLog>(service.get());
     RefitOptions refit_options;
     refit_options.min_new_observations = 8;
-    refit_options.refit_retry.max_attempts = 3;
-    refit_options.clock = &clock;
     controller = std::make_unique<RefitController>(
         service.get(), log.get(), SharedTrainingData().observations,
         refit_options);
   }
 
-  FakeClock clock;
   std::unique_ptr<PredictionService> service;
   std::unique_ptr<ObservationLog> log;
   std::unique_ptr<RefitController> controller;
@@ -134,7 +129,6 @@ class ChaosTest : public ::testing::Test {
 const char* const kServeSites[] = {
     "serve.observation_log.ingest",
     "serve.refit.fit",
-    "serve.refit.publish",
 };
 
 // The degradation ladder's tier sites, probed by serving and scheduling
@@ -171,7 +165,7 @@ TEST_F(ChaosTest, RegisteredSitesCoverServeSchedAndUtil) {
 }
 
 // The concurrency invariant test: four client threads predict while chaos
-// fires in refit, publish, ingest, both ladder tiers and the thread pool.
+// fires in refit, ingest, both ladder tiers and the thread pool.
 // Passing under TSan means no deadlock and no data race; the assertions
 // mean no torn snapshot and no invalid answer, ever.
 TEST_F(ChaosTest, ProbabilityChaosFourClientThreadsStayConsistent) {
@@ -217,7 +211,7 @@ TEST_F(ChaosTest, ProbabilityChaosFourClientThreadsStayConsistent) {
       }
     });
   }
-  // Main thread churns ingest + refit/publish under the same chaos.
+  // Main thread churns ingest + refit under the same chaos.
   const auto& observations = SharedTrainingData().observations;
   for (int round = 0; round < 10; ++round) {
     for (size_t i = 0; i < 10; ++i) {
@@ -318,45 +312,31 @@ TEST_F(ChaosTest, NthHitModeFiresExactlyOnceAtEveryServingSite) {
     EXPECT_EQ(registry().Site("serve.observation_log.ingest").fires(), 1u);
   }
   {
-    // Refit fit: the 2nd fit attempt ever is injected; the retry inside
-    // that step absorbs it, so both steps still publish.
+    // Refit fit: the 2nd of three steps is injected. It fails with
+    // kInternal and quarantines its batch; the steps around it publish.
     registry().DisarmAll();
     ChaosStack stack;
     registry().ArmNthHit("serve.refit.fit", 2);
     const auto& obs = SharedTrainingData().observations;
     size_t next = 0;
-    for (int stepi = 0; stepi < 2; ++stepi) {
+    for (int stepi = 0; stepi < 3; ++stepi) {
       for (int i = 0; i < 8; ++i) {
         ASSERT_TRUE(stack.log->Ingest(obs[next++ % obs.size()]).ok());
       }
       auto step = stack.controller->Step();
-      ASSERT_TRUE(step.ok()) << step.status();
-      EXPECT_TRUE(step->refit);
+      if (stepi == 1) {
+        EXPECT_EQ(step.status().code(), StatusCode::kInternal);
+        EXPECT_EQ(stack.log->dead_letter_pending(), 8u);
+      } else {
+        ASSERT_TRUE(step.ok()) << step.status();
+        EXPECT_TRUE(step->refit);
+      }
     }
     EXPECT_EQ(registry().Site("serve.refit.fit").fires(), 1u);
     EXPECT_EQ(stack.controller->refits(), 2u);
-    EXPECT_EQ(stack.controller->failed_steps(), 0u);
-    EXPECT_EQ(stack.clock.sleeps().size(), 1u);  // one absorbed retry
-  }
-  {
-    // Refit publish: aborts the 1st step terminally; the 2nd succeeds.
-    registry().DisarmAll();
-    ChaosStack stack;
-    registry().ArmNthHit("serve.refit.publish", 1);
-    const auto& obs = SharedTrainingData().observations;
-    size_t next = 0;
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(stack.log->Ingest(obs[next++]).ok());
-    }
-    EXPECT_EQ(stack.controller->Step().status().code(), StatusCode::kAborted);
-    EXPECT_EQ(stack.service->snapshot()->version(), 1u);
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(stack.log->Ingest(obs[next++]).ok());
-    }
-    auto step = stack.controller->Step();
-    ASSERT_TRUE(step.ok()) << step.status();
-    EXPECT_EQ(stack.service->snapshot()->version(), 2u);
-    EXPECT_EQ(registry().Site("serve.refit.publish").fires(), 1u);
+    EXPECT_EQ(stack.controller->failed_steps(), 1u);
+    EXPECT_EQ(stack.log->quarantined(), 8u);
+    EXPECT_EQ(stack.service->snapshot()->version(), 3u);
   }
 }
 

@@ -184,6 +184,16 @@ TEST(FleetSimulatorTest, ExplicitDrainStopsPlacementsAndFailsOver) {
   EXPECT_FALSE(RunFleet(population, bad).ok());
 }
 
+TEST(FleetSimulatorTest, UnknownTemplateIndexIsInvalidArgument) {
+  Population population = TestPopulation(8);
+  population.requests[3].template_index =
+      static_cast<int>(SharedPredictor().profiles().size());
+  FleetOptions options;
+  options.num_nodes = 2;
+  EXPECT_EQ(RunFleet(population, options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(FleetSimulatorTest, TenantQuotaRejectsAndMetricsCountIt) {
   const Population population = TestPopulation(/*num_requests=*/64,
                                                /*skew=*/2.0);

@@ -63,6 +63,38 @@ TEST(RouterTest, RejectsNonDenseIdsAndTimeTravel) {
   ASSERT_TRUE(router.Route(MakeRequest(1, 0, 10.0)).ok());   // ties are fine
 }
 
+// An unknown template is rejected before any state is touched (the
+// placement would index the profiles with it), under every policy and
+// with the door's memory signal on; the same id then routes normally.
+TEST(RouterTest, RejectsOutOfRangeTemplateIndexUnderEveryPolicy) {
+  sched::MixOracle oracle(&SharedPredictor());
+  const int n = oracle.num_templates();
+  for (RoutePolicy policy : AllRoutePolicies()) {
+    for (bool memory_door : {false, true}) {
+      SCOPED_TRACE(RoutePolicyName(policy) +
+                   (memory_door ? " + memory door" : ""));
+      RouterOptions options;
+      options.num_nodes = 2;
+      options.policy = policy;
+      options.door.enabled = memory_door;
+      options.door.node_memory_budget =
+          units::Bytes(memory_door ? 6e9 : 0.0);
+      Router router(&oracle, options);
+      ASSERT_TRUE(router.Route(MakeRequest(0, 1, 5.0)).ok());
+      for (int bad : {-1, n}) {
+        auto routed = router.Route(MakeRequest(1, bad, 6.0));
+        EXPECT_EQ(routed.status().code(), StatusCode::kInvalidArgument)
+            << bad;
+      }
+      EXPECT_EQ(router.assignments().size(), 1u);
+      EXPECT_EQ(router.stats().routed, 1u);
+      auto valid = router.Route(MakeRequest(1, n - 1, 6.0));
+      ASSERT_TRUE(valid.ok()) << valid.status();
+      EXPECT_EQ(router.assignments().size(), 2u);
+    }
+  }
+}
+
 TEST(RouterTest, ContentionAwareSpreadsLoadOffBusyNodes) {
   sched::MixOracle oracle(&SharedPredictor());
   RouterOptions options;

@@ -8,7 +8,6 @@
 
 #include "test_support.h"
 #include "util/failpoint.h"
-#include "util/retry.h"
 
 namespace contender::serve {
 namespace {
@@ -190,33 +189,31 @@ class RefitFailureTest : public ::testing::Test {
  protected:
   void TearDown() override { FailPointRegistry::Global().DisarmAll(); }
 
-  static RefitOptions FailureOptions(FakeClock* clock) {
+  static RefitOptions FailureOptions() {
     RefitOptions options;
     options.min_new_observations = 8;
-    options.refit_retry.max_attempts = 3;
-    options.refit_retry.deadline = units::Seconds(60.0);
-    options.clock = clock;
     return options;
   }
 
   FailPointRegistry& registry() { return FailPointRegistry::Global(); }
 };
 
-TEST_F(RefitFailureTest, ExhaustedFitQuarantinesBatchAndKeepsLiveSnapshot) {
+TEST_F(RefitFailureTest, FailedFitQuarantinesBatchAndKeepsLiveSnapshot) {
   Stack s;
-  FakeClock clock;
   RefitController controller(&s.service, &s.log,
                              SharedTrainingData().observations,
-                             FailureOptions(&clock));
+                             FailureOptions());
   const size_t base = controller.training_set_size();
   const auto live_before = s.service.snapshot();
   for (const MixObservation& o : ShiftedObservations(2, 8, 1.2)) {
     ASSERT_TRUE(s.log.Ingest(o).ok());
   }
 
-  registry().ArmProbability("serve.refit.fit", 1.0);  // every attempt fails
+  registry().ArmProbability("serve.refit.fit", 1.0);  // every fit fails
   auto step = controller.Step();
   EXPECT_EQ(step.status().code(), StatusCode::kInternal);
+  // The step fitted once: a deterministic fit is not retried.
+  EXPECT_EQ(registry().Site("serve.refit.fit").hits(), 1u);
 
   // The live snapshot is byte-for-byte the same object; nothing partial
   // was published and the committed training set is untouched.
@@ -231,9 +228,6 @@ TEST_F(RefitFailureTest, ExhaustedFitQuarantinesBatchAndKeepsLiveSnapshot) {
   EXPECT_EQ(s.log.quarantined(), 8u);
   EXPECT_EQ(s.log.dead_letter_pending(), 8u);
 
-  // All three attempts ran, with a seeded backoff sleep between each.
-  EXPECT_EQ(clock.sleeps().size(), 2u);
-
   // The quarantined batch is replayable: after forensics clears the
   // fault, re-ingesting the dead letter drives a normal successful refit.
   registry().DisarmAll();
@@ -247,62 +241,15 @@ TEST_F(RefitFailureTest, ExhaustedFitQuarantinesBatchAndKeepsLiveSnapshot) {
   EXPECT_EQ(controller.training_set_size(), base + 8);
 }
 
-TEST_F(RefitFailureTest, PublishAbortIsTerminalWithoutRetry) {
-  Stack s;
-  FakeClock clock;
-  RefitController controller(&s.service, &s.log,
-                             SharedTrainingData().observations,
-                             FailureOptions(&clock));
-  for (const MixObservation& o : ShiftedObservations(3, 8, 1.2)) {
-    ASSERT_TRUE(s.log.Ingest(o).ok());
-  }
-
-  registry().ArmOnce("serve.refit.publish");
-  auto step = controller.Step();
-  EXPECT_EQ(step.status().code(), StatusCode::kAborted);
-
-  // kAborted is non-retryable: one attempt, no backoff sleeps, and the
-  // fitted-but-unpublished snapshot never reached the service.
-  EXPECT_TRUE(clock.sleeps().empty());
-  EXPECT_EQ(s.service.snapshot()->version(), 1u);
-  EXPECT_EQ(s.service.publishes(), 0u);
-  EXPECT_EQ(controller.failed_steps(), 1u);
-  EXPECT_EQ(s.log.dead_letter_pending(), 8u);
-}
-
-TEST_F(RefitFailureTest, TransientFitFailureRetriesToSuccess) {
-  Stack s;
-  FakeClock clock;
-  RefitController controller(&s.service, &s.log,
-                             SharedTrainingData().observations,
-                             FailureOptions(&clock));
-  const size_t base = controller.training_set_size();
-  for (const MixObservation& o : ShiftedObservations(4, 8, 1.2)) {
-    ASSERT_TRUE(s.log.Ingest(o).ok());
-  }
-
-  registry().ArmNthHit("serve.refit.fit", 1);  // first attempt only
-  auto step = controller.Step();
-  ASSERT_TRUE(step.ok()) << step.status();
-  EXPECT_TRUE(step->refit);
-  EXPECT_EQ(step->published_version, 2u);
-  EXPECT_EQ(clock.sleeps().size(), 1u);  // exactly one backoff
-  EXPECT_EQ(controller.refits(), 1u);
-  EXPECT_EQ(controller.failed_steps(), 0u);
-  EXPECT_EQ(controller.training_set_size(), base + 8);
-  EXPECT_EQ(s.log.dead_letter_pending(), 0u);
-}
-
-// Failure determinism: a run whose middle step exhausts its retries
-// replays bit-exactly — same terminal status, same quarantine, and the
-// same final predictions (the poisoned batch never contaminates the fit).
+// Failure determinism: a run whose middle step fails replays bit-exactly
+// — same terminal status, same quarantine, and the same final predictions
+// (the poisoned batch never contaminates the fit).
 TEST_F(RefitFailureTest, ReplayAfterFailureIsBitExact) {
   auto run = [this] {
     Stack s;
-    FakeClock clock;
     RefitController controller(&s.service, &s.log,
                                SharedTrainingData().observations,
-                               FailureOptions(&clock));
+                               FailureOptions());
     for (const MixObservation& o : ShiftedObservations(2, 8, 1.2)) {
       CONTENDER_CHECK(s.log.Ingest(o).ok());
     }
@@ -316,13 +263,13 @@ TEST_F(RefitFailureTest, ReplayAfterFailureIsBitExact) {
     }
     auto failed = controller.Step();
     CONTENDER_CHECK(!failed.ok());
+    EXPECT_EQ(registry().Site("serve.refit.fit").hits(), 1u);
     registry().DisarmAll();
 
     const auto snapshot = s.service.snapshot();
     std::vector<double> out;
     out.push_back(static_cast<double>(snapshot->version()));
     out.push_back(static_cast<double>(s.log.dead_letter_pending()));
-    for (units::Seconds sleep : clock.sleeps()) out.push_back(sleep.value());
     for (int t = 0; t < snapshot->num_templates(); ++t) {
       out.push_back(snapshot->PredictInMix(t, {(t + 1) % 25}).value());
     }

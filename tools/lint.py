@@ -38,8 +38,8 @@ RAW_DIMENSION_RE = re.compile(
     r"\bdouble\s+\w*(?:latency|fraction)\w*\s*(?:=[^,);]*)?[,)]")
 NAKED_SLEEP_RE = re.compile(
     r"\bsleep_(?:for|until)\s*\(|(?<![\w:])(?:u|nano)sleep\s*\(")
-# A for/while header spelled over a retry/attempt counter is an ad-hoc
-# retry loop; the sanctioned loop lives in util/retry.cc.
+# A for/while header spelled over a retry/attempt counter is a retry loop;
+# src/ has none (see the naked-sleep rule).
 RETRY_LOOP_RE = re.compile(
     r"\b(?:for|while)\s*\([^)]*\b(?:retry|retries|attempts?)\b")
 SUPPRESS_RE = re.compile(r"//\s*contender-lint:\s*disable=([\w,-]+)")
@@ -238,9 +238,6 @@ def check_naked_sleep(root):
     findings = []
     for path in iter_source_files(root, ("src",)):
         rel = os.path.relpath(path, root)
-        # util/retry IS the sanctioned sleep/retry implementation.
-        if rel.startswith(os.path.join("src", "util", "retry")):
-            continue
         for i, line in enumerate(read_lines(path), 1):
             if suppressed(line, "naked-sleep"):
                 continue
@@ -665,13 +662,14 @@ RULES = (
     ),
     Rule(
         "naked-sleep",
-        "No sleep_for/sleep_until/usleep/nanosleep and no ad-hoc retry "
-        "loops (a for/while spelled over retry/attempt counters) in src/ "
-        "outside src/util/retry.*. Library code that waits or retries must "
-        "go through util/retry's Clock and RetryWithBackoff so deadlines "
-        "are budgeted, backoff is seeded-deterministic, and tests can "
-        "inject a FakeClock. bench/ and tests/ drive wall-clock scenarios "
-        "and are exempt.",
+        "No sleep_for/sleep_until/usleep/nanosleep and no retry loops (a "
+        "for/while spelled over retry/attempt counters) anywhere in src/; "
+        "no directory is exempt. Library results are pure functions of "
+        "their inputs and seeds, so a failed step would fail the same way "
+        "again: a retry only hides the fault, and a wall-clock wait makes "
+        "an outcome depend on timing. Waits on shared state go through "
+        "Mutex::Await. bench/ and tests/ drive wall-clock scenarios and "
+        "are exempt.",
         check_naked_sleep,
         {
             "src/serve/bad_sleep.cc":
@@ -683,14 +681,21 @@ RULES = (
                 "  while (retries < kMax) { ++retries; }\n"
                 "  usleep(100);\n"
                 "}\n",
-            # The sanctioned implementation must stay exempt.
-            "src/util/retry.cc":
+            # util/ is not exempt: a clock that sleeps fires there too.
+            "src/util/bad_clock.cc":
                 "void SystemClock::Sleep() {\n"
                 "  std::this_thread::sleep_for(std::chrono::seconds(1));\n"
                 "}\n",
+            # Comments and names that merely mention sleeps stay quiet.
+            "src/serve/good_wait.cc":
+                "// Never sleep_for(...) or retry here.\n"
+                "void Refit() {\n"
+                "  for (int t = 0; t < num_templates; ++t) {}\n"
+                "  const double sleep_budget = 0.0;\n"
+                "}\n",
         },
-        ["src/serve/bad_sleep.cc"],
-        ["src/util/retry.cc"],
+        ["src/serve/bad_sleep.cc", "src/util/bad_clock.cc"],
+        ["src/serve/good_wait.cc"],
     ),
     Rule(
         "read-path-mutex",
