@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
-// the fluid engine, steady-state mix execution, CQI computation, the
-// degradation ladder's in-mix predictions, the greedy admission Pick, the
-// fleet Route, QS fitting, spoiler prediction, and LHS generation.
+// the fluid engine (one query, spoiled, and a closed loop), steady-state
+// mix execution, CQI computation, the degradation ladder's in-mix
+// predictions, the greedy admission Pick, the fleet Route, QS fitting,
+// spoiler prediction, and LHS generation.
 
 #include <benchmark/benchmark.h>
 
@@ -93,6 +94,41 @@ void BM_SteadyStateMix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SteadyStateMix)->Arg(2)->Arg(5);
+
+// The engine alone in a closed loop: MPL 5 over 2048 pre-instantiated
+// paper-template queries, each completion adding the next one. Reports
+// the engine's cost per process, AddProcess's copy of the spec included.
+void BM_EngineClosedLoop(benchmark::State& state) {
+  constexpr size_t kMpl = 5;
+  constexpr size_t kProcesses = 2048;
+  const Workload& w = BenchWorkload();
+  Rng rng(5);
+  std::vector<sim::QuerySpec> specs;
+  specs.reserve(kProcesses);
+  for (size_t i = 0; i < kProcesses; ++i) {
+    specs.push_back(w.Instantiate(
+        static_cast<int>(i % static_cast<size_t>(w.size())), &rng));
+  }
+  const sim::SimConfig config;
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    sim::Engine engine(config, seed++);
+    size_t next = kMpl;
+    engine.SetCompletionCallback([&](const sim::ProcessResult&) {
+      if (next < kProcesses) engine.AddProcess(specs[next++], engine.now());
+    });
+    for (size_t i = 0; i < kMpl; ++i) {
+      engine.AddProcess(specs[i], units::Seconds(0.0));
+    }
+    CONTENDER_CHECK(engine.Run().ok());
+    benchmark::DoNotOptimize(engine.now());
+  }
+  state.counters["per_process"] = benchmark::Counter(
+      static_cast<double>(kProcesses),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineClosedLoop)->Unit(benchmark::kMillisecond);
 
 void BM_ComputeCqi(benchmark::State& state) {
   const TrainingData& data = BenchData();

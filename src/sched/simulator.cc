@@ -1,6 +1,7 @@
 #include "sched/simulator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/engine.h"
 #include "util/logging.h"
@@ -106,8 +107,9 @@ StatusOr<ScheduleResult> ScheduleSimulator::Run(
       out.queue_wait = t - r.arrival_time;
       out.predicted_latency = oracle->PredictInMix(r.template_index, running);
       out.mix_size_at_admission = static_cast<int>(running.size());
-      const int pid =
-          engine.AddProcess(specs[static_cast<size_t>(r.request_id)], t);
+      // Each request is admitted once, so its spec moves into the engine.
+      const int pid = engine.AddProcess(
+          std::move(specs[static_cast<size_t>(r.request_id)]), t);
       if (static_cast<size_t>(pid) >= pid_to_request.size()) {
         pid_to_request.resize(static_cast<size_t>(pid) + 1, -1);
       }

@@ -1,5 +1,7 @@
 #include "sim/buffer_pool.h"
 
+#include <algorithm>
+
 namespace contender::sim {
 
 void BufferPool::SetCapacity(double capacity_bytes) {
@@ -8,37 +10,32 @@ void BufferPool::SetCapacity(double capacity_bytes) {
 }
 
 bool BufferPool::IsCached(TableId table) const {
-  return entries_.count(table) > 0;
+  return std::any_of(lru_.begin(), lru_.end(),
+                     [table](const Entry& e) { return e.table == table; });
 }
 
 void BufferPool::Admit(TableId table, double bytes) {
   if (bytes > capacity_bytes_) return;
-  auto it = entries_.find(table);
-  if (it != entries_.end()) {
+  if (IsCached(table)) {
     Touch(table);
     return;
   }
   EvictUntilFits(bytes);
-  lru_.push_front(table);
-  entries_[table] = Entry{bytes, lru_.begin()};
+  lru_.insert(lru_.begin(), Entry{table, bytes});
   cached_bytes_ += bytes;
 }
 
 void BufferPool::Touch(TableId table) {
-  auto it = entries_.find(table);
-  if (it == entries_.end()) return;
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(table);
-  it->second.lru_it = lru_.begin();
+  const auto it = std::find_if(
+      lru_.begin(), lru_.end(),
+      [table](const Entry& e) { return e.table == table; });
+  if (it != lru_.end()) std::rotate(lru_.begin(), it, it + 1);
 }
 
 void BufferPool::EvictUntilFits(double incoming_bytes) {
   while (!lru_.empty() && cached_bytes_ + incoming_bytes > capacity_bytes_) {
-    const TableId victim = lru_.back();
+    cached_bytes_ -= lru_.back().bytes;
     lru_.pop_back();
-    auto it = entries_.find(victim);
-    cached_bytes_ -= it->second.bytes;
-    entries_.erase(it);
   }
 }
 

@@ -7,8 +7,7 @@
 #ifndef CONTENDER_SIM_BUFFER_POOL_H_
 #define CONTENDER_SIM_BUFFER_POOL_H_
 
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/query_spec.h"
 
@@ -36,20 +35,22 @@ class BufferPool {
   void Touch(TableId table);
 
   double cached_bytes() const { return cached_bytes_; }
-  size_t num_cached_tables() const { return entries_.size(); }
+  size_t num_cached_tables() const { return lru_.size(); }
 
  private:
+  struct Entry {
+    TableId table;
+    double bytes;
+  };
+
   void EvictUntilFits(double incoming_bytes);
 
   double capacity_bytes_;
   double cached_bytes_ = 0.0;
-  // MRU at front.
-  std::list<TableId> lru_;
-  struct Entry {
-    double bytes;
-    std::list<TableId>::iterator lru_it;
-  };
-  std::unordered_map<TableId, Entry> entries_;
+  // The cached tables, most recently used first. A pool holds a handful
+  // of dimension tables, so a flat scan beats a node-based index and the
+  // vector stops allocating once it has held the most tables it will.
+  std::vector<Entry> lru_;
 };
 
 }  // namespace contender::sim

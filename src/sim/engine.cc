@@ -1,9 +1,9 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
+#include "sim/disk.h"
 #include "util/logging.h"
 
 namespace contender::sim {
@@ -19,29 +19,25 @@ Engine::Engine(const SimConfig& config, uint64_t seed)
       rng_(seed),
       buffer_pool_(
           std::max(0.0, config.ram_bytes - config.os_reserved_bytes) *
-          config.buffer_pool_fraction) {}
+          config.buffer_pool_fraction) {
+  startup_phase_.cpu_seconds = config.startup_cpu_seconds;
+}
 
-int Engine::AddProcess(const QuerySpec& spec, units::Seconds start) {
+int Engine::AddProcess(QuerySpec spec, units::Seconds start) {
   const double start_time = start.value();
   CONTENDER_CHECK(start_time >= now_ - kEps)
       << "process scheduled in the past";
-  Process p;
-  // One allocation for the phase list, startup phase first.
-  const bool startup = !spec.immortal && config_.startup_cpu_seconds > 0.0;
-  p.phases.reserve(spec.phases.size() + (startup ? 1 : 0));
-  if (startup) {
-    p.phases.emplace_back().cpu_seconds = config_.startup_cpu_seconds;
-  }
-  p.phases.insert(p.phases.end(), spec.phases.begin(), spec.phases.end());
+  const int id = static_cast<int>(processes_.size());
+  Process& p = processes_.emplace_back();
+  p.phases = std::move(spec.phases);
+  p.startup = !spec.immortal && config_.startup_cpu_seconds > 0.0;
   p.immortal = spec.immortal;
   p.pinned_memory_bytes = spec.pinned_memory_bytes;
-  const int id = static_cast<int>(processes_.size());
   p.result.process_id = id;
   p.result.template_id = spec.template_id;
-  p.result.name = spec.name;
+  p.result.name = std::move(spec.name);
   p.result.start_time = start_time;
   if (!spec.immortal) ++unfinished_mortal_;
-  processes_.push_back(std::move(p));
   // Ties in start time activate in id (insertion) order.
   pending_.emplace(start_time, id);
   return id;
@@ -68,7 +64,11 @@ void Engine::ActivateArrivals() {
     const int id = pending_.top().second;
     pending_.pop();
     Process& p = processes_[static_cast<size_t>(id)];
-    active_.insert(std::upper_bound(active_.begin(), active_.end(), id), id);
+    active_.insert(std::upper_bound(active_.begin(), active_.end(), id,
+                                    [](int key, const Process* q) {
+                                      return key < q->result.process_id;
+                                    }),
+                   &p);
     p.result.start_time = now_;
     // Pin memory with priority; the pin is bounded by what exists.
     const double grantable =
@@ -88,6 +88,12 @@ double Engine::NextArrivalTime() const {
   return pending_.top().first;
 }
 
+const Phase* Engine::CurrentPhase(const Process& p) const {
+  if (p.startup && p.phase_index == 0) return &startup_phase_;
+  const size_t i = p.phase_index - (p.startup ? 1 : 0);
+  return i < p.phases.size() ? &p.phases[i] : nullptr;
+}
+
 bool Engine::PhaseDone(const Process& p) {
   return p.seq_remaining <= kByteEps && p.spill_remaining <= kByteEps &&
          p.rnd_remaining <= kByteEps && p.cpu_remaining <= kCpuEps;
@@ -95,16 +101,15 @@ bool Engine::PhaseDone(const Process& p) {
 
 void Engine::InitPhase(Process* p) {
   while (!p->done) {
-    if (p->phase_index >= p->phases.size()) {
+    const Phase* current = CurrentPhase(*p);
+    if (current == nullptr) {
       CompleteProcess(p);
       return;
     }
-    const Phase& phase = p->phases[p->phase_index];
+    const Phase& phase = *current;
 
     p->seq_remaining = phase.seq_io_bytes;
     p->seq_table = phase.table;
-    p->seq_table_bytes = phase.table_bytes;
-    p->seq_cacheable = phase.cacheable;
     p->seq_from_cache = false;
     if (p->seq_remaining > 0.0 && phase.cacheable &&
         buffer_pool_.IsCached(phase.table)) {
@@ -171,14 +176,13 @@ double Engine::RevokeMemoryFromLargerHolders(Process* requester, double need,
   double freed = 0.0;
   while (need > 0.0) {
     Process* victim = nullptr;
-    for (const int id : active_) {
-      Process& cand = processes_[static_cast<size_t>(id)];
-      if (&cand == requester || cand.done) continue;
+    for (Process* cand : active_) {
+      if (cand == requester || cand->done) continue;
       // Only working sets of comparable or larger size are reclaim
       // victims; small residents are left alone.
-      if (cand.mem_granted <= 0.5 * requester_demand) continue;
-      if (victim == nullptr || cand.mem_granted > victim->mem_granted) {
-        victim = &cand;
+      if (cand->mem_granted <= 0.5 * requester_demand) continue;
+      if (victim == nullptr || cand->mem_granted > victim->mem_granted) {
+        victim = cand;
       }
     }
     if (victim == nullptr) break;
@@ -201,7 +205,7 @@ double Engine::RevokeMemoryFromLargerHolders(Process* requester, double need,
 }
 
 void Engine::CompletePhase(Process* p) {
-  const Phase& phase = p->phases[p->phase_index];
+  const Phase& phase = *CurrentPhase(*p);
   if (p->mem_granted > 0.0) {
     granted_working_memory_ -= p->mem_granted;
     p->mem_granted = 0.0;
@@ -231,56 +235,64 @@ void Engine::CompleteProcess(Process* p) {
 }
 
 bool Engine::Step() {
-  // Drop the ids the previous step finished (erase_if keeps id order).
-  std::erase_if(active_, [&](int id) {
-    return processes_[static_cast<size_t>(id)].done;
-  });
   const size_t pending_before = pending_.size();
   const size_t done_before = num_done_;
 
   ActivateArrivals();
 
-  // Callbacks run inside these loops may AddProcess; that touches neither
-  // active_ nor any live Process, so the loops and their references hold.
-  for (const int id : active_) {
-    Process& p = processes_[static_cast<size_t>(id)];
-    if (!p.done && !p.phase_ready) InitPhase(&p);
+  // Only this step's arrivals lack a ready phase: the completion pass gave
+  // every other live process its next phase. Callbacks run inside these
+  // loops may AddProcess; that touches neither active_ nor any live
+  // Process, so the loops and their references hold.
+  if (pending_.size() != pending_before) {
+    for (Process* p : active_) {
+      if (!p->done && !p->phase_ready) InitPhase(p);
+    }
   }
 
-  // Build disk demand: shared scan groups for non-negative tables, private
-  // sequential streams for negative tables, and seek-bound random streams
-  // for index I/O and spill (swap) traffic.
-  const size_t n = active_.size();
+  // The classification pass. It drops finished processes (compacting
+  // active_ in id order) and collects the disk streams: shared scan groups
+  // for non-negative tables, private sequential streams for negative
+  // tables, and seek-bound random streams for index I/O and spill (swap)
+  // traffic.
   scan_members_.clear();
-  random_streams_.clear();
-  demand_.random_stream_caps.clear();
+  seek_bound_.clear();
   int private_streams = 0;
+  int random_streams = 0;
   int cpu_active = 0;
-  for (size_t slot = 0; slot < n; ++slot) {
-    const Process& p = processes_[static_cast<size_t>(active_[slot])];
-    if (p.done || !p.phase_ready) continue;
+  double min_seq = kInfinity;
+  double min_cpu = kInfinity;
+  size_t live = 0;
+  for (Process* const ptr : active_) {
+    Process& p = *ptr;
+    if (p.done) continue;
+    CONTENDER_DCHECK(p.phase_ready)
+        << "process " << p.result.process_id << " has no phase";
+    active_[live++] = ptr;
     if (p.seq_remaining > kByteEps) {
+      min_seq = std::min(min_seq, p.seq_remaining);
+      p.scan_group_size = 1;
       if (p.seq_table >= 0) {
-        scan_members_.emplace_back(p.seq_table, slot);
+        scan_members_.emplace_back(p.seq_table, &p);
       } else {
         ++private_streams;
       }
     }
-    if (p.rnd_remaining > kByteEps) {
-      random_streams_.emplace_back(slot, false);
-      demand_.random_stream_caps.push_back(config_.random_bandwidth *
-                                           p.rnd_rate_multiplier);
+    const bool rnd = p.rnd_remaining > kByteEps;
+    const bool spill = p.spill_remaining > kByteEps;
+    if (rnd) p.rnd_cap = config_.random_bandwidth * p.rnd_rate_multiplier;
+    if (spill) p.spill_cap = config_.spill_bandwidth * p.spill_rate_multiplier;
+    if (rnd || spill) seek_bound_.push_back(&p);
+    random_streams += static_cast<int>(rnd) + static_cast<int>(spill);
+    if (p.cpu_remaining > kCpuEps) {
+      min_cpu = std::min(min_cpu, p.cpu_remaining);
+      ++cpu_active;
     }
-    if (p.spill_remaining > kByteEps) {
-      random_streams_.emplace_back(slot, true);
-      demand_.random_stream_caps.push_back(config_.spill_bandwidth *
-                                           p.spill_rate_multiplier);
-    }
-    if (p.cpu_remaining > kCpuEps) ++cpu_active;
   }
+  active_.resize(live);
   // Sorting by table makes each scan group a contiguous run.
-  std::sort(scan_members_.begin(), scan_members_.end());
-  group_size_.assign(n, 1);
+  std::sort(scan_members_.begin(), scan_members_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   int scan_groups = 0;
   for (size_t begin = 0, end = 0; begin < scan_members_.size(); begin = end) {
     end = begin + 1;
@@ -290,21 +302,14 @@ bool Engine::Step() {
     }
     ++scan_groups;
     for (size_t m = begin; m < end; ++m) {
-      group_size_[scan_members_[m].second] = static_cast<int>(end - begin);
+      scan_members_[m].second->scan_group_size = static_cast<int>(end - begin);
     }
   }
-  demand_.num_seq_groups = scan_groups + private_streams;
-  const DiskAllocation alloc = AllocateDiskBandwidth(config_, demand_);
-
-  // Per-process rates. Every sequential stream, shared or private, runs
-  // at the group rate.
-  const double seq_rate = alloc.seq_group_rate;
-  rnd_rate_.assign(n, 0.0);
-  spill_rate_.assign(n, 0.0);
-  for (size_t k = 0; k < random_streams_.size(); ++k) {
-    const auto& [slot, spill] = random_streams_[k];
-    (spill ? spill_rate_ : rnd_rate_)[slot] = alloc.random_stream_rates[k];
-  }
+  // Every sequential stream, shared or private, runs at the group rate; a
+  // random or spill stream runs at its cap times the time share.
+  const DiskShare disk = ShareDiskBandwidth(
+      config_, scan_groups + private_streams + random_streams);
+  const double seq_rate = disk.seq_group_rate;
   const double cpu_rate =
       cpu_active == 0
           ? 0.0
@@ -312,61 +317,80 @@ bool Engine::Step() {
                               static_cast<double>(cpu_active));
 
   // Earliest completion among all active demands, capped by next arrival.
+  // Division by one positive rate is monotone, so the least sequential and
+  // CPU remainders give those streams' earliest completion exactly; each
+  // random or spill stream has its own rate.
   double dt = kInfinity;
-  for (size_t slot = 0; slot < n; ++slot) {
-    const Process& p = processes_[static_cast<size_t>(active_[slot])];
-    if (p.done || !p.phase_ready) continue;
-    if (p.seq_remaining > kByteEps && seq_rate > 0.0) {
-      dt = std::min(dt, p.seq_remaining / seq_rate);
+  if (seq_rate > 0.0) dt = std::min(dt, min_seq / seq_rate);
+  if (cpu_rate > 0.0) dt = std::min(dt, min_cpu / cpu_rate);
+  for (const Process* p : seek_bound_) {
+    const double rnd_rate = p->rnd_cap * disk.share;
+    if (p->rnd_remaining > kByteEps && rnd_rate > 0.0) {
+      dt = std::min(dt, p->rnd_remaining / rnd_rate);
     }
-    if (p.spill_remaining > kByteEps && spill_rate_[slot] > 0.0) {
-      dt = std::min(dt, p.spill_remaining / spill_rate_[slot]);
-    }
-    if (p.rnd_remaining > kByteEps && rnd_rate_[slot] > 0.0) {
-      dt = std::min(dt, p.rnd_remaining / rnd_rate_[slot]);
-    }
-    if (p.cpu_remaining > kCpuEps && cpu_rate > 0.0) {
-      dt = std::min(dt, p.cpu_remaining / cpu_rate);
+    const double spill_rate = p->spill_cap * disk.share;
+    if (p->spill_remaining > kByteEps && spill_rate > 0.0) {
+      dt = std::min(dt, p->spill_remaining / spill_rate);
     }
   }
   const double arrival_gap = NextArrivalTime() - now_;
   const bool has_arrival = std::isfinite(arrival_gap);
-  if (!std::isfinite(dt)) {
-    if (has_arrival) {
-      now_ += std::max(0.0, arrival_gap);
-      return true;
+  bool progressed = true;
+  if (std::isfinite(dt)) {
+    if (has_arrival && arrival_gap < dt) {
+      dt = std::max(0.0, arrival_gap);
     }
+    Advance(dt, seq_rate, cpu_rate, disk.share);
+    // Phase / process completions (callbacks may add arrivals).
+    for (Process* p : active_) {
+      if (p->done || !p->phase_ready) continue;
+      if (PhaseDone(*p)) {
+        CompletePhase(p);
+        InitPhase(p);
+      }
+    }
+  } else if (has_arrival) {
+    now_ += std::max(0.0, arrival_gap);
+  } else {
     // No advanceable demand: the step still made progress if it activated
     // arrivals or completed zero-demand processes (e.g., full cache hits).
-    return num_done_ != done_before || pending_.size() != pending_before;
+    progressed = num_done_ != done_before || pending_.size() != pending_before;
   }
-  if (has_arrival && arrival_gap < dt) {
-    dt = std::max(0.0, arrival_gap);
-  }
+  CONTENDER_DCHECK(std::abs(SumActive(&Process::pinned) - pinned_memory_) <=
+                   kLedgerSlackBytes)
+      << "pinned-memory ledger " << pinned_memory_ << " drifted from "
+      << SumActive(&Process::pinned);
+  CONTENDER_DCHECK(std::abs(SumActive(&Process::mem_granted) -
+                            granted_working_memory_) <= kLedgerSlackBytes)
+      << "working-memory ledger " << granted_working_memory_
+      << " drifted from " << SumActive(&Process::mem_granted);
+  return progressed;
+}
 
-  // Advance.
+void Engine::Advance(double dt, double seq_rate, double cpu_rate,
+                     double disk_share) {
   now_ += dt;
-  for (size_t slot = 0; slot < n; ++slot) {
-    Process& p = processes_[static_cast<size_t>(active_[slot])];
-    if (p.done || !p.phase_ready) continue;
+  for (Process* const ptr : active_) {
+    Process& p = *ptr;
     const bool had_io = p.seq_remaining > kByteEps ||
                         p.spill_remaining > kByteEps ||
                         p.rnd_remaining > kByteEps;
     if (p.seq_remaining > kByteEps && seq_rate > 0.0) {
       const double bytes = std::min(p.seq_remaining, seq_rate * dt);
       p.seq_remaining -= bytes;
-      const double share = static_cast<double>(group_size_[slot]);
+      const double share = static_cast<double>(p.scan_group_size);
       p.result.disk_bytes_read += bytes / share;
       p.result.bytes_saved_by_shared_scan += bytes * (share - 1.0) / share;
     }
-    if (p.spill_remaining > kByteEps && spill_rate_[slot] > 0.0) {
-      const double bytes =
-          std::min(p.spill_remaining, spill_rate_[slot] * dt);
+    const double spill_rate = p.spill_cap * disk_share;
+    if (p.spill_remaining > kByteEps && spill_rate > 0.0) {
+      const double bytes = std::min(p.spill_remaining, spill_rate * dt);
       p.spill_remaining -= bytes;
       p.result.disk_bytes_read += bytes;
     }
-    if (p.rnd_remaining > kByteEps && rnd_rate_[slot] > 0.0) {
-      const double bytes = std::min(p.rnd_remaining, rnd_rate_[slot] * dt);
+    const double rnd_rate = p.rnd_cap * disk_share;
+    if (p.rnd_remaining > kByteEps && rnd_rate > 0.0) {
+      const double bytes = std::min(p.rnd_remaining, rnd_rate * dt);
       p.rnd_remaining -= bytes;
       p.result.disk_bytes_read += bytes;
     }
@@ -382,17 +406,12 @@ bool Engine::Step() {
     if (p.rnd_remaining <= kByteEps) p.rnd_remaining = 0.0;
     if (p.cpu_remaining <= kCpuEps) p.cpu_remaining = 0.0;
   }
+}
 
-  // Phase / process completions (callbacks may add arrivals).
-  for (const int id : active_) {
-    Process& p = processes_[static_cast<size_t>(id)];
-    if (p.done || !p.phase_ready) continue;
-    if (PhaseDone(p)) {
-      CompletePhase(&p);
-      InitPhase(&p);
-    }
-  }
-  return true;
+double Engine::SumActive(double Process::*field) const {
+  double sum = 0.0;
+  for (const Process* p : active_) sum += p->*field;
+  return sum;
 }
 
 Status Engine::Run() {

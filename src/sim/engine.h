@@ -12,7 +12,9 @@
 //   - random I/O: capped by a per-phase stochastic intrinsic rate;
 //   - CPU: one core per process, processor sharing when oversubscribed.
 // The engine advances to the earliest demand completion / arrival, updates
-// accounting, and re-solves rates.
+// accounting, and re-solves rates. A step makes one classification pass
+// over the active processes and allocates nothing once its scratch has
+// grown to the largest active set.
 
 #ifndef CONTENDER_SIM_ENGINE_H_
 #define CONTENDER_SIM_ENGINE_H_
@@ -26,7 +28,6 @@
 
 #include "sim/buffer_pool.h"
 #include "sim/config.h"
-#include "sim/disk.h"
 #include "sim/query_spec.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -47,9 +48,10 @@ class Engine {
   Engine(const SimConfig& config, uint64_t seed);
 
   /// Schedules a query to start at `start_time` (>= now). Returns the
-  /// process id. The engine prepends the per-query startup CPU cost for
-  /// mortal processes.
-  int AddProcess(const QuerySpec& spec, units::Seconds start_time);
+  /// process id. The spec's phases move into the engine (pass an rvalue
+  /// to avoid a copy). Mortal processes run the per-query startup CPU
+  /// cost first.
+  int AddProcess(QuerySpec spec, units::Seconds start_time);
 
   void SetCompletionCallback(CompletionCallback cb) {
     completion_callback_ = std::move(cb);
@@ -80,8 +82,10 @@ class Engine {
 
  private:
   struct Process {
-    /// The spec's phases, startup phase first when the config adds one.
+    /// The spec's phases. A process with `startup` runs the engine's
+    /// startup_phase_ while phase_index == 0 and phases[i] at index i + 1.
     std::vector<Phase> phases;
+    bool startup = false;
     bool immortal = false;
     double pinned_memory_bytes = 0.0;
     ProcessResult result;
@@ -102,10 +106,17 @@ class Engine {
     double pinned = 0.0;
     // Scan metadata for the current phase.
     TableId seq_table = kNoTable;
-    double seq_table_bytes = 0.0;
-    bool seq_cacheable = false;
     bool seq_from_cache = false;
+    // Set by Step's classification pass for this step: the random and
+    // spill streams' intrinsic caps (bandwidth x multiplier) and the size
+    // of the scan group the sequential stream belongs to (1 if private).
+    double rnd_cap = 0.0;
+    double spill_cap = 0.0;
+    int scan_group_size = 1;
   };
+
+  /// The phase the process is on; null once it has run them all.
+  const Phase* CurrentPhase(const Process& p) const;
 
   /// Starts the process's next phase: memory grant, spill computation,
   /// cache check, noise draws. Recursively skips empty phases.
@@ -128,6 +139,13 @@ class Engine {
   /// nothing can make progress (no active demand and no pending arrival).
   bool Step();
 
+  /// Step's advance pass: moves every active process `dt` forward at this
+  /// step's rates, in id order.
+  void Advance(double dt, double seq_rate, double cpu_rate, double disk_share);
+
+  /// Sum of `field` over the active processes (the memory-ledger checks).
+  double SumActive(double Process::*field) const;
+
   void ActivateArrivals();
   double NextArrivalTime() const;
   void UpdateBufferPoolCapacity();
@@ -137,13 +155,15 @@ class Engine {
   double now_ = 0.0;
   bool stop_requested_ = false;
 
-  // Every process ever added, indexed by id. A deque, so a completion
-  // callback's AddProcess never moves a live Process or ProcessResult.
+  // Every process ever added, indexed by id. A deque, so AddProcess (from
+  // a completion callback too) never moves a live Process: active_ points
+  // into it and callbacks hold ProcessResult references.
   std::deque<Process> processes_;
-  // Arrived, unfinished ids in ascending id order (finished ids linger
-  // until the next Step drops them). The order is observable: InitPhase
-  // draws from rng_ in it and reclaim breaks victim ties by it.
-  std::vector<int> active_;
+  // The arrived processes in ascending id order. Finished ones linger,
+  // skipped, until the next step's classification pass drops them. The
+  // order is observable: InitPhase draws from rng_ in it and reclaim
+  // breaks victim ties by it.
+  std::vector<Process*> active_;
   // Not-yet-arrived processes as a min-heap on (start time, id).
   std::priority_queue<std::pair<double, int>,
                       std::vector<std::pair<double, int>>, std::greater<>>
@@ -152,15 +172,14 @@ class Engine {
   // Mortal processes not yet completed, pending ones included: Run's
   // termination test.
   size_t unfinished_mortal_ = 0;
+  // The per-query startup CPU phase mortal processes run first.
+  Phase startup_phase_;
 
-  // Step's scratch, indexed by slot (position in active_) and reused
-  // across steps.
-  DiskDemand demand_;
-  std::vector<std::pair<TableId, size_t>> scan_members_;  // (table, slot)
-  std::vector<std::pair<size_t, bool>> random_streams_;   // (slot, spill?)
-  std::vector<double> rnd_rate_;
-  std::vector<double> spill_rate_;
-  std::vector<int> group_size_;
+  // Step's scratch, refilled by every classification pass; its capacity
+  // persists, so steps stop allocating once it covers the active set.
+  std::vector<std::pair<TableId, Process*>> scan_members_;  // (table, member)
+  // Processes with a random or spill stream this step.
+  std::vector<const Process*> seek_bound_;
 
   BufferPool buffer_pool_;
   double pinned_memory_ = 0.0;
@@ -170,6 +189,9 @@ class Engine {
 
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
   static constexpr double kEps = 1e-7;
+  // How far a memory ledger may drift from its recomputed sum: the running
+  // ledgers accumulate the rounding of every grant and release.
+  static constexpr double kLedgerSlackBytes = 1.0;
 };
 
 }  // namespace contender::sim

@@ -20,10 +20,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "Unimplemented";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
-    case StatusCode::kAborted:
-      return "Aborted";
     case StatusCode::kUnavailable:
       return "Unavailable";
   }
@@ -36,7 +32,6 @@ std::optional<StatusCode> StatusCodeFromString(const std::string& name) {
       StatusCode::kNotFound,           StatusCode::kFailedPrecondition,
       StatusCode::kOutOfRange,         StatusCode::kInternal,
       StatusCode::kUnimplemented,      StatusCode::kResourceExhausted,
-      StatusCode::kDeadlineExceeded,   StatusCode::kAborted,
       StatusCode::kUnavailable,
   };
   for (StatusCode code : kAll) {

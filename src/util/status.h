@@ -24,10 +24,6 @@ enum class StatusCode {
   kInternal,
   kUnimplemented,
   kResourceExhausted,
-  /// A time budget ran out before the operation completed.
-  kDeadlineExceeded,
-  /// The operation was deliberately abandoned and must not be retried.
-  kAborted,
   /// The service is transiently overloaded and shed the request; a caller
   /// that comes back later may succeed. This is the canonical code for
   /// load sheds — in contrast with kResourceExhausted, which marks a hard
@@ -76,12 +72,6 @@ class [[nodiscard]] Status {
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Aborted(std::string msg) {
-    return Status(StatusCode::kAborted, std::move(msg));
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));

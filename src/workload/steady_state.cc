@@ -96,8 +96,8 @@ StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
 
   auto launch = [&](size_t stream) {
     const int idx = mix[stream];
-    sim::QuerySpec spec = workload.Instantiate(idx, &rng);
-    const int pid = engine.AddProcess(spec, engine.now());
+    const int pid =
+        engine.AddProcess(workload.Instantiate(idx, &rng), engine.now());
     stream_of_process[pid] = stream;
   };
 

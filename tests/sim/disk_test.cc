@@ -1,6 +1,11 @@
 #include "sim/disk.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "sim/reference_sim.h"
+#include "util/random.h"
 
 namespace contender::sim {
 namespace {
@@ -14,82 +19,99 @@ SimConfig Config() {
 }
 
 TEST(DiskTest, NoStreamsNoRates) {
-  DiskAllocation a = AllocateDiskBandwidth(Config(), DiskDemand{});
-  EXPECT_DOUBLE_EQ(a.seq_group_rate, 0.0);
-  EXPECT_TRUE(a.random_stream_rates.empty());
+  const DiskShare d = ShareDiskBandwidth(Config(), 0);
+  EXPECT_DOUBLE_EQ(d.seq_group_rate, 0.0);
+  EXPECT_DOUBLE_EQ(d.share, 0.0);
 }
 
 TEST(DiskTest, SingleSequentialStreamGetsFullBandwidth) {
-  DiskDemand d;
-  d.num_seq_groups = 1;
-  DiskAllocation a = AllocateDiskBandwidth(Config(), d);
-  EXPECT_DOUBLE_EQ(a.seq_group_rate, 100.0 * kMB);
-  EXPECT_DOUBLE_EQ(a.effective_bandwidth, 100.0 * kMB);
+  const DiskShare d = ShareDiskBandwidth(Config(), 1);
+  EXPECT_DOUBLE_EQ(d.seq_group_rate, 100.0 * kMB);
+  EXPECT_DOUBLE_EQ(d.share, 1.0);
 }
 
 TEST(DiskTest, TwoSequentialStreamsShareWithSeekPenalty) {
-  DiskDemand d;
-  d.num_seq_groups = 2;
-  DiskAllocation a = AllocateDiskBandwidth(Config(), d);
+  const DiskShare d = ShareDiskBandwidth(Config(), 2);
   // Effective bandwidth = 100 / 1.1; each group gets half of it.
-  EXPECT_NEAR(a.effective_bandwidth, 100.0 * kMB / 1.1, 1.0);
-  EXPECT_NEAR(a.seq_group_rate, 100.0 * kMB / 1.1 / 2.0, 1.0);
+  EXPECT_NEAR(d.seq_group_rate, 100.0 * kMB / 1.1 / 2.0, 1.0);
+  EXPECT_DOUBLE_EQ(d.share, 0.5);
 }
 
 TEST(DiskTest, SingleRandomStreamCappedByIntrinsicRate) {
-  DiskDemand d;
-  d.random_stream_caps = {2.0 * kMB};
-  DiskAllocation a = AllocateDiskBandwidth(Config(), d);
-  ASSERT_EQ(a.random_stream_rates.size(), 1u);
-  EXPECT_DOUBLE_EQ(a.random_stream_rates[0], 2.0 * kMB);
+  const DiskShare d = ShareDiskBandwidth(Config(), 1);
+  EXPECT_DOUBLE_EQ(2.0 * kMB * d.share, 2.0 * kMB);
 }
 
 TEST(DiskTest, RandomStreamDegradesWithTimeShare) {
-  DiskDemand d;
-  d.num_seq_groups = 3;
-  d.random_stream_caps = {2.0 * kMB};
-  DiskAllocation a = AllocateDiskBandwidth(Config(), d);
-  // 4 streams: the random stream owns 1/4 of device time.
-  EXPECT_DOUBLE_EQ(a.random_stream_rates[0], 0.5 * kMB);
+  // 3 sequential groups and 1 random stream: the random stream owns 1/4
+  // of device time.
+  const DiskShare d = ShareDiskBandwidth(Config(), 4);
+  EXPECT_DOUBLE_EQ(2.0 * kMB * d.share, 0.5 * kMB);
 }
 
 TEST(DiskTest, MoreStreamsNeverIncreasePerStreamRate) {
   double prev_seq = 1e18;
-  for (int groups = 1; groups <= 8; ++groups) {
-    DiskDemand d;
-    d.num_seq_groups = groups;
-    DiskAllocation a = AllocateDiskBandwidth(Config(), d);
-    EXPECT_LT(a.seq_group_rate, prev_seq);
-    prev_seq = a.seq_group_rate;
+  double prev_share = 2.0;
+  for (int streams = 1; streams <= 8; ++streams) {
+    const DiskShare d = ShareDiskBandwidth(Config(), streams);
+    EXPECT_LT(d.seq_group_rate, prev_seq);
+    EXPECT_LT(d.share, prev_share);
+    prev_seq = d.seq_group_rate;
+    prev_share = d.share;
   }
 }
 
 TEST(DiskTest, ConservationSequentialRatesFitEffectiveBandwidth) {
   for (int groups = 1; groups <= 6; ++groups) {
     for (int randoms = 0; randoms <= 4; ++randoms) {
-      DiskDemand d;
-      d.num_seq_groups = groups;
-      d.random_stream_caps.assign(static_cast<size_t>(randoms), 2.0 * kMB);
-      DiskAllocation a = AllocateDiskBandwidth(Config(), d);
-      // Sequential byte throughput must not exceed the sequential slices.
-      const double seq_total = a.seq_group_rate * groups;
       const int streams = groups + randoms;
-      EXPECT_LE(seq_total, a.effective_bandwidth * groups / streams + 1.0);
-      for (double r : a.random_stream_rates) {
-        EXPECT_LE(r, 2.0 * kMB / streams + 1.0);
-      }
+      const DiskShare d = ShareDiskBandwidth(Config(), streams);
+      // Sequential byte throughput must not exceed the sequential slices.
+      const double effective = 100.0 * kMB / (1.0 + 0.1 * (streams - 1));
+      EXPECT_LE(d.seq_group_rate * groups,
+                effective * groups / streams + 1.0);
+      EXPECT_LE(2.0 * kMB * d.share, 2.0 * kMB / streams + 1.0);
     }
   }
 }
 
 TEST(DiskTest, HeterogeneousRandomCaps) {
-  DiskDemand d;
-  d.num_seq_groups = 1;
-  d.random_stream_caps = {1.0 * kMB, 4.0 * kMB};
-  DiskAllocation a = AllocateDiskBandwidth(Config(), d);
-  // Each random stream gets 1/3 of its own cap (3 streams total).
-  EXPECT_NEAR(a.random_stream_rates[0], 1.0 * kMB / 3.0, 1.0);
-  EXPECT_NEAR(a.random_stream_rates[1], 4.0 * kMB / 3.0, 1.0);
+  // 1 sequential group and 2 random streams: each random stream gets 1/3
+  // of its own cap.
+  const DiskShare d = ShareDiskBandwidth(Config(), 3);
+  EXPECT_NEAR(1.0 * kMB * d.share, 1.0 * kMB / 3.0, 1.0);
+  EXPECT_NEAR(4.0 * kMB * d.share, 4.0 * kMB / 3.0, 1.0);
+}
+
+// The engine multiplies each random stream's cap by the share; that must
+// reproduce the replaced per-stream allocation exactly, for any mix of
+// sequential groups and random caps.
+TEST(DiskTest, MatchesTheReplacedAllocationBitForBit) {
+  Rng rng(11);
+  for (int trial = 0; trial < 2000; ++trial) {
+    SimConfig config = Config();
+    config.seq_bandwidth = rng.Uniform(10.0, 500.0) * kMB;
+    config.seek_overhead = rng.Uniform(0.0, 0.3);
+    reference::DiskDemand demand;
+    demand.num_seq_groups =
+        static_cast<int>(rng.UniformInt(int64_t{0}, int64_t{6}));
+    const int randoms =
+        static_cast<int>(rng.UniformInt(int64_t{0}, int64_t{6}));
+    for (int i = 0; i < randoms; ++i) {
+      demand.random_stream_caps.push_back(rng.Uniform(0.5, 8.0) * kMB *
+                                          rng.LogNormal(-0.045, 0.3));
+    }
+    const reference::DiskAllocation want =
+        reference::AllocateDiskBandwidth(config, demand);
+    const DiskShare got =
+        ShareDiskBandwidth(config, demand.num_seq_groups + randoms);
+    EXPECT_EQ(got.seq_group_rate, want.seq_group_rate);
+    for (int i = 0; i < randoms; ++i) {
+      const size_t k = static_cast<size_t>(i);
+      EXPECT_EQ(demand.random_stream_caps[k] * got.share,
+                want.random_stream_rates[k]);
+    }
+  }
 }
 
 }  // namespace

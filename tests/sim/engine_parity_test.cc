@@ -1,6 +1,8 @@
 // Parity of sim::Engine with the engine it replaced. That engine rescanned
 // every process ever added on each event; it is copied here verbatim (only
-// its namespace changed) as reference::Engine. Both engines run the same
+// its namespace changed) as reference::Engine, and runs on the verbatim
+// list-plus-map BufferPool and AllocateDiskBandwidth of reference_sim.h,
+// not on the library's pool and rate rule. Both engines run the same
 // seeded workloads and every ProcessResult field, the completion order and
 // now() must match with exact ==. The workloads cover start times out of
 // id order and tied, AddProcess from completion callbacks, memory pressure
@@ -28,11 +30,10 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/buffer_pool.h"
 #include "sim/config.h"
-#include "sim/disk.h"
 #include "sim/engine.h"
 #include "sim/query_spec.h"
+#include "sim/reference_sim.h"
 #include "sim/spoiler.h"
 #include "util/logging.h"
 #include "util/random.h"

@@ -33,13 +33,7 @@ TEST(StatusTest, AllConstructorsProduceMatchingCodes) {
             StatusCode::kResourceExhausted);
   EXPECT_EQ(Status::ResourceExhausted("full").ToString(),
             "ResourceExhausted: full");
-  EXPECT_EQ(Status::DeadlineExceeded("x").code(),
-            StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(Status::Aborted("x").code(), StatusCode::kAborted);
   EXPECT_EQ(Status::Unavailable("x").code(), StatusCode::kUnavailable);
-  EXPECT_EQ(Status::DeadlineExceeded("late").ToString(),
-            "DeadlineExceeded: late");
-  EXPECT_EQ(Status::Aborted("given up").ToString(), "Aborted: given up");
   EXPECT_EQ(Status::Unavailable("shed").ToString(), "Unavailable: shed");
 }
 
@@ -53,8 +47,6 @@ TEST(StatusTest, EveryCodeRoundTripsThroughItsName) {
       StatusCode::kInternal,
       StatusCode::kUnimplemented,
       StatusCode::kResourceExhausted,
-      StatusCode::kDeadlineExceeded,
-      StatusCode::kAborted,
       StatusCode::kUnavailable,
   };
   for (StatusCode code : all) {
