@@ -82,13 +82,11 @@ void BM_SteadyStateMix(benchmark::State& state) {
   const Workload& w = BenchWorkload();
   const int mpl = static_cast<int>(state.range(0));
   sim::SimConfig config;
-  SteadyStateOptions opts;
   uint64_t seed = 1;
   std::vector<int> mix;
   for (int i = 0; i < mpl; ++i) mix.push_back(i * 3 % w.size());
   for (auto _ : state) {
-    opts.seed = seed++;
-    auto result = RunSteadyState(w, mix, config, opts);
+    auto result = RunSteadyState(w, mix, config, seed++);
     CONTENDER_CHECK(result.ok());
     benchmark::DoNotOptimize(result->duration);
   }

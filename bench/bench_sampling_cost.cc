@@ -29,9 +29,6 @@ int main(int argc, char** argv) {
   // Average over every template playing the role of "the new template".
   SummaryStats prior_cost, linear_cost, constant_cost;
   Rng rng(e.seed ^ 0xcafe);
-  WorkloadSampler::Options opts;
-  opts.seed = e.seed;
-  WorkloadSampler sampler(&e.workload, e.config, opts);
 
   for (int t = 0; t < e.workload.size(); ++t) {
     const TemplateProfile& p = e.data.profiles[static_cast<size_t>(t)];
@@ -45,9 +42,7 @@ int main(int argc, char** argv) {
           mix.push_back(static_cast<int>(
               rng.UniformInt(static_cast<uint64_t>(e.workload.size()))));
         }
-        SteadyStateOptions ss;
-        ss.seed = rng.Next();
-        auto result = RunSteadyState(e.workload, mix, e.config, ss);
+        auto result = RunSteadyState(e.workload, mix, e.config, rng.Next());
         CONTENDER_CHECK(result.ok());
         prior += result->duration;
       }

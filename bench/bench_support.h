@@ -31,9 +31,8 @@ struct Experiment {
 
 /// Collects the full §2 sampling protocol (isolated profiles, spoiler
 /// latencies, scan times, all pairs at MPL 2, LHS runs at MPL 3–5), fanned
-/// across a sim::BatchRunner pool and memoized in the process-wide
-/// sim::RunCache (repeated collection with the same seed replays instead of
-/// re-simulating). Honors --seed, --lhs_runs and --threads (0 = hardware
+/// across a sim::BatchRunner pool without a run cache (a bench collects
+/// once per process). Honors --seed, --lhs_runs and --threads (0 = hardware
 /// concurrency); results are bit-identical for every thread count.
 inline Experiment CollectExperiment(const Flags& flags) {
   Experiment e;

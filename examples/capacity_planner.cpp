@@ -64,9 +64,8 @@ int main(int argc, char** argv) {
     if (ok && chosen == mpl - 1) chosen = mpl;  // stop at the first miss
 
     // Validate with a steady-state execution.
-    SteadyStateOptions ss;
-    ss.seed = flags.Seed() + static_cast<uint64_t>(mpl);
-    auto observed = RunSteadyState(workload, mix, machine, ss);
+    auto observed = RunSteadyState(workload, mix, machine,
+                                   flags.Seed() + static_cast<uint64_t>(mpl));
     CONTENDER_CHECK(observed.ok());
     double worst_observed = 0.0;
     for (const StreamResult& stream : observed->streams) {

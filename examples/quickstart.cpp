@@ -64,9 +64,7 @@ int main(int argc, char** argv) {
                std::to_string(workload.tmpl(partners[i]).id);
     }
     label += "}";
-    SteadyStateOptions ss;
-    ss.seed = rng.Next();
-    auto observed = RunSteadyState(workload, mix, machine, ss);
+    auto observed = RunSteadyState(workload, mix, machine, rng.Next());
     CONTENDER_CHECK(observed.ok()) << observed.status();
     const double actual = observed->streams[0].mean_latency;
     table.AddRow({label, FormatDouble(predicted->value(), 0) + " s",

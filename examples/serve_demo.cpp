@@ -48,6 +48,9 @@ int main(int argc, char** argv) {
   const int target = static_cast<int>(flags.GetInt("template", 3));
   const double drift = flags.GetDouble("drift", 1.3);
   const auto v1 = service.snapshot();
+  CONTENDER_CHECK(target >= 0 && target < v1->num_templates())
+      << "--template=" << target << " is out of range; valid templates are 0-"
+      << v1->num_templates() - 1;
   std::cout << "Serving snapshot v" << v1->version() << " ("
             << v1->num_templates() << " templates)\n\n";
 

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     TablePrinter table({"Template", "Description", "Isolated", "p_t",
                         "Working set"});
     for (int i = 0; i < workload.size(); ++i) {
-      auto p = sampler.ProfileTemplate(i, {});
+      auto p = sampler.ProfileTemplate(i);
       CONTENDER_CHECK(p.ok()) << p.status();
       table.AddRow({"q" + std::to_string(workload.tmpl(i).id),
                     workload.tmpl(i).description,
@@ -102,9 +102,7 @@ int main(int argc, char** argv) {
   if (flags.GetBool("verify", true)) {
     std::vector<int> mix = {primary};
     mix.insert(mix.end(), partners.begin(), partners.end());
-    SteadyStateOptions ss;
-    ss.seed = flags.Seed() + 1;
-    auto observed = RunSteadyState(workload, mix, machine, ss);
+    auto observed = RunSteadyState(workload, mix, machine, flags.Seed() + 1);
     CONTENDER_CHECK(observed.ok()) << observed.status();
     const double actual = observed->streams[0].mean_latency;
     std::cout << "  observed latency:  " << FormatDouble(actual, 0)

@@ -57,7 +57,6 @@ StatusOr<double> EvaluateKccaMre(const MlDataset& data,
   }
   KccaModel::Options opts;
   opts.num_projections = 2;
-  opts.num_neighbors = 3;
   auto model = KccaModel::Fit(x, y, opts);
   if (!model.ok()) return model.status();
 

@@ -53,7 +53,6 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
   // MPL order so the trained predictor is bit-identical for any pool width.
   sim::BatchRunner::Options runner_opts;
   runner_opts.threads = options.train_threads;
-  runner_opts.cache = nullptr;  // model fits are cheap; no memoization
   sim::BatchRunner runner(runner_opts);
 
   using MplFit = std::pair<std::map<int, QsModel>, QsTransferModel>;
@@ -62,7 +61,7 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
           -> StatusOr<MplFit> {
         const units::Mpl mpl(options.mpls[k]);
         auto models = FitReferenceModels(p.profiles_, p.scan_times_,
-                                         observations, mpl, options.variant);
+                                         observations, mpl);
         if (!models.ok()) return models.status();
         if (models->empty()) {
           return Status::FailedPrecondition(
@@ -89,10 +88,8 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
     p.transfer_models_.emplace(mpl, std::move(fits[k]->second));
   }
 
-  KnnSpoilerPredictor::Options knn_opts;
-  knn_opts.k = options.knn_k;
-  knn_opts.train_mpls = options.spoiler_train_mpls;
-  auto knn = KnnSpoilerPredictor::Fit(p.profiles_, knn_opts, &runner.pool());
+  auto knn = KnnSpoilerPredictor::Fit(
+      p.profiles_, KnnSpoilerPredictor::Options{}, &runner.pool());
   if (!knn.ok()) return knn.status();
   p.knn_spoiler_.emplace(std::move(*knn));
   return p;
@@ -113,7 +110,7 @@ StatusOr<ContenderPredictor> ContenderPredictor::WithRefitTemplates(
         refit.reference_cells_[static_cast<size_t>(mpl)];
     for (int t : template_indices) {
       auto set = BuildQsTrainingSet(profiles_, scan_times_, observations, t,
-                                    units::Mpl(mpl), options_.variant);
+                                    units::Mpl(mpl));
       // Keep the existing model when the refreshed set cannot support a
       // fit: refitting must never lose coverage the snapshot already had.
       if (!set.ok() || set->cqi.size() < 3) continue;
@@ -200,7 +197,7 @@ StatusOr<units::Seconds> ContenderPredictor::PredictWithModel(
     }
   }
   auto cqi = ComputeCqiFor(primary, profiles_, concurrent, scan_times_,
-                           options_.variant);
+                           CqiVariant::kFull);
   if (!cqi.ok()) return cqi.status();
   // Predictions are clamped to the continuum with a small margin: positive
   // interactions can push latency slightly below l_min and steady-state

@@ -65,17 +65,14 @@ struct TieredPrediction {
   DegradationTier tier = DegradationTier::kFullModel;
 };
 
-/// Trained Contender predictor for one workload and hardware model.
+/// Trained Contender predictor for one workload and hardware model. Every
+/// CQI it computes is the full metric (CqiVariant::kFull), and its spoiler
+/// KNN uses KnnSpoilerPredictor's default options.
 class ContenderPredictor {
  public:
   struct Options {
     /// MPLs with reference models.
     std::vector<int> mpls = {2, 3, 4, 5};
-    CqiVariant variant = CqiVariant::kFull;
-    /// Neighbors for spoiler prediction.
-    int knn_k = 3;
-    /// MPLs used when fitting reference spoiler growth models.
-    std::vector<int> spoiler_train_mpls = {1, 2, 3, 4, 5};
     /// Feature the QS slope is transferred from for new templates.
     TransferFeature transfer_feature = TransferFeature::kIsolatedLatency;
     /// Pool width for the per-MPL model fits; <= 0 selects hardware
@@ -153,7 +150,6 @@ class ContenderPredictor {
   /// Reference QS models at `mpl` (template index -> model).
   StatusOr<std::map<int, QsModel>> ReferenceModels(units::Mpl mpl) const;
   StatusOr<QsTransferModel> TransferModel(units::Mpl mpl) const;
-  const KnnSpoilerPredictor& knn_spoiler() const { return *knn_spoiler_; }
   /// Predicted spoiler latency for an arbitrary profile.
   StatusOr<units::Seconds> PredictSpoilerLatency(
       const TemplateProfile& profile, units::Mpl mpl) const;

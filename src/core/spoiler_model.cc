@@ -67,8 +67,9 @@ StatusOr<SpoilerGrowthModel> FitSpoilerGrowth(
 StatusOr<KnnSpoilerPredictor> KnnSpoilerPredictor::Fit(
     const std::vector<TemplateProfile>& reference_profiles,
     const Options& options, ThreadPool* pool) {
+  const std::vector<int> train_mpls(kTrainMpls.begin(), kTrainMpls.end());
   std::vector<StatusOr<SpoilerGrowthModel>> growths =
-      FitAllGrowthModels(reference_profiles, options.train_mpls, pool);
+      FitAllGrowthModels(reference_profiles, train_mpls, pool);
   std::vector<Vector> features;
   std::vector<Vector> targets;
   for (size_t i = 0; i < reference_profiles.size(); ++i) {
@@ -89,7 +90,6 @@ StatusOr<KnnSpoilerPredictor> KnnSpoilerPredictor::Fit(
                                knn_opts);
   if (!knn.ok()) return knn.status();
   KnnSpoilerPredictor out;
-  out.options_ = options;
   out.knn_.emplace(std::move(*knn));
   return out;
 }

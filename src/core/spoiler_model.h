@@ -6,6 +6,7 @@
 #ifndef CONTENDER_CORE_SPOILER_MODEL_H_
 #define CONTENDER_CORE_SPOILER_MODEL_H_
 
+#include <array>
 #include <map>
 #include <optional>
 #include <vector>
@@ -48,9 +49,10 @@ class KnnSpoilerPredictor {
  public:
   struct Options {
     int k = 3;
-    /// MPLs used to fit each reference template's growth model.
-    std::vector<int> train_mpls = {1, 2, 3, 4, 5};
   };
+
+  /// MPLs each reference template's growth model is fit on.
+  static constexpr std::array<int, 5> kTrainMpls = {1, 2, 3, 4, 5};
 
   /// Fits one growth model per reference template (fanned across `pool`
   /// when non-null; the result is identical either way).
@@ -68,7 +70,6 @@ class KnnSpoilerPredictor {
 
  private:
   KnnSpoilerPredictor() = default;
-  Options options_;
   std::optional<KnnRegressor> knn_;
 };
 

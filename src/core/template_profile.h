@@ -45,11 +45,6 @@ struct TemplateProfile {
   /// l_max per MPL: measured latency against the spoiler.
   std::map<int, units::Seconds> spoiler_latency;
 
-  /// I/O seconds in isolation (l_min * p_t).
-  [[nodiscard]] units::Seconds io_seconds() const {
-    return isolated_latency * io_fraction;
-  }
-
   [[nodiscard]] bool ScansFactTable(sim::TableId t) const {
     for (sim::TableId f : fact_tables) {
       if (f == t) return true;

@@ -32,6 +32,9 @@ Status ValidateOptions(const FleetOptions& options) {
   if (options.threads < 0) {
     return Status::InvalidArgument("FleetOptions: threads must be >= 0");
   }
+  if (options.tenant_quota < 0) {
+    return Status::InvalidArgument("FleetOptions: tenant_quota must be >= 0");
+  }
   for (const ScheduledDrain& drain : options.drains) {
     if (drain.node < 0 || drain.node >= options.num_nodes) {
       return Status::InvalidArgument(

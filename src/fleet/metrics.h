@@ -1,8 +1,8 @@
 // Fleet-level quality metrics: latency/SLA aggregates over a FleetResult
-// (reusing sched::TenantScheduleStats for the per-tenant percentiles, the
-// same keyed accumulators ComputeScheduleMetrics fills per node) plus the
-// blame rollups that make multi-tenancy accountable — who lost seconds to
-// contention, who inflicted them, and along which (victim, culprit)
+// (the per-tenant percentiles fill sched::TenantScheduleStats straight from
+// the fleet's outcomes, as ComputeScheduleMetrics does for one node) plus
+// the blame rollups that make multi-tenancy accountable — who lost seconds
+// to contention, who inflicted them, and along which (victim, culprit)
 // tenant edges.
 
 #ifndef CONTENDER_FLEET_METRICS_H_

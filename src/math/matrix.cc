@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <utility>
 
 namespace contender {
 
@@ -73,50 +72,6 @@ void Matrix::AddToDiagonal(double s) {
   for (size_t i = 0; i < n; ++i) (*this)(i, i) += s;
 }
 
-StatusOr<Vector> SolveLinearSystem(Matrix a, Vector b) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("SolveLinearSystem: matrix not square");
-  }
-  if (a.rows() != b.size()) {
-    return Status::InvalidArgument("SolveLinearSystem: size mismatch");
-  }
-  const size_t n = a.rows();
-  for (size_t col = 0; col < n; ++col) {
-    // Partial pivoting.
-    size_t pivot = col;
-    double best = std::fabs(a(col, col));
-    for (size_t r = col + 1; r < n; ++r) {
-      const double v = std::fabs(a(r, col));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best < 1e-12) {
-      return Status::InvalidArgument("SolveLinearSystem: singular matrix");
-    }
-    if (pivot != col) {
-      for (size_t j = 0; j < n; ++j) std::swap(a(col, j), a(pivot, j));
-      std::swap(b[col], b[pivot]);
-    }
-    const double d = a(col, col);
-    for (size_t r = col + 1; r < n; ++r) {
-      const double factor = a(r, col) / d;
-      if (factor == 0.0) continue;
-      a(r, col) = 0.0;
-      for (size_t j = col + 1; j < n; ++j) a(r, j) -= factor * a(col, j);
-      b[r] -= factor * b[col];
-    }
-  }
-  Vector x(n, 0.0);
-  for (size_t i = n; i-- > 0;) {
-    double s = b[i];
-    for (size_t j = i + 1; j < n; ++j) s -= a(i, j) * x[j];
-    x[i] = s / a(i, i);
-  }
-  return x;
-}
-
 StatusOr<Matrix> CholeskyFactor(const Matrix& a) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("CholeskyFactor: matrix not square");
@@ -153,18 +108,6 @@ Vector ForwardSubstitute(const Matrix& l, const Vector& b) {
   return y;
 }
 
-Vector BackSubstituteTranspose(const Matrix& l, const Vector& y) {
-  assert(l.rows() == y.size());
-  const size_t n = l.rows();
-  Vector x(n, 0.0);
-  for (size_t i = n; i-- > 0;) {
-    double s = y[i];
-    for (size_t j = i + 1; j < n; ++j) s -= l(j, i) * x[j];
-    x[i] = s / l(i, i);
-  }
-  return x;
-}
-
 StatusOr<Matrix> InvertLowerTriangular(const Matrix& l) {
   if (l.rows() != l.cols()) {
     return Status::InvalidArgument("InvertLowerTriangular: not square");
@@ -184,15 +127,6 @@ StatusOr<Matrix> InvertLowerTriangular(const Matrix& l) {
   }
   return inv;
 }
-
-double Dot(const Vector& a, const Vector& b) {
-  assert(a.size() == b.size());
-  double s = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
-
-double Norm(const Vector& v) { return std::sqrt(Dot(v, v)); }
 
 double SquaredDistance(const Vector& a, const Vector& b) {
   assert(a.size() == b.size());

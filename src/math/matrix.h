@@ -1,6 +1,6 @@
 // Dense row-major matrix and vector types with the linear algebra needed by
-// the regression / KCCA / SVM components: products, transposes, Gaussian
-// elimination, Cholesky factorization, and inverses of SPD matrices.
+// the KCCA / SVM / KNN components: products, transposes, Cholesky
+// factorization, and inverses of lower-triangular factors.
 
 #ifndef CONTENDER_MATH_MATRIX_H_
 #define CONTENDER_MATH_MATRIX_H_
@@ -58,10 +58,6 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Solves A x = b by Gaussian elimination with partial pivoting.
-/// Fails with InvalidArgument on shape mismatch or a (near-)singular A.
-StatusOr<Vector> SolveLinearSystem(Matrix a, Vector b);
-
 /// Cholesky factorization of a symmetric positive-definite matrix: A = L Lᵀ.
 /// Returns the lower-triangular L, or an error if A is not SPD.
 StatusOr<Matrix> CholeskyFactor(const Matrix& a);
@@ -69,17 +65,8 @@ StatusOr<Matrix> CholeskyFactor(const Matrix& a);
 /// Solves L y = b (forward substitution) for lower-triangular L.
 Vector ForwardSubstitute(const Matrix& l, const Vector& b);
 
-/// Solves Lᵀ x = y (back substitution) given lower-triangular L.
-Vector BackSubstituteTranspose(const Matrix& l, const Vector& y);
-
 /// Inverse of a lower-triangular matrix with nonzero diagonal.
 StatusOr<Matrix> InvertLowerTriangular(const Matrix& l);
-
-/// Dot product; requires equal sizes.
-double Dot(const Vector& a, const Vector& b);
-
-/// Euclidean norm.
-double Norm(const Vector& v);
 
 /// Squared Euclidean distance between a and b; requires equal sizes.
 double SquaredDistance(const Vector& a, const Vector& b);

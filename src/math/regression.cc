@@ -53,63 +53,4 @@ StatusOr<LinearFit> FitSimpleLinear(const std::vector<double>& x,
   return fit;
 }
 
-StatusOr<MultipleLinearRegression> MultipleLinearRegression::Fit(
-    const std::vector<Vector>& rows, const std::vector<double>& y,
-    bool add_intercept, double ridge) {
-  if (rows.size() != y.size()) {
-    return Status::InvalidArgument("MultipleLinearRegression: size mismatch");
-  }
-  if (rows.empty()) {
-    return Status::InvalidArgument("MultipleLinearRegression: empty input");
-  }
-  const size_t d = rows[0].size();
-  for (const Vector& r : rows) {
-    if (r.size() != d) {
-      return Status::InvalidArgument(
-          "MultipleLinearRegression: ragged feature rows");
-    }
-  }
-  const size_t cols = d + (add_intercept ? 1 : 0);
-  if (rows.size() < cols) {
-    return Status::InvalidArgument(
-        "MultipleLinearRegression: fewer observations than parameters");
-  }
-
-  // Normal equations XᵀX β = Xᵀy with a small ridge term for stability.
-  Matrix xtx(cols, cols);
-  Vector xty(cols, 0.0);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    Vector xi(cols);
-    for (size_t j = 0; j < d; ++j) xi[j] = rows[i][j];
-    if (add_intercept) xi[d] = 1.0;
-    for (size_t a = 0; a < cols; ++a) {
-      xty[a] += xi[a] * y[i];
-      for (size_t b = 0; b < cols; ++b) xtx(a, b) += xi[a] * xi[b];
-    }
-  }
-  xtx.AddToDiagonal(ridge);
-
-  StatusOr<Vector> beta = SolveLinearSystem(xtx, xty);
-  if (!beta.ok()) return beta.status();
-
-  MultipleLinearRegression model;
-  model.has_intercept_ = add_intercept;
-  model.beta_.assign(beta->begin(),
-                     beta->begin() + static_cast<std::ptrdiff_t>(d));
-  model.intercept_ = add_intercept ? (*beta)[d] : 0.0;
-
-  std::vector<double> pred(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) pred[i] = model.Predict(rows[i]);
-  model.r_squared_ = RSquared(y, pred);
-  return model;
-}
-
-double MultipleLinearRegression::Predict(const Vector& features) const {
-  double s = intercept_;
-  const size_t d = beta_.size() < features.size() ? beta_.size()
-                                                  : features.size();
-  for (size_t i = 0; i < d; ++i) s += beta_[i] * features[i];
-  return s;
-}
-
 }  // namespace contender

@@ -1,4 +1,4 @@
-// Ordinary least squares: simple (one predictor) and multiple regression.
+// Ordinary least squares with one predictor.
 //
 // These are the workhorses of Contender: QS models (continuum point vs CQI),
 // coefficient-transfer regressions (slope vs isolated latency, intercept vs
@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "math/matrix.h"
 #include "util/statusor.h"
 
 namespace contender {
@@ -28,28 +27,6 @@ struct LinearFit {
 /// Requires x.size() == y.size() >= 2 and non-constant x.
 StatusOr<LinearFit> FitSimpleLinear(const std::vector<double>& x,
                                     const std::vector<double>& y);
-
-/// Multiple linear regression y = Xβ (+ intercept if add_intercept).
-class MultipleLinearRegression {
- public:
-  /// Fits by solving the (ridge-stabilized) normal equations.
-  /// `rows` holds one feature vector per observation, all the same length.
-  static StatusOr<MultipleLinearRegression> Fit(
-      const std::vector<Vector>& rows, const std::vector<double>& y,
-      bool add_intercept = true, double ridge = 1e-9);
-
-  double Predict(const Vector& features) const;
-
-  const Vector& coefficients() const { return beta_; }
-  double intercept() const { return intercept_; }
-  double r_squared() const { return r_squared_; }
-
- private:
-  Vector beta_;
-  double intercept_ = 0.0;
-  bool has_intercept_ = false;
-  double r_squared_ = 0.0;
-};
 
 }  // namespace contender
 

@@ -29,14 +29,11 @@ StatusOr<KccaModel> KccaModel::Fit(const std::vector<Vector>& features,
   std::vector<Vector> kept_performance;
   const std::vector<Vector>* selected_features = &features;
   const std::vector<Vector>* selected_performance = &performance;
-  if (options.max_training_examples > 0 &&
-      features.size() >
-          static_cast<size_t>(options.max_training_examples)) {
-    const size_t cap = static_cast<size_t>(options.max_training_examples);
-    kept_features.reserve(cap);
-    kept_performance.reserve(cap);
-    for (size_t k = 0; k < cap; ++k) {
-      const size_t idx = k * features.size() / cap;
+  if (features.size() > kMaxTrainingExamples) {
+    kept_features.reserve(kMaxTrainingExamples);
+    kept_performance.reserve(kMaxTrainingExamples);
+    for (size_t k = 0; k < kMaxTrainingExamples; ++k) {
+      const size_t idx = k * features.size() / kMaxTrainingExamples;
       kept_features.push_back(features[idx]);
       kept_performance.push_back(performance[idx]);
     }
@@ -48,7 +45,6 @@ StatusOr<KccaModel> KccaModel::Fit(const std::vector<Vector>& features,
   const size_t n = train_features.size();
 
   KccaModel model;
-  model.options_ = options;
 
   // Z-score the feature view (the performance view is kernelized as-is
   // after a log transform upstream if desired).
@@ -87,12 +83,8 @@ StatusOr<KccaModel> KccaModel::Fit(const std::vector<Vector>& features,
     model.train_latency_.push_back(p[0]);
   }
 
-  model.gamma_x_ = options.gamma_x > 0.0
-                       ? options.gamma_x
-                       : MedianHeuristicGamma(model.train_features_);
-  const double gamma_y = options.gamma_y > 0.0
-                             ? options.gamma_y
-                             : MedianHeuristicGamma(train_performance);
+  model.gamma_x_ = MedianHeuristicGamma(model.train_features_);
+  const double gamma_y = MedianHeuristicGamma(train_performance);
 
   const Matrix kx_raw = GaussianGramMatrix(model.train_features_,
                                            model.gamma_x_);
@@ -115,7 +107,7 @@ StatusOr<KccaModel> KccaModel::Fit(const std::vector<Vector>& features,
   //   A = [ 0        Kx·Ky ]      B = [ (Kx + κI)²     0        ]
   //       [ Ky·Kx    0     ]          [ 0              (Ky + κI)² ]
   // A is symmetric because (Kx·Ky)ᵀ = Ky·Kx; B is SPD for κ > 0.
-  const double kappa = options.kappa * static_cast<double>(n) / 100.0 + 1e-3;
+  const double kappa = kKappa * static_cast<double>(n) / 100.0 + 1e-3;
   Matrix kx_reg = kx;
   kx_reg.AddToDiagonal(kappa * static_cast<double>(n));
   Matrix ky_reg = ky;
@@ -204,8 +196,7 @@ double KccaModel::PredictLatency(const Vector& query) const {
   const Vector proj = Project(query);
   std::vector<size_t> idx(train_projections_.size());
   std::iota(idx.begin(), idx.end(), 0);
-  const size_t k = std::min<size_t>(
-      static_cast<size_t>(std::max(options_.num_neighbors, 1)), idx.size());
+  const size_t k = std::min<size_t>(kNumNeighbors, idx.size());
   std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
                     idx.end(),
                     [&](size_t a, size_t b) {

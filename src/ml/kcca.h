@@ -6,6 +6,7 @@
 #ifndef CONTENDER_ML_KCCA_H_
 #define CONTENDER_ML_KCCA_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "math/matrix.h"
@@ -20,22 +21,21 @@ class KccaModel {
   struct Options {
     /// Number of canonical projection directions retained.
     int num_projections = 2;
-    /// Neighbors averaged for a latency prediction (paper uses 3).
-    int num_neighbors = 3;
-    /// Regularization κ added to the kernel matrices (scaled by n).
-    double kappa = 0.1;
-    /// RBF widths; <= 0 selects the median heuristic per view.
-    double gamma_x = -1.0;
-    double gamma_y = -1.0;
-    /// Training-set cap: the 2n x 2n generalized eigenproblem is O(n^3), so
-    /// larger training sets are deterministically subsampled (stride) down
-    /// to this many examples. The paper's §3 static experiment itself
-    /// trains on 250 mixes. <= 0 disables the cap.
-    int max_training_examples = 250;
   };
 
+  /// Neighbors averaged for a latency prediction (paper uses 3).
+  static constexpr int kNumNeighbors = 3;
+  /// Regularization κ added to the kernel matrices (scaled by n).
+  static constexpr double kKappa = 0.1;
+  /// Training-set cap: the 2n x 2n generalized eigenproblem is O(n^3), so
+  /// larger training sets are deterministically subsampled (stride) down
+  /// to this many examples. The paper's §3 static experiment itself
+  /// trains on 250 mixes.
+  static constexpr size_t kMaxTrainingExamples = 250;
+
   /// Trains on `features` (query-plan view) and `performance` (one row per
-  /// example; in the paper a latency vector, here usually 1-D).
+  /// example; in the paper a latency vector, here usually 1-D). Both RBF
+  /// widths come from the median heuristic of their view.
   static StatusOr<KccaModel> Fit(const std::vector<Vector>& features,
                                  const std::vector<Vector>& performance,
                                  const Options& options);
@@ -52,7 +52,6 @@ class KccaModel {
 
   Vector NormalizeFeatures(const Vector& v) const;
 
-  Options options_;
   double gamma_x_ = 1.0;
   Vector feature_mean_;
   Vector feature_scale_;

@@ -29,15 +29,4 @@ std::vector<FoldSplit> KFoldSplits(size_t n, int k, Rng* rng) {
   return splits;
 }
 
-std::vector<FoldSplit> LeaveOneOutSplits(size_t n) {
-  std::vector<FoldSplit> splits(n);
-  for (size_t i = 0; i < n; ++i) {
-    splits[i].test = {i};
-    for (size_t j = 0; j < n; ++j) {
-      if (j != i) splits[i].train.push_back(j);
-    }
-  }
-  return splits;
-}
-
 }  // namespace contender

@@ -21,9 +21,6 @@ struct FoldSplit {
 /// k is clamped to [1, n]; n == 0 yields no splits.
 std::vector<FoldSplit> KFoldSplits(size_t n, int k, Rng* rng);
 
-/// Leave-one-out splits: n folds, each testing exactly one example.
-std::vector<FoldSplit> LeaveOneOutSplits(size_t n);
-
 }  // namespace contender
 
 #endif  // CONTENDER_ML_KFOLD_H_

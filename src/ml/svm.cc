@@ -39,29 +39,26 @@ StatusOr<SvrModel> SvrModel::Fit(const std::vector<Vector>& features,
   }
 
   SvrModel model;
-  model.options_ = options;
 
   // Feature normalization.
   model.feature_mean_.assign(d, 0.0);
   model.feature_scale_.assign(d, 1.0);
-  if (options.normalize) {
-    for (const auto& f : features) {
-      for (size_t j = 0; j < d; ++j) model.feature_mean_[j] += f[j];
-    }
+  for (const auto& f : features) {
+    for (size_t j = 0; j < d; ++j) model.feature_mean_[j] += f[j];
+  }
+  for (size_t j = 0; j < d; ++j) {
+    model.feature_mean_[j] /= static_cast<double>(n);
+  }
+  Vector var(d, 0.0);
+  for (const auto& f : features) {
     for (size_t j = 0; j < d; ++j) {
-      model.feature_mean_[j] /= static_cast<double>(n);
+      const double diff = f[j] - model.feature_mean_[j];
+      var[j] += diff * diff;
     }
-    Vector var(d, 0.0);
-    for (const auto& f : features) {
-      for (size_t j = 0; j < d; ++j) {
-        const double diff = f[j] - model.feature_mean_[j];
-        var[j] += diff * diff;
-      }
-    }
-    for (size_t j = 0; j < d; ++j) {
-      const double sd = std::sqrt(var[j] / static_cast<double>(n));
-      model.feature_scale_[j] = sd > 1e-12 ? sd : 1.0;
-    }
+  }
+  for (size_t j = 0; j < d; ++j) {
+    const double sd = std::sqrt(var[j] / static_cast<double>(n));
+    model.feature_scale_[j] = sd > 1e-12 ? sd : 1.0;
   }
   std::vector<Vector> x(n);
   for (size_t i = 0; i < n; ++i) x[i] = model.Normalize(features[i]);
@@ -77,8 +74,7 @@ StatusOr<SvrModel> SvrModel::Fit(const std::vector<Vector>& features,
     y[i] = (labels[i] - model.label_mean_) / model.label_scale_;
   }
 
-  model.gamma_ =
-      options.gamma > 0.0 ? options.gamma : MedianHeuristicGamma(x);
+  model.gamma_ = MedianHeuristicGamma(x);
 
   const Matrix k = GaussianGramMatrix(x, model.gamma_);
   const double c = options.c;
@@ -93,7 +89,7 @@ StatusOr<SvrModel> SvrModel::Fit(const std::vector<Vector>& features,
   // optima, so one allocation serves the whole fit.
   std::vector<double> candidates;
   candidates.reserve(8);
-  for (int epoch = 0; epoch < options.max_epochs; ++epoch) {
+  for (int epoch = 0; epoch < kMaxEpochs; ++epoch) {
     double epoch_best = 0.0;
     std::vector<int> order = rng.Permutation(static_cast<int>(n));
     for (int ii : order) {
@@ -150,7 +146,7 @@ StatusOr<SvrModel> SvrModel::Fit(const std::vector<Vector>& features,
         f[kk] += best_delta * (k(i, kk) - k(j, kk));
       }
     }
-    if (epoch_best < options.tolerance) break;
+    if (epoch_best < kTolerance) break;
   }
 
   // Bias from free support vectors: f(x_i) should equal y_i − ε·sign(β_i).

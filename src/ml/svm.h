@@ -24,17 +24,17 @@ class SvrModel {
     /// Half-width of the ε-insensitive tube, in label units (labels are
     /// z-scored internally, so this is in standard deviations).
     double epsilon = 0.05;
-    /// RBF width; <= 0 selects the median heuristic.
-    double gamma = -1.0;
-    /// Z-score features using training statistics.
-    bool normalize = true;
-    int max_epochs = 200;
-    /// Stop when an epoch's best objective improvement is below this.
-    double tolerance = 1e-6;
     uint64_t seed = 1;
   };
 
-  /// Trains on `features` (one row per example) and `labels`.
+  /// Epochs of pair updates at most.
+  static constexpr int kMaxEpochs = 200;
+  /// Stop when an epoch's best objective improvement is below this.
+  static constexpr double kTolerance = 1e-6;
+
+  /// Trains on `features` (one row per example) and `labels`. Features are
+  /// z-scored with the training statistics and the RBF width comes from
+  /// the median heuristic.
   static StatusOr<SvrModel> Fit(const std::vector<Vector>& features,
                                 const std::vector<double>& labels,
                                 const Options& options);
@@ -50,7 +50,6 @@ class SvrModel {
 
   Vector Normalize(const Vector& v) const;
 
-  Options options_;
   double gamma_ = 1.0;
   double bias_ = 0.0;
   double label_mean_ = 0.0;

@@ -1,7 +1,5 @@
 #include "overload/door_control.h"
 
-#include <string>
-
 #include "util/failpoint.h"
 
 namespace contender::overload {
@@ -69,18 +67,5 @@ std::optional<ShedReason> DoorController::Decide(const DoorSample& sample) {
 }
 
 const DoorStats& DoorController::stats() const { return stats_; }
-
-Status DoorController::ShedStatus(ShedReason reason) {
-  const std::string name = ShedReasonName(reason);
-  switch (reason) {
-    case ShedReason::kQuota:
-    case ShedReason::kMemoryPressure:
-      return Status::ResourceExhausted("shed: " + name);
-    case ShedReason::kQueueDelay:
-    case ShedReason::kCriticalityBrownout:
-      return Status::Unavailable("shed: " + name);
-  }
-  return Status::Unavailable("shed: " + name);
-}
 
 }  // namespace contender::overload

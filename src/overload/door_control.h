@@ -35,7 +35,6 @@
 #include "overload/codel.h"
 #include "overload/metastability.h"
 #include "overload/shed_reason.h"
-#include "util/status.h"
 #include "util/units.h"
 
 namespace contender::overload {
@@ -100,11 +99,6 @@ class DoorController {
   [[nodiscard]] Criticality brownout_floor() const {
     return brownout_.floor();
   }
-
-  /// The canonical Status for a shed: kResourceExhausted for the hard
-  /// limits (quota, memory — retrying cannot help),
-  /// kUnavailable for the transient load sheds (retry later may).
-  static Status ShedStatus(ShedReason reason);
 
  private:
   const DoorOptions options_;

@@ -16,13 +16,6 @@ const char* ShedReasonName(ShedReason reason) {
   return "unknown";
 }
 
-std::optional<ShedReason> ShedReasonFromString(const std::string& name) {
-  for (ShedReason reason : AllShedReasons()) {
-    if (name == ShedReasonName(reason)) return reason;
-  }
-  return std::nullopt;
-}
-
 const std::vector<ShedReason>& AllShedReasons() {
   static const std::vector<ShedReason>* all = new std::vector<ShedReason>{
       ShedReason::kQueueDelay,          ShedReason::kQuota,
@@ -41,13 +34,6 @@ const char* CriticalityName(Criticality criticality) {
       return "critical";
   }
   return "unknown";
-}
-
-std::optional<Criticality> CriticalityFromString(const std::string& name) {
-  for (Criticality criticality : AllCriticalities()) {
-    if (name == CriticalityName(criticality)) return criticality;
-  }
-  return std::nullopt;
 }
 
 const std::vector<Criticality>& AllCriticalities() {

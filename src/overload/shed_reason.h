@@ -13,8 +13,6 @@
 #ifndef CONTENDER_OVERLOAD_SHED_REASON_H_
 #define CONTENDER_OVERLOAD_SHED_REASON_H_
 
-#include <optional>
-#include <string>
 #include <vector>
 
 namespace contender::overload {
@@ -38,9 +36,6 @@ enum class ShedReason {
 /// Stable lowercase-hyphen name ("queue-delay", "quota", ...).
 const char* ShedReasonName(ShedReason reason);
 
-/// Inverse of ShedReasonName; nullopt for unrecognized names.
-std::optional<ShedReason> ShedReasonFromString(const std::string& name);
-
 /// Every ShedReason, in enum order (for ledgers and round-trip tests).
 const std::vector<ShedReason>& AllShedReasons();
 
@@ -58,9 +53,6 @@ enum class Criticality {
 
 /// Stable lowercase name ("sheddable", "standard", "critical").
 const char* CriticalityName(Criticality criticality);
-
-/// Inverse of CriticalityName; nullopt for unrecognized names.
-std::optional<Criticality> CriticalityFromString(const std::string& name);
 
 /// Every Criticality, from least to most protected.
 const std::vector<Criticality>& AllCriticalities();

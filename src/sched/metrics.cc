@@ -17,25 +17,10 @@ void TenantScheduleStats::Add(units::Seconds wait, units::Seconds resp,
   }
 }
 
-void TenantScheduleStats::Merge(const TenantScheduleStats& other) {
-  requests += other.requests;
-  deadline_requests += other.deadline_requests;
-  deadline_misses += other.deadline_misses;
-  queue_wait.Merge(other.queue_wait);
-  response.Merge(other.response);
-}
-
 double TenantScheduleStats::sla_miss_rate() const {
   if (deadline_requests == 0) return 0.0;
   return static_cast<double>(deadline_misses) /
          static_cast<double>(deadline_requests);
-}
-
-void MergeTenantStats(std::map<int, TenantScheduleStats>* into,
-                      const std::map<int, TenantScheduleStats>& from) {
-  for (const auto& [tenant, stats] : from) {
-    (*into)[tenant].Merge(stats);
-  }
 }
 
 ScheduleMetrics ComputeScheduleMetrics(const ScheduleResult& result) {

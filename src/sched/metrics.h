@@ -16,9 +16,9 @@ namespace contender::sched {
 
 /// Keyed accumulation of one tenant's (or any other key's) schedule
 /// quality: exact quantiles via the retained-sample SampleStats plus the
-/// deadline tallies. Merge folds another accumulator of the same key —
-/// the per-node/per-shard aggregation path the fleet layer uses, so fleet
-/// metrics reuse these percentiles instead of reimplementing them.
+/// deadline tallies. fleet::ComputeFleetMetrics fills the same accumulator
+/// straight from the fleet's outcomes, so fleet metrics reuse these
+/// percentiles instead of reimplementing them.
 struct TenantScheduleStats {
   size_t requests = 0;
   size_t deadline_requests = 0;
@@ -31,18 +31,10 @@ struct TenantScheduleStats {
   /// Folds one completed request into the accumulator.
   void Add(units::Seconds wait, units::Seconds resp, bool has_deadline,
            bool missed_deadline);
-  /// Folds another accumulator (same key) into this one; exact — merged
-  /// quantiles equal the quantiles of the concatenated samples.
-  void Merge(const TenantScheduleStats& other);
 
   /// Misses over deadline-carrying requests; 0 when none carried one.
   [[nodiscard]] double sla_miss_rate() const;
 };
-
-/// Per-key map merge: every key of `from` is merged into `into`
-/// (inserting absent keys), so per-node maps fold associatively.
-void MergeTenantStats(std::map<int, TenantScheduleStats>* into,
-                      const std::map<int, TenantScheduleStats>& from);
 
 struct ScheduleMetrics {
   size_t requests = 0;

@@ -16,15 +16,6 @@ const char* BreakerStateName(BreakerState state) {
   return "unknown";
 }
 
-CircuitBreaker::CircuitBreaker(const BreakerOptions& options)
-    : options_(options) {
-  CONTENDER_CHECK(options_.window >= 1 && options_.min_samples >= 1)
-      << "CircuitBreaker: window and min_samples must be >= 1";
-  CONTENDER_CHECK(options_.half_open_probes >= 1)
-      << "CircuitBreaker: half_open_probes must be >= 1";
-  window_.assign(options_.window, 0.0);
-}
-
 void CircuitBreaker::TripOpen() {
   state_ = BreakerState::kOpen;
   ++trips_;
@@ -39,30 +30,29 @@ void CircuitBreaker::TripOpen() {
 void CircuitBreaker::Record(double abs_residual) {
   switch (state_) {
     case BreakerState::kClosed: {
-      if (window_count_ == options_.window) {
+      if (window_count_ == kWindow) {
         window_sum_ -= window_[window_next_];
       } else {
         ++window_count_;
       }
       window_[window_next_] = abs_residual;
-      window_next_ = (window_next_ + 1) % options_.window;
+      window_next_ = (window_next_ + 1) % kWindow;
       window_sum_ += abs_residual;
       const double mean = window_sum_ / static_cast<double>(window_count_);
-      if (window_count_ >= options_.min_samples &&
-          mean > options_.error_threshold) {
+      if (window_count_ >= kMinSamples && mean > kErrorThreshold) {
         TripOpen();
       }
       break;
     }
     case BreakerState::kOpen:
-      if (++cooldown_seen_ >= options_.open_cooldown) {
+      if (++cooldown_seen_ >= kOpenCooldown) {
         state_ = BreakerState::kHalfOpen;
         half_open_ok_ = 0;
       }
       break;
     case BreakerState::kHalfOpen:
-      if (abs_residual <= options_.error_threshold) {
-        if (++half_open_ok_ >= options_.half_open_probes) {
+      if (abs_residual <= kErrorThreshold) {
+        if (++half_open_ok_ >= kHalfOpenProbes) {
           state_ = BreakerState::kClosed;
         }
       } else {
@@ -84,8 +74,8 @@ size_t CheckedTemplateCount(int num_templates) {
 
 }  // namespace
 
-HealthTracker::HealthTracker(int num_templates, const BreakerOptions& options)
-    : breakers_(CheckedTemplateCount(num_templates), CircuitBreaker(options)),
+HealthTracker::HealthTracker(int num_templates)
+    : breakers_(CheckedTemplateCount(num_templates)),
       published_(static_cast<size_t>(num_templates)) {
   for (std::atomic<uint8_t>& s : published_) {
     s.store(static_cast<uint8_t>(BreakerState::kClosed),
@@ -129,17 +119,6 @@ uint64_t HealthTracker::trips() const {
 uint64_t HealthTracker::records() const {
   MutexLock lock(&mutex_);
   return records_;
-}
-
-std::vector<int> HealthTracker::OpenTemplates() const {
-  MutexLock lock(&mutex_);
-  std::vector<int> open;
-  for (size_t i = 0; i < breakers_.size(); ++i) {
-    if (breakers_[i].state() == BreakerState::kOpen) {
-      open.push_back(static_cast<int>(i));
-    }
-  }
-  return open;
 }
 
 int HealthTracker::num_templates() const {

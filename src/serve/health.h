@@ -20,7 +20,7 @@
 //           mean |residual| over window > threshold
 //   Closed ──────────────────────────────────────────▶ Open
 //     ▲                                                 │ next
-//     │ half_open_probes consecutive                    │ open_cooldown
+//     │ kHalfOpenProbes consecutive                     │ kOpenCooldown
 //     │ healthy residuals                               │ records observed
 //     │                 one unhealthy residual          ▼
 //     └───────────────── Half-open ◀────────────────────┘
@@ -35,7 +35,9 @@
 #ifndef CONTENDER_SERVE_HEALTH_H_
 #define CONTENDER_SERVE_HEALTH_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,24 +57,20 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 const char* BreakerStateName(BreakerState state);
 
-struct BreakerOptions {
-  /// A rolling-mean |continuum residual| above this is unhealthy.
-  double error_threshold = 0.25;
-  /// Rolling-window size for the closed-state mean.
-  size_t window = 16;
-  /// Minimum residuals in the window before the breaker may trip (one
-  /// noisy record cannot open it).
-  size_t min_samples = 4;
-  /// Records observed while open before probing (open -> half-open).
-  size_t open_cooldown = 8;
-  /// Consecutive healthy residuals in half-open required to close.
-  size_t half_open_probes = 3;
-};
-
 /// One template's breaker. Not thread-safe; HealthTracker serializes.
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(const BreakerOptions& options);
+  /// A rolling-mean |continuum residual| above this is unhealthy.
+  static constexpr double kErrorThreshold = 0.25;
+  /// Rolling-window size for the closed-state mean.
+  static constexpr size_t kWindow = 16;
+  /// Minimum residuals in the window before the breaker may trip (one
+  /// noisy record cannot open it).
+  static constexpr size_t kMinSamples = 4;
+  /// Records observed while open before probing (open -> half-open).
+  static constexpr size_t kOpenCooldown = 8;
+  /// Consecutive healthy residuals in half-open required to close.
+  static constexpr size_t kHalfOpenProbes = 3;
 
   /// Feeds one |continuum residual| and advances the state machine.
   void Record(double abs_residual);
@@ -84,9 +82,8 @@ class CircuitBreaker {
  private:
   void TripOpen();
 
-  BreakerOptions options_;
   BreakerState state_ = BreakerState::kClosed;
-  std::vector<double> window_;  // ring buffer of recent |residuals|
+  std::array<double, kWindow> window_{};  // ring buffer of recent |residuals|
   size_t window_next_ = 0;
   size_t window_count_ = 0;
   double window_sum_ = 0.0;
@@ -100,8 +97,7 @@ class CircuitBreaker {
 /// signal the serving ladder does.
 class HealthTracker final : public sched::TemplateHealth {
  public:
-  explicit HealthTracker(int num_templates,
-                         const BreakerOptions& options = {});
+  explicit HealthTracker(int num_templates);
 
   /// Feeds template `template_index`'s breaker (ObservationLog calls this
   /// with each accepted record's |continuum residual|).
@@ -120,8 +116,6 @@ class HealthTracker final : public sched::TemplateHealth {
   /// Total breaker trips across all templates.
   [[nodiscard]] uint64_t trips() const;
   [[nodiscard]] uint64_t records() const;
-  /// Template indices whose breakers are currently open (sorted).
-  [[nodiscard]] std::vector<int> OpenTemplates() const;
   [[nodiscard]] int num_templates() const;
 
  private:

@@ -19,11 +19,7 @@ auto& kIngestFailPoint =
 }  // namespace
 
 ObservationLog::ObservationLog(const PredictionService* service)
-    : ObservationLog(service, Options()) {}
-
-ObservationLog::ObservationLog(const PredictionService* service,
-                               const Options& options)
-    : service_(service), options_(options) {
+    : service_(service) {
   CONTENDER_CHECK(service_ != nullptr);
 }
 
@@ -52,9 +48,10 @@ StatusOr<IngestResult> ObservationLog::Ingest(
     return reject(Status::InvalidArgument(
         "ObservationLog: mpl must equal concurrent_indices.size() + 1"));
   }
-  if (!(observation.latency.value() > 0.0)) {
-    return reject(
-        Status::InvalidArgument("ObservationLog: latency must be positive"));
+  const double latency = observation.latency.value();
+  if (!(latency > 0.0) || !std::isfinite(latency)) {
+    return reject(Status::InvalidArgument(
+        "ObservationLog: latency must be positive and finite"));
   }
   // Probe after validation so chaos runs exercise the failure path for
   // records that would otherwise have been accepted.
@@ -96,7 +93,7 @@ StatusOr<IngestResult> ObservationLog::Ingest(
 
   {
     MutexLock lock(&mutex_);
-    if (pending_.size() >= options_.pending_capacity) {
+    if (pending_.size() >= kPendingCapacity) {
       ++rejected_;
       ++overflow_dropped_;
       return Status::ResourceExhausted(
@@ -139,7 +136,7 @@ void ObservationLog::Quarantine(std::vector<MixObservation> observations) {
   MutexLock lock(&mutex_);
   quarantined_ += observations.size();
   for (MixObservation& obs : observations) {
-    if (dead_letter_.size() >= options_.dead_letter_capacity) {
+    if (dead_letter_.size() >= kDeadLetterCapacity) {
       ++dead_letter_dropped_;
       continue;
     }

@@ -29,6 +29,7 @@
 #ifndef CONTENDER_SERVE_OBSERVATION_LOG_H_
 #define CONTENDER_SERVE_OBSERVATION_LOG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -62,26 +63,23 @@ struct ObservationBatch {
 /// Thread-safe streaming log of latency observations for one service.
 class ObservationLog {
  public:
-  struct Options {
-    /// Pending-buffer bound; Ingest rejects past it with
-    /// ResourceExhausted (the controller is not draining — dropping
-    /// silently would skew the refit toward old data).
-    size_t pending_capacity = 65536;
-    /// Dead-letter-buffer bound; Quarantine drops (and counts) past it.
-    size_t dead_letter_capacity = 1024;
-  };
+  /// Pending-buffer bound; Ingest rejects past it with ResourceExhausted
+  /// (the controller is not draining — dropping silently would skew the
+  /// refit toward old data).
+  static constexpr size_t kPendingCapacity = 65536;
+  /// Dead-letter-buffer bound; Quarantine drops (and counts) past it.
+  static constexpr size_t kDeadLetterCapacity = 1024;
 
   /// `service` must outlive the log.
   explicit ObservationLog(const PredictionService* service);
-  ObservationLog(const PredictionService* service, const Options& options);
 
   ObservationLog(const ObservationLog&) = delete;
   ObservationLog& operator=(const ObservationLog&) = delete;
 
   /// Validates, scores and appends one record. InvalidArgument for
   /// out-of-range indices, an MPL that does not match the mix size, or a
-  /// non-positive latency; ResourceExhausted when the pending buffer is
-  /// full.
+  /// latency that is not a positive finite number; ResourceExhausted when
+  /// the pending buffer is full.
   StatusOr<IngestResult> Ingest(const MixObservation& observation);
 
   /// Removes and returns every pending record, in ingest order, with its
@@ -90,7 +88,7 @@ class ObservationLog {
 
   /// Parks records whose refit failed in the bounded dead-letter buffer
   /// (they are suspected of poisoning the fit, so they must NOT rejoin
-  /// the training set automatically). Past dead_letter_capacity the
+  /// the training set automatically). Past kDeadLetterCapacity the
   /// oldest survivors stay and the excess is dropped and counted.
   void Quarantine(std::vector<MixObservation> observations);
 
@@ -120,7 +118,6 @@ class ObservationLog {
   };
 
   const PredictionService* const service_;
-  const Options options_;
 
   mutable Mutex mutex_;
   std::vector<PendingRecord> pending_ GUARDED_BY(mutex_);

@@ -38,8 +38,7 @@ StatusOr<RefitStep> RefitController::Step() {
   const double drift = log_->pending_mean_abs_residual();
   if (pending >= options_.min_new_observations) {
     step.trigger = RefitStep::Trigger::kCount;
-  } else if (pending >= options_.drift_min_observations &&
-             drift > options_.residual_threshold) {
+  } else if (pending >= kDriftMinObservations && drift > kResidualThreshold) {
     step.trigger = RefitStep::Trigger::kDrift;
   } else {
     return step;  // nothing to do; not an error

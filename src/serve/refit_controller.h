@@ -27,6 +27,7 @@
 #define CONTENDER_SERVE_REFIT_CONTROLLER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,11 +43,6 @@ namespace contender::serve {
 struct RefitOptions {
   /// Count trigger: refit once this many records are pending.
   size_t min_new_observations = 24;
-  /// Drift trigger: refit when the pending records' mean |continuum
-  /// residual| exceeds this (with at least `drift_min_observations`
-  /// pending, so one noisy record cannot force a refit).
-  double residual_threshold = 0.10;
-  size_t drift_min_observations = 4;
 };
 
 /// What one Step() did.
@@ -66,6 +62,13 @@ struct RefitStep {
 /// Drives refits for one (service, log) pair.
 class RefitController {
  public:
+  /// Drift trigger: refit when the pending records' mean |continuum
+  /// residual| exceeds kResidualThreshold, with at least
+  /// kDriftMinObservations pending so one noisy record cannot force a
+  /// refit.
+  static constexpr double kResidualThreshold = 0.10;
+  static constexpr size_t kDriftMinObservations = 4;
+
   /// `base_observations` is the training set the live snapshot's models
   /// were fit on; streamed batches are appended to it. `service` and `log`
   /// must outlive the controller.

@@ -45,7 +45,6 @@ StatusOr<EngineRunResult> BatchRunner::RunOne(const EngineRun& run) {
     EngineRunResult out;
     out.results = std::move(entry->results);
     out.duration = entry->duration;
-    out.from_cache = true;
     return out;
   }
   StatusOr<EngineRunResult> result = Execute(run);

@@ -40,8 +40,6 @@ struct EngineRunResult {
   std::vector<ProcessResult> results;
   /// Virtual time at which the run stopped.
   double duration = 0.0;
-  /// True when the result was replayed from the cache.
-  bool from_cache = false;
 };
 
 /// Parallel, memoizing executor of independent engine runs.
@@ -50,8 +48,8 @@ class BatchRunner {
   struct Options {
     /// Pool width; <= 0 selects the machine's hardware concurrency.
     int threads = 0;
-    /// Memoization cache; nullptr disables caching.
-    RunCache* cache = &RunCache::Global();
+    /// Memoization cache; nullptr (the default) disables caching.
+    RunCache* cache = nullptr;
   };
 
   BatchRunner();

@@ -109,14 +109,6 @@ void RunCache::Insert(uint64_t key, Entry entry) {
   }
 }
 
-void RunCache::Clear() {
-  MutexLock lock(&mutex_);
-  lru_.clear();
-  index_.clear();
-  hits_ = 0;
-  misses_ = 0;
-}
-
 size_t RunCache::size() const {
   MutexLock lock(&mutex_);
   return lru_.size();
@@ -130,11 +122,6 @@ uint64_t RunCache::hits() const {
 uint64_t RunCache::misses() const {
   MutexLock lock(&mutex_);
   return misses_;
-}
-
-RunCache& RunCache::Global() {
-  static RunCache* cache = new RunCache();
-  return *cache;
 }
 
 }  // namespace contender::sim

@@ -1,9 +1,9 @@
 // Memoization cache for deterministic simulator runs. The engine is a pure
 // function of (query specs, hardware config, seed, run mode), so a run can
 // be keyed by a content hash of those inputs and its recorded per-process
-// results replayed on a hit instead of re-simulating. Repeated benchmark and
-// test invocations inside one process (shared fixtures, warm re-training,
-// what-if sweeps) hit the cache and skip the dominant simulation cost.
+// results replayed on a hit instead of re-simulating. A caller that repeats
+// runs inside one process (warm re-training, a benchmark harness) hands the
+// same cache to each sampler or runner; nothing is cached by default.
 //
 // The cache is a bounded LRU and fully thread-safe: sim::BatchRunner
 // consults it concurrently from pool workers.
@@ -76,15 +76,10 @@ class RunCache {
   /// when over capacity.
   void Insert(uint64_t key, Entry entry);
 
-  void Clear();
-
   size_t size() const;
   size_t capacity() const { return capacity_; }
   uint64_t hits() const;
   uint64_t misses() const;
-
-  /// Process-wide shared cache (default for samplers and benches).
-  static RunCache& Global();
 
  private:
   using LruList = std::list<std::pair<uint64_t, Entry>>;

@@ -39,10 +39,6 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
-bool Flags::Has(const std::string& name) const {
-  return values_.count(name) > 0;
-}
-
 std::string Flags::GetString(const std::string& name,
                              const std::string& default_value) const {
   auto it = values_.find(name);

@@ -20,7 +20,6 @@ class Flags {
  public:
   Flags(int argc, char** argv);
 
-  bool Has(const std::string& name) const;
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& name, int64_t default_value) const;

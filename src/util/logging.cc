@@ -1,47 +1,18 @@
 #include "util/logging.h"
 
-namespace contender {
+namespace contender::internal {
 
-namespace {
-LogLevel g_level = LogLevel::kInfo;
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
+CheckFailure::CheckFailure(const char* file, int line) {
+  const char* base = file;
+  for (const char* p = file; *p; ++p) {
+    if (*p == '/') base = p + 1;
   }
-  return "?";
-}
-}  // namespace
-
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
-
-namespace internal {
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line, bool fatal)
-    : level_(level), fatal_(fatal), enabled_(fatal || level >= g_level) {
-  if (enabled_) {
-    const char* base = file;
-    for (const char* p = file; *p; ++p) {
-      if (*p == '/') base = p + 1;
-    }
-    stream_ << "[" << LevelName(level_) << " " << base << ":" << line << "] ";
-  }
+  stream_ << "[ERROR " << base << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
-  if (enabled_) {
-    std::cerr << stream_.str() << std::endl;
-  }
-  if (fatal_) std::abort();
+CheckFailure::~CheckFailure() {
+  std::cerr << stream_.str() << std::endl;
+  std::abort();
 }
 
-}  // namespace internal
-}  // namespace contender
+}  // namespace contender::internal

@@ -1,4 +1,4 @@
-// Minimal leveled logging and assertion macros.
+// Fatal assertion macros.
 
 #ifndef CONTENDER_UTIL_LOGGING_H_
 #define CONTENDER_UTIL_LOGGING_H_
@@ -8,35 +8,19 @@
 #include <sstream>
 
 namespace contender {
-
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Global log threshold; messages below it are suppressed. Default: kInfo.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
 namespace internal {
 
-class LogMessage {
+// Collects a failed check's message; the destructor prints it to stderr as
+// "[ERROR file:line] ..." and aborts.
+class CheckFailure {
  public:
-  LogMessage(LogLevel level, const char* file, int line, bool fatal = false);
-  ~LogMessage();
+  CheckFailure(const char* file, int line);
+  ~CheckFailure();
 
   std::ostream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
-  bool fatal_;
-  bool enabled_;
   std::ostringstream stream_;
-};
-
-// Swallows the streamed expression when logging is disabled.
-struct NullStream {
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
 };
 
 // Converts a streamed expression to void inside the CHECK ternary;
@@ -48,19 +32,12 @@ struct Voidify {
 }  // namespace internal
 }  // namespace contender
 
-#define CONTENDER_LOG(level)                                          \
-  ::contender::internal::LogMessage(::contender::LogLevel::k##level,  \
-                                    __FILE__, __LINE__)               \
-      .stream()
-
 /// Fatal check: prints the failed condition and aborts.
-#define CONTENDER_CHECK(cond)                                             \
-  (cond) ? (void)0                                                        \
-         : ::contender::internal::Voidify() &                             \
-               ::contender::internal::LogMessage(                         \
-                   ::contender::LogLevel::kError, __FILE__, __LINE__,     \
-                   true)                                                  \
-                   .stream()                                              \
+#define CONTENDER_CHECK(cond)                                              \
+  (cond) ? (void)0                                                         \
+         : ::contender::internal::Voidify() &                              \
+               ::contender::internal::CheckFailure(__FILE__, __LINE__)     \
+                   .stream()                                               \
                << "Check failed: " #cond " "
 
 #define CONTENDER_CHECK_OK(status_expr)                     \

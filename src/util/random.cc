@@ -85,6 +85,4 @@ std::vector<int> Rng::Permutation(int n) {
   return p;
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 }  // namespace contender

@@ -58,9 +58,6 @@ class Rng {
   /// Random permutation of 0..n-1.
   std::vector<int> Permutation(int n);
 
-  /// Derives an independent child generator (stable given call order).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };

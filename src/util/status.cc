@@ -16,28 +16,10 @@ const char* StatusCodeToString(StatusCode code) {
       return "OutOfRange";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
-}
-
-std::optional<StatusCode> StatusCodeFromString(const std::string& name) {
-  static constexpr StatusCode kAll[] = {
-      StatusCode::kOk,                 StatusCode::kInvalidArgument,
-      StatusCode::kNotFound,           StatusCode::kFailedPrecondition,
-      StatusCode::kOutOfRange,         StatusCode::kInternal,
-      StatusCode::kUnimplemented,      StatusCode::kResourceExhausted,
-      StatusCode::kUnavailable,
-  };
-  for (StatusCode code : kAll) {
-    if (name == StatusCodeToString(code)) return code;
-  }
-  return std::nullopt;
 }
 
 std::string Status::ToString() const {

@@ -7,7 +7,6 @@
 #ifndef CONTENDER_UTIL_STATUS_H_
 #define CONTENDER_UTIL_STATUS_H_
 
-#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -22,21 +21,11 @@ enum class StatusCode {
   kFailedPrecondition,
   kOutOfRange,
   kInternal,
-  kUnimplemented,
   kResourceExhausted,
-  /// The service is transiently overloaded and shed the request; a caller
-  /// that comes back later may succeed. This is the canonical code for
-  /// load sheds — in contrast with kResourceExhausted, which marks a hard
-  /// quota/budget that waiting cannot refill.
-  kUnavailable,
 };
 
 /// Returns a human-readable name for a StatusCode ("OK", "InvalidArgument"...).
 const char* StatusCodeToString(StatusCode code);
-
-/// Inverse of StatusCodeToString; nullopt for unrecognized names. Round-trips
-/// every StatusCode.
-std::optional<StatusCode> StatusCodeFromString(const std::string& name);
 
 /// A success-or-error result. Cheap to copy on the OK path. Marked
 /// [[nodiscard]] so a dropped error status is a compile-time warning
@@ -67,14 +56,8 @@ class [[nodiscard]] Status {
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

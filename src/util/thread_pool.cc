@@ -33,11 +33,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-size_t ThreadPool::QueueDepth() const {
-  MutexLock lock(&mutex_);
-  return queue_.size();
-}
-
 int ThreadPool::DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

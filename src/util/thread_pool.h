@@ -69,16 +69,13 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Tasks submitted but not yet picked up by a worker (diagnostic only).
-  size_t QueueDepth() const;
-
   /// A sensible default pool width for this machine (>= 1).
   static int DefaultThreads();
 
  private:
   void WorkerLoop();
 
-  mutable Mutex mutex_;
+  Mutex mutex_;
   std::queue<std::function<void()>> queue_ GUARDED_BY(mutex_);
   bool stopping_ GUARDED_BY(mutex_) = false;
   /// Written only by the constructor before any concurrency; the worker

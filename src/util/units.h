@@ -1,5 +1,5 @@
 // Zero-overhead dimensional types for the quantities Contender passes
-// around: virtual time (Seconds), storage volumes (Bytes, Pages),
+// around: virtual time (Seconds), storage volumes (Bytes),
 // checked [0,1] ratios (Fraction), continuum coordinates (ContinuumPoint),
 // Concurrent Query Intensity values (Cqi) and multiprogramming levels
 // (Mpl).
@@ -113,53 +113,6 @@ class Bytes {
   friend constexpr double operator/(Bytes a, Bytes b) { return a.v_ / b.v_; }
 
   constexpr auto operator<=>(const Bytes&) const = default;
-
- private:
-  double v_ = 0.0;
-};
-
-/// A page count. Fractional values are legal: the fluid simulator reasons
-/// about partially-transferred pages.
-class Pages {
- public:
-  constexpr Pages() = default;
-  constexpr explicit Pages(double pages) : v_(pages) {}
-
-  [[nodiscard]] constexpr double value() const { return v_; }
-
-  constexpr Pages& operator+=(Pages o) {
-    v_ += o.v_;
-    return *this;
-  }
-  constexpr Pages& operator-=(Pages o) {
-    v_ -= o.v_;
-    return *this;
-  }
-
-  friend constexpr Pages operator+(Pages a, Pages b) {
-    return Pages(a.v_ + b.v_);
-  }
-  friend constexpr Pages operator-(Pages a, Pages b) {
-    return Pages(a.v_ - b.v_);
-  }
-  friend constexpr Pages operator*(Pages a, double k) {
-    return Pages(a.v_ * k);
-  }
-  friend constexpr Pages operator*(double k, Pages a) {
-    return Pages(k * a.v_);
-  }
-  /// Count ratio: dimensionless.
-  friend constexpr double operator/(Pages a, Pages b) { return a.v_ / b.v_; }
-
-  /// Pages times a page size is a volume.
-  friend constexpr Bytes operator*(Pages n, Bytes page_size) {
-    return Bytes(n.v_ * page_size.value());
-  }
-  friend constexpr Bytes operator*(Bytes page_size, Pages n) {
-    return n * page_size;
-  }
-
-  constexpr auto operator<=>(const Pages&) const = default;
 
  private:
   double v_ = 0.0;
@@ -296,8 +249,6 @@ static_assert(std::is_trivially_copyable_v<Seconds> &&
               sizeof(Seconds) == sizeof(double));
 static_assert(std::is_trivially_copyable_v<Bytes> &&
               sizeof(Bytes) == sizeof(double));
-static_assert(std::is_trivially_copyable_v<Pages> &&
-              sizeof(Pages) == sizeof(double));
 static_assert(std::is_trivially_copyable_v<Fraction> &&
               sizeof(Fraction) == sizeof(double));
 static_assert(std::is_trivially_copyable_v<ContinuumPoint> &&

@@ -65,8 +65,7 @@ class Compiler {
         current_.cpu_seconds += node.cpu_seconds * params_.selectivity;
         break;
       }
-      case PlanNodeType::kIndexScan:
-      case PlanNodeType::kBitmapHeapScan: {
+      case PlanNodeType::kIndexScan: {
         Flush();
         current_.rnd_io_bytes = node.rnd_bytes * params_.selectivity;
         current_.cpu_seconds += node.cpu_seconds * params_.selectivity;

@@ -12,7 +12,6 @@ constexpr double kSeqScanCpuPerRow = 4.0e-8;
 constexpr double kIndexScanCpuPerRow = 1.5e-7;
 constexpr double kHashBuildCpuPerRow = 8.0e-8;
 constexpr double kHashProbeCpuPerRow = 1.2e-7;
-constexpr double kMergeJoinCpuPerRow = 5.0e-8;
 constexpr double kNestedLoopCpuPerRow = 1.0e-7;
 constexpr double kSortCpuPerRowLog = 2.5e-8;
 constexpr double kHashAggCpuPerRow = 1.5e-7;
@@ -21,44 +20,6 @@ constexpr double kWindowAggCpuPerRow = 1.0e-7;
 constexpr double kTrivialCpuPerRow = 1.0e-8;
 
 }  // namespace
-
-const char* PlanNodeTypeName(PlanNodeType type) {
-  switch (type) {
-    case PlanNodeType::kSeqScan:
-      return "Seq Scan";
-    case PlanNodeType::kIndexScan:
-      return "Index Scan";
-    case PlanNodeType::kBitmapHeapScan:
-      return "Bitmap Heap Scan";
-    case PlanNodeType::kFilter:
-      return "Filter";
-    case PlanNodeType::kHash:
-      return "Hash";
-    case PlanNodeType::kHashJoin:
-      return "Hash Join";
-    case PlanNodeType::kMergeJoin:
-      return "Merge Join";
-    case PlanNodeType::kNestedLoopJoin:
-      return "Nested Loop";
-    case PlanNodeType::kSort:
-      return "Sort";
-    case PlanNodeType::kHashAggregate:
-      return "HashAggregate";
-    case PlanNodeType::kGroupAggregate:
-      return "GroupAggregate";
-    case PlanNodeType::kWindowAgg:
-      return "WindowAgg";
-    case PlanNodeType::kMaterialize:
-      return "Materialize";
-    case PlanNodeType::kAppend:
-      return "Append";
-    case PlanNodeType::kLimit:
-      return "Limit";
-    case PlanNodeType::kNumTypes:
-      break;
-  }
-  return "?";
-}
 
 PlanNode SeqScan(const TableDef& t, units::Fraction fraction,
                  double rows_out) {
@@ -84,12 +45,6 @@ PlanNode IndexScan(const TableDef& t, double rnd_bytes, double rows_out) {
   return n;
 }
 
-PlanNode BitmapHeapScan(const TableDef& t, double rnd_bytes, double rows_out) {
-  PlanNode n = IndexScan(t, rnd_bytes, rows_out);
-  n.type = PlanNodeType::kBitmapHeapScan;
-  return n;
-}
-
 PlanNode HashJoin(PlanNode build, PlanNode probe, double rows_out,
                   double build_mem_bytes) {
   PlanNode hash;
@@ -105,16 +60,6 @@ PlanNode HashJoin(PlanNode build, PlanNode probe, double rows_out,
   join.cpu_seconds = probe.rows * kHashProbeCpuPerRow;
   join.children.push_back(std::move(hash));
   join.children.push_back(std::move(probe));
-  return join;
-}
-
-PlanNode MergeJoin(PlanNode outer, PlanNode inner, double rows_out) {
-  PlanNode join;
-  join.type = PlanNodeType::kMergeJoin;
-  join.rows = rows_out;
-  join.cpu_seconds = (outer.rows + inner.rows) * kMergeJoinCpuPerRow;
-  join.children.push_back(std::move(outer));
-  join.children.push_back(std::move(inner));
   return join;
 }
 
@@ -191,15 +136,6 @@ PlanNode Limit(PlanNode child, double rows_out) {
   n.type = PlanNodeType::kLimit;
   n.rows = rows_out;
   n.cpu_seconds = rows_out * kTrivialCpuPerRow;
-  n.children.push_back(std::move(child));
-  return n;
-}
-
-PlanNode Filter(PlanNode child, double rows_out) {
-  PlanNode n;
-  n.type = PlanNodeType::kFilter;
-  n.rows = rows_out;
-  n.cpu_seconds = child.rows * kTrivialCpuPerRow;
   n.children.push_back(std::move(child));
   return n;
 }

@@ -15,7 +15,9 @@
 
 namespace contender {
 
-/// Plan operator kinds (a subset of PostgreSQL 8.4's executor nodes).
+/// Plan operator kinds (a subset of PostgreSQL 8.4's executor nodes). No
+/// template builds a Bitmap Heap Scan, Filter or Merge Join node; their
+/// values stay because the §3 plan features have one slot per kind.
 enum class PlanNodeType {
   kSeqScan = 0,
   kIndexScan,
@@ -35,9 +37,6 @@ enum class PlanNodeType {
   kNumTypes,  // sentinel
 };
 
-/// Human-readable operator name ("Seq Scan", "Hash Join", ...).
-const char* PlanNodeTypeName(PlanNodeType type);
-
 /// One operator in a plan tree. Children execute before (or beneath) the
 /// operator; resource annotations drive the compiler.
 struct PlanNode {
@@ -46,7 +45,7 @@ struct PlanNode {
   sim::TableId table = sim::kNoTable;
   /// Fraction of the relation read by a sequential scan.
   double scan_fraction = 1.0;
-  /// Random-access bytes for index/bitmap scans.
+  /// Random-access bytes for index scans.
   double rnd_bytes = 0.0;
   /// Optimizer cardinality estimate (output rows).
   double rows = 0.0;
@@ -67,15 +66,10 @@ PlanNode SeqScan(const TableDef& t, units::Fraction fraction,
 /// Index scan performing `rnd_bytes` of scattered reads.
 PlanNode IndexScan(const TableDef& t, double rnd_bytes, double rows_out);
 
-/// Bitmap heap scan: semi-sequential; modeled as mostly random I/O.
-PlanNode BitmapHeapScan(const TableDef& t, double rnd_bytes, double rows_out);
-
 /// Hash join; the build side is wrapped in an explicit Hash node whose
 /// memory footprint is `build_mem_bytes`.
 PlanNode HashJoin(PlanNode build, PlanNode probe, double rows_out,
                   double build_mem_bytes);
-
-PlanNode MergeJoin(PlanNode outer, PlanNode inner, double rows_out);
 
 PlanNode NestedLoopJoin(PlanNode outer, PlanNode inner, double rows_out);
 
@@ -92,7 +86,6 @@ PlanNode WindowAgg(PlanNode child, double rows_out);
 PlanNode Materialize(PlanNode child, double mem_bytes);
 PlanNode Append(std::vector<PlanNode> children, double rows_out);
 PlanNode Limit(PlanNode child, double rows_out);
-PlanNode Filter(PlanNode child, double rows_out);
 
 // ---------------------------------------------------------------------------
 // Plan statistics.

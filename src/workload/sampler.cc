@@ -5,6 +5,7 @@
 #include "ml/lhs.h"
 #include "sim/spoiler.h"
 #include "workload/query_plan.h"
+#include "workload/steady_state.h"
 
 namespace contender {
 
@@ -79,8 +80,7 @@ TemplateProfile WorkloadSampler::MakeProfileSkeleton(int index) const {
   return profile;
 }
 
-StatusOr<TemplateProfile> WorkloadSampler::ProfileTemplate(
-    int index, const std::vector<int>& mpls) {
+StatusOr<TemplateProfile> WorkloadSampler::ProfileTemplate(int index) {
   if (index < 0 || index >= workload_->size()) {
     return Status::InvalidArgument("ProfileTemplate: bad template index");
   }
@@ -92,39 +92,13 @@ StatusOr<TemplateProfile> WorkloadSampler::ProfileTemplate(
   const sim::ProcessResult& r = isolated->results.back();
   profile.isolated_latency = r.latency();
   profile.io_fraction = r.io_fraction();
-
-  for (int mpl : mpls) {
-    auto lmax = MeasureSpoilerLatency(index, units::Mpl(mpl));
-    if (!lmax.ok()) return lmax.status();
-    profile.spoiler_latency[mpl] = *lmax;
-  }
   return profile;
-}
-
-StatusOr<units::Seconds> WorkloadSampler::MeasureScanTime(
-    sim::TableId table) {
-  auto run = ScanRun(table, rng_.Next());
-  if (!run.ok()) return run.status();
-  auto outcome = runner().RunOne(*run);
-  if (!outcome.ok()) return outcome.status();
-  return outcome->results.back().latency();
-}
-
-StatusOr<units::Seconds> WorkloadSampler::MeasureSpoilerLatency(
-    int index, units::Mpl mpl) {
-  if (mpl.value() < 2) {
-    return Status::InvalidArgument("spoiler requires MPL >= 2");
-  }
-  auto outcome = runner().RunOne(SpoilerRun(index, mpl.value(), rng_.Next()));
-  if (!outcome.ok()) return outcome.status();
-  return outcome->results.back().latency();
 }
 
 StatusOr<std::vector<MixObservation>> WorkloadSampler::ObserveMixSeeded(
     const std::vector<int>& mix, uint64_t seed) const {
-  SteadyStateOptions ss = options_.steady_state;
-  ss.seed = seed;
-  auto result = RunSteadyState(*workload_, mix, config_, ss, options_.cache);
+  auto result =
+      RunSteadyState(*workload_, mix, config_, seed, options_.cache);
   if (!result.ok()) return result.status();
 
   std::vector<MixObservation> out;
@@ -141,23 +115,10 @@ StatusOr<std::vector<MixObservation>> WorkloadSampler::ObserveMixSeeded(
   return out;
 }
 
-StatusOr<std::vector<MixObservation>> WorkloadSampler::ObserveMix(
-    const std::vector<int>& mix) {
-  return ObserveMixSeeded(mix, rng_.Next());
-}
-
 StatusOr<std::vector<std::vector<int>>> WorkloadSampler::MixesForMpl(
     int mpl) {
   const int n = workload_->size();
-  if (mpl == 2) {
-    std::vector<MixSelection> pairs = AllPairs(n);
-    if (options_.max_pair_mixes > 0 &&
-        static_cast<int>(pairs.size()) > options_.max_pair_mixes) {
-      rng_.Shuffle(&pairs);
-      pairs.resize(static_cast<size_t>(options_.max_pair_mixes));
-    }
-    return pairs;
-  }
+  if (mpl == 2) return AllPairs(n);
   return LatinHypercubeRuns(n, mpl, options_.lhs_runs, &rng_);
 }
 
@@ -170,9 +131,9 @@ StatusOr<TrainingData> WorkloadSampler::CollectAll() {
     }
   }
 
-  // Phase 1: derive every run's seed in the exact order the sequential
-  // protocol consumes the sampler Rng, so the collected data is
-  // bit-identical to single-threaded sampling regardless of pool width.
+  // Phase 1: draw every run's seed from the sampler Rng in a fixed order
+  // before any run starts, so the collected data does not depend on the
+  // pool width.
   struct ProfileTask {
     uint64_t isolated_seed = 0;
     std::vector<std::pair<int, uint64_t>> spoiler_seeds;  // (mpl, seed)

@@ -4,10 +4,11 @@
 // Latin Hypercube runs at higher MPLs).
 //
 // The training runs are mutually independent simulations, so CollectAll()
-// fans them across a sim::BatchRunner pool and memoizes each run in a
-// sim::RunCache. Seeds are derived in the exact order the sequential
-// protocol consumes them, so the collected data is bit-identical for every
-// pool width (including 1) and across cold/warm cache states.
+// fans them across a sim::BatchRunner pool, memoizing each run in a
+// sim::RunCache when one is given. Every run's seed is drawn from the
+// sampler's Rng before any run starts, in a fixed order, so the collected
+// data is bit-identical for every pool width (including 1) and across
+// cold/warm cache states.
 
 #ifndef CONTENDER_WORKLOAD_SAMPLER_H_
 #define CONTENDER_WORKLOAD_SAMPLER_H_
@@ -22,7 +23,6 @@
 #include "sim/config.h"
 #include "util/statusor.h"
 #include "util/units.h"
-#include "workload/steady_state.h"
 #include "workload/workload.h"
 
 namespace contender {
@@ -46,33 +46,19 @@ class WorkloadSampler {
     std::vector<int> mpls = {2, 3, 4, 5};
     /// LHS rounds per MPL above 2 (paper: 4).
     int lhs_runs = 4;
-    /// Cap on all-pairs sampling at MPL 2; <= 0 means all pairs.
-    int max_pair_mixes = 0;
-    SteadyStateOptions steady_state;
     uint64_t seed = 42;
     /// Pool width for CollectAll; <= 0 selects hardware concurrency.
     int threads = 0;
-    /// Run memoization cache; nullptr disables caching.
-    sim::RunCache* cache = &sim::RunCache::Global();
+    /// Run memoization cache; nullptr (the default) disables caching.
+    sim::RunCache* cache = nullptr;
   };
 
   WorkloadSampler(const Workload* workload, const sim::SimConfig& config,
                   const Options& options);
 
-  /// Isolated cold-cache profile of one template, including spoiler
-  /// latencies at the requested MPLs (pass {} to skip the spoiler runs).
-  StatusOr<TemplateProfile> ProfileTemplate(int index,
-                                            const std::vector<int>& mpls);
-
-  /// s_f for one table (isolated scan-only query).
-  StatusOr<units::Seconds> MeasureScanTime(sim::TableId table);
-
-  /// l_max: latency of one template run against the spoiler at `mpl`.
-  StatusOr<units::Seconds> MeasureSpoilerLatency(int index, units::Mpl mpl);
-
-  /// Steady-state run of one mix; returns one observation per stream.
-  StatusOr<std::vector<MixObservation>> ObserveMix(
-      const std::vector<int>& mix);
+  /// Isolated cold-cache profile of one template (no spoiler latencies);
+  /// draws one seed from the sampler's Rng.
+  StatusOr<TemplateProfile> ProfileTemplate(int index);
 
   /// Runs the full paper §2 sampling protocol, fanned across the pool.
   StatusOr<TrainingData> CollectAll();

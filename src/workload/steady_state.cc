@@ -9,20 +9,16 @@ namespace contender {
 
 namespace {
 
-/// Content hash pinning a steady-state run: hardware model, steady-state
-/// protocol (incl. seed), and the mix — both the indices and each member's
-/// nominal spec, so workload content changes invalidate the key. Instance
-/// parameter jitter is derived from the seed, so (nominal specs, seed) pins
-/// the full instance stream.
+/// Content hash pinning a steady-state run: hardware model, seed, and the
+/// mix — both the indices and each member's nominal spec, so workload
+/// content changes invalidate the key. Instance parameter jitter is derived
+/// from the seed, so (nominal specs, seed) pins the full instance stream.
 uint64_t HashSteadyStateRun(const Workload& workload,
                             const std::vector<int>& mix,
-                            const sim::SimConfig& config,
-                            const SteadyStateOptions& options) {
+                            const sim::SimConfig& config, uint64_t seed) {
   sim::RunHasher hasher;
   hasher.Add(config);
-  hasher.Add(options.seed);
-  hasher.Add(options.samples_per_stream);
-  hasher.Add(options.warmup_per_stream);
+  hasher.Add(seed);
   hasher.Add(static_cast<uint64_t>(mix.size()));
   for (int idx : mix) {
     hasher.Add(idx);
@@ -34,7 +30,7 @@ uint64_t HashSteadyStateRun(const Workload& workload,
 /// Trims warmup/tail samples and computes per-stream means from the raw
 /// collected latencies (shared by the live and cache-replay paths).
 SteadyStateResult AssembleResult(
-    const std::vector<int>& mix, const SteadyStateOptions& options,
+    const std::vector<int>& mix,
     const std::vector<std::vector<double>>& collected, double duration) {
   SteadyStateResult result;
   result.streams.resize(mix.size());
@@ -43,12 +39,9 @@ SteadyStateResult AssembleResult(
     sr.template_index = mix[s];
     const auto& c = collected[s];
     const size_t begin =
-        static_cast<size_t>(options.warmup_per_stream) < c.size()
-            ? static_cast<size_t>(options.warmup_per_stream)
-            : c.size();
-    const size_t end =
-        std::min(c.size(),
-                 begin + static_cast<size_t>(options.samples_per_stream));
+        std::min(c.size(), static_cast<size_t>(kSteadyStateWarmupPerStream));
+    const size_t end = std::min(
+        c.size(), begin + static_cast<size_t>(kSteadyStateSamplesPerStream));
     sr.latencies.assign(c.begin() + static_cast<long>(begin),
                         c.begin() + static_cast<long>(end));
     sr.mean_latency = Mean(sr.latencies);
@@ -62,7 +55,7 @@ SteadyStateResult AssembleResult(
 StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
                                            const std::vector<int>& mix,
                                            const sim::SimConfig& config,
-                                           const SteadyStateOptions& options,
+                                           uint64_t seed,
                                            sim::RunCache* cache) {
   if (mix.empty()) {
     return Status::InvalidArgument("RunSteadyState: empty mix");
@@ -72,24 +65,20 @@ StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
       return Status::InvalidArgument("RunSteadyState: bad template index");
     }
   }
-  if (options.samples_per_stream <= 0) {
-    return Status::InvalidArgument(
-        "RunSteadyState: samples_per_stream must be positive");
-  }
-
   uint64_t key = 0;
   if (cache != nullptr) {
-    key = HashSteadyStateRun(workload, mix, config, options);
+    key = HashSteadyStateRun(workload, mix, config, seed);
     if (std::optional<sim::RunCache::Entry> entry = cache->Lookup(key)) {
-      return AssembleResult(mix, options, entry->series, entry->duration);
+      return AssembleResult(mix, entry->series, entry->duration);
     }
   }
 
-  Rng rng(options.seed);
+  Rng rng(seed);
   sim::Engine engine(config, rng.Next());
 
   const size_t num_streams = mix.size();
-  const int needed = options.warmup_per_stream + options.samples_per_stream;
+  constexpr int kNeeded =
+      kSteadyStateWarmupPerStream + kSteadyStateSamplesPerStream;
 
   std::vector<std::vector<double>> collected(num_streams);
   std::unordered_map<int, size_t> stream_of_process;
@@ -103,7 +92,7 @@ StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
 
   auto all_collected = [&]() {
     for (const auto& c : collected) {
-      if (static_cast<int>(c.size()) < needed) return false;
+      if (static_cast<int>(c.size()) < kNeeded) return false;
     }
     return true;
   };
@@ -131,7 +120,7 @@ StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
     entry.duration = engine.now().value();
     cache->Insert(key, std::move(entry));
   }
-  return AssembleResult(mix, options, collected, engine.now().value());
+  return AssembleResult(mix, collected, engine.now().value());
 }
 
 }  // namespace contender

@@ -17,13 +17,10 @@
 
 namespace contender {
 
-struct SteadyStateOptions {
-  /// Counted samples per stream (paper: n = 5).
-  int samples_per_stream = 5;
-  /// Leading instances discarded per stream.
-  int warmup_per_stream = 1;
-  uint64_t seed = 1;
-};
+/// Counted samples per stream (paper: n = 5).
+inline constexpr int kSteadyStateSamplesPerStream = 5;
+/// Leading instances discarded per stream.
+inline constexpr int kSteadyStateWarmupPerStream = 1;
 
 struct StreamResult {
   /// Workload index of this stream's template.
@@ -40,15 +37,16 @@ struct SteadyStateResult {
 };
 
 /// Runs the mix (workload indices, one per slot; repeats allowed) to steady
-/// state under the given hardware model. When `cache` is non-null the run is
+/// state under the given hardware model, drawing instance parameters and
+/// the engine seed from `seed`. When `cache` is non-null the run is
 /// memoized under a content hash of (mix member nominal specs, hardware
-/// config, steady-state options incl. seed); a hit replays the recorded
-/// per-stream latency samples instead of re-simulating. The function is
-/// thread-safe and is fanned across a pool by WorkloadSampler::CollectAll.
+/// config, seed); a hit replays the recorded per-stream latency samples
+/// instead of re-simulating. The function is thread-safe and is fanned
+/// across a pool by WorkloadSampler::CollectAll.
 StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
                                            const std::vector<int>& mix,
                                            const sim::SimConfig& config,
-                                           const SteadyStateOptions& options,
+                                           uint64_t seed,
                                            sim::RunCache* cache = nullptr);
 
 }  // namespace contender

@@ -256,7 +256,7 @@ class Ladder {
       for (int t : template_indices) {
         auto set = reference::BuildQsTrainingSet(
             profiles_, scan_times_, observations, t, units::Mpl(mpl),
-            options_.variant);
+            CqiVariant::kFull);
         if (!set.ok() || set->cqi.size() < 3) continue;
         auto model = FitQsModel(set->cqi, set->continuum);
         if (!model.ok()) continue;
@@ -384,7 +384,7 @@ class Ladder {
       }
       conc.push_back(&profiles_[static_cast<size_t>(c)]);
     }
-    auto cqi = ComputeCqiFor(primary, conc, scan_times_, options_.variant);
+    auto cqi = ComputeCqiFor(primary, conc, scan_times_, CqiVariant::kFull);
     if (!cqi.ok()) return cqi.status();
     CONTENDER_ASSIGN_OR_RETURN(
         const units::LatencyRange range,
@@ -557,12 +557,6 @@ const Case& CaseNamed(const std::string& name) {
                       new ContenderPredictor(std::move(*refit)),
                       std::move(ladder)});
     }
-    ContenderPredictor::Options baseline;
-    baseline.variant = CqiVariant::kBaselineIo;
-    add("BaselineIo", baseline, new ContenderPredictor(TrainWith(baseline)));
-    ContenderPredictor::Options positive;
-    positive.variant = CqiVariant::kPositiveIo;
-    add("PositiveIo", positive, new ContenderPredictor(TrainWith(positive)));
     ContenderPredictor::Options inverse;
     inverse.transfer_feature = TransferFeature::kInverseSpoilerSlowdown;
     add("InverseSpoilerSlowdown", inverse,
@@ -605,7 +599,7 @@ TEST_P(PredictorParityTest, ReferenceModelsMatchTheReferenceFit) {
     ExpectSameModels(*got,
                      reference::FitReferenceModels(
                          data.profiles, data.scan_times, observations,
-                         units::Mpl(mpl), c.options.variant),
+                         units::Mpl(mpl), CqiVariant::kFull),
                      "refit at MPL " + std::to_string(mpl));
   }
   for (int mpl : {0, 1, 6, 7, -1}) {
@@ -695,9 +689,7 @@ TEST_P(PredictorParityTest, ErrorsMatch) {
 
 INSTANTIATE_TEST_SUITE_P(Predictors, PredictorParityTest,
                          ::testing::Values("Shared", "WithoutModelsFor4And11",
-                                           "Refit", "BaselineIo",
-                                           "PositiveIo",
-                                           "InverseSpoilerSlowdown"),
+                                           "Refit", "InverseSpoilerSlowdown"),
                          [](const ::testing::TestParamInfo<const char*>& i) {
                            return std::string(i.param);
                          });

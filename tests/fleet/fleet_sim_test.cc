@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "fleet/metrics.h"
@@ -209,6 +210,18 @@ TEST(FleetSimulatorTest, TenantQuotaRejectsAndMetricsCountIt) {
   }
   EXPECT_EQ(rejected_by_tenant, metrics.rejected);
   EXPECT_EQ(metrics.completed + metrics.rejected, metrics.requests);
+}
+
+// Like every other bad option, a negative quota is an InvalidArgument from
+// Run, not an abort in the router's constructor.
+TEST(FleetSimulatorTest, NegativeTenantQuotaIsInvalidArgument) {
+  const Population population = TestPopulation(8);
+  FleetOptions options;
+  options.tenant_quota = -1;
+  const auto result = RunFleet(population, options);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("tenant_quota"), std::string::npos)
+      << result.status();
 }
 
 TEST(FleetSimulatorTest, FleetMetricsConserveBlame) {

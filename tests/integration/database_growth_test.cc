@@ -42,8 +42,8 @@ TEST(DatabaseGrowthTest, IsolatedLatencyGrowsWithDatabase) {
   WorkloadSampler grown_sampler(&grown, machine, opts);
   // An I/O-bound template's isolated latency tracks the fact growth.
   const int idx = base.IndexOfId(71);
-  auto p0 = base_sampler.ProfileTemplate(idx, {});
-  auto p1 = grown_sampler.ProfileTemplate(idx, {});
+  auto p0 = base_sampler.ProfileTemplate(idx);
+  auto p1 = grown_sampler.ProfileTemplate(idx);
   ASSERT_TRUE(p0.ok());
   ASSERT_TRUE(p1.ok());
   const double ratio = p1->isolated_latency / p0->isolated_latency;

@@ -49,63 +49,5 @@ TEST(SimpleLinearTest, RSquaredZeroForUncorrelated) {
   EXPECT_LT(fit->r_squared, 0.01);
 }
 
-// Parameterized sweep: multiple regression recovers planted coefficients
-// across dimensionalities and noise levels.
-class MultipleRegressionRecovery
-    : public ::testing::TestWithParam<std::tuple<int, double>> {};
-
-TEST_P(MultipleRegressionRecovery, RecoversPlantedCoefficients) {
-  const int dims = std::get<0>(GetParam());
-  const double noise = std::get<1>(GetParam());
-  Rng rng(static_cast<uint64_t>(dims * 100) + 7);
-
-  Vector beta(static_cast<size_t>(dims));
-  for (double& b : beta) b = rng.Uniform(-3.0, 3.0);
-  const double intercept = 1.5;
-
-  std::vector<Vector> x;
-  std::vector<double> y;
-  for (int i = 0; i < 400 + dims * 50; ++i) {
-    Vector row(static_cast<size_t>(dims));
-    for (double& v : row) v = rng.Uniform(-2.0, 2.0);
-    double target = intercept + Dot(row, beta) + rng.Normal(0.0, noise);
-    x.push_back(std::move(row));
-    y.push_back(target);
-  }
-  auto model = MultipleLinearRegression::Fit(x, y);
-  ASSERT_TRUE(model.ok());
-  const double tol = 0.05 + noise * 0.15;
-  for (size_t j = 0; j < beta.size(); ++j) {
-    EXPECT_NEAR(model->coefficients()[j], beta[j], tol) << "dim " << j;
-  }
-  EXPECT_NEAR(model->intercept(), intercept, tol);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    DimsAndNoise, MultipleRegressionRecovery,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(0.0, 0.2, 1.0)));
-
-TEST(MultipleRegressionTest, RejectsBadShapes) {
-  EXPECT_FALSE(MultipleLinearRegression::Fit({}, {}).ok());
-  EXPECT_FALSE(
-      MultipleLinearRegression::Fit({{1.0}, {2.0}}, {1.0}).ok());
-  EXPECT_FALSE(
-      MultipleLinearRegression::Fit({{1.0}, {2.0, 3.0}}, {1.0, 2.0}).ok());
-  // Fewer observations than parameters.
-  EXPECT_FALSE(
-      MultipleLinearRegression::Fit({{1.0, 2.0, 3.0}}, {1.0}).ok());
-}
-
-TEST(MultipleRegressionTest, NoInterceptMode) {
-  // y = 2x exactly, no intercept.
-  auto model = MultipleLinearRegression::Fit(
-      {{1.0}, {2.0}, {3.0}}, {2.0, 4.0, 6.0}, /*add_intercept=*/false);
-  ASSERT_TRUE(model.ok());
-  EXPECT_NEAR(model->coefficients()[0], 2.0, 1e-9);
-  EXPECT_DOUBLE_EQ(model->intercept(), 0.0);
-  EXPECT_NEAR(model->r_squared(), 1.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace contender

@@ -62,17 +62,5 @@ TEST(KFoldTest, DeterministicGivenSeed) {
   }
 }
 
-TEST(LeaveOneOutTest, Basics) {
-  auto splits = LeaveOneOutSplits(4);
-  ASSERT_EQ(splits.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(splits[i].test.size(), 1u);
-    EXPECT_EQ(splits[i].test[0], i);
-    EXPECT_EQ(splits[i].train.size(), 3u);
-    EXPECT_EQ(std::count(splits[i].train.begin(), splits[i].train.end(), i),
-              0);
-  }
-}
-
 }  // namespace
 }  // namespace contender

@@ -176,27 +176,5 @@ TEST_F(DoorControlTest, ChaosShedFiresDeterministically) {
   EXPECT_EQ(first.second, second.second);
 }
 
-TEST_F(DoorControlTest, ShedStatusMapsHardAndTransientCodes) {
-  // Hard limits: retrying cannot refill them.
-  EXPECT_EQ(DoorController::ShedStatus(ShedReason::kQuota).code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(DoorController::ShedStatus(ShedReason::kMemoryPressure).code(),
-            StatusCode::kResourceExhausted);
-  // Transient load sheds: retry-with-backoff later may succeed.
-  EXPECT_EQ(DoorController::ShedStatus(ShedReason::kQueueDelay).code(),
-            StatusCode::kUnavailable);
-  EXPECT_EQ(
-      DoorController::ShedStatus(ShedReason::kCriticalityBrownout).code(),
-      StatusCode::kUnavailable);
-  // Every status names its reason.
-  for (ShedReason reason : AllShedReasons()) {
-    const Status status = DoorController::ShedStatus(reason);
-    EXPECT_FALSE(status.ok());
-    EXPECT_NE(status.message().find(ShedReasonName(reason)),
-              std::string::npos)
-        << status;
-  }
-}
-
 }  // namespace
 }  // namespace contender::overload

@@ -21,32 +21,27 @@ TEST(ShedReasonTest, NamesAreStable) {
                "criticality-brownout");
 }
 
-TEST(ShedReasonTest, EveryReasonRoundTrips) {
+TEST(ShedReasonTest, EveryReasonHasADistinctName) {
   std::set<std::string> seen;
   for (ShedReason reason : AllShedReasons()) {
     const std::string name = ShedReasonName(reason);
+    EXPECT_NE(name, "unknown");
     EXPECT_TRUE(seen.insert(name).second) << "duplicate name " << name;
-    auto parsed = ShedReasonFromString(name);
-    ASSERT_TRUE(parsed.has_value()) << name;
-    EXPECT_EQ(*parsed, reason) << name;
   }
   EXPECT_EQ(AllShedReasons().size(), 4u);
-  EXPECT_FALSE(ShedReasonFromString("").has_value());
-  EXPECT_FALSE(ShedReasonFromString("oom").has_value());
-  EXPECT_FALSE(ShedReasonFromString("Queue-Delay").has_value());
 }
 
-TEST(ShedReasonTest, CriticalityRoundTripsAndOrders) {
+TEST(ShedReasonTest, CriticalitiesAreNamedAndOrdered) {
+  std::set<std::string> seen;
   for (Criticality tier : AllCriticalities()) {
-    auto parsed = CriticalityFromString(CriticalityName(tier));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, tier);
+    const std::string name = CriticalityName(tier);
+    EXPECT_NE(name, "unknown");
+    EXPECT_TRUE(seen.insert(name).second) << "duplicate name " << name;
   }
   EXPECT_EQ(AllCriticalities().size(), 3u);
   // The tiers are ordered: the brownout floor comparison relies on it.
   EXPECT_LT(Criticality::kSheddable, Criticality::kStandard);
   EXPECT_LT(Criticality::kStandard, Criticality::kCritical);
-  EXPECT_FALSE(CriticalityFromString("vip").has_value());
 }
 
 TEST(ShedReasonTest, TenantLadderIsDeterministicAndMixesAllTiers) {

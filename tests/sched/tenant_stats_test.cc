@@ -41,47 +41,6 @@ TEST(TenantScheduleStatsTest, SlaMissRateIsZeroWithoutDeadlines) {
   EXPECT_DOUBLE_EQ(stats.sla_miss_rate(), 0.0);
 }
 
-TEST(TenantScheduleStatsTest, MergeEqualsConcatenation) {
-  // Merged quantiles must be exact — identical to a single accumulator
-  // fed every sample — because SampleStats retains all observations.
-  std::vector<double> responses = {4.0, 9.0, 1.0, 16.0, 2.0, 8.0, 3.0};
-  TenantScheduleStats whole;
-  TenantScheduleStats left;
-  TenantScheduleStats right;
-  for (size_t i = 0; i < responses.size(); ++i) {
-    const units::Seconds wait(static_cast<double>(i));
-    const units::Seconds resp(responses[i]);
-    const bool has_deadline = (i % 2) == 0;
-    const bool missed = has_deadline && responses[i] > 5.0;
-    whole.Add(wait, resp, has_deadline, missed);
-    (i < 3 ? left : right).Add(wait, resp, has_deadline, missed);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.requests, whole.requests);
-  EXPECT_EQ(left.deadline_requests, whole.deadline_requests);
-  EXPECT_EQ(left.deadline_misses, whole.deadline_misses);
-  EXPECT_DOUBLE_EQ(left.response.mean(), whole.response.mean());
-  EXPECT_DOUBLE_EQ(left.response.p50(), whole.response.p50());
-  EXPECT_DOUBLE_EQ(left.response.p95(), whole.response.p95());
-  EXPECT_DOUBLE_EQ(left.queue_wait.max(), whole.queue_wait.max());
-}
-
-TEST(TenantScheduleStatsTest, MergeTenantStatsInsertsAndFolds) {
-  std::map<int, TenantScheduleStats> into;
-  std::map<int, TenantScheduleStats> from;
-  into[1].Add(units::Seconds(1.0), units::Seconds(2.0), false, false);
-  from[1].Add(units::Seconds(3.0), units::Seconds(4.0), true, true);
-  from[7].Add(units::Seconds(5.0), units::Seconds(6.0), false, false);
-  MergeTenantStats(&into, from);
-  ASSERT_EQ(into.size(), 2u);
-  EXPECT_EQ(into[1].requests, 2u);
-  EXPECT_EQ(into[1].deadline_misses, 1u);
-  EXPECT_EQ(into[7].requests, 1u);
-  // Merging an empty map is a no-op.
-  MergeTenantStats(&into, {});
-  EXPECT_EQ(into[1].requests, 2u);
-}
-
 std::vector<Request> TenantStream(int num_requests, int num_tenants,
                                   uint64_t seed) {
   std::vector<units::Seconds> reference;

@@ -2,19 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 
 namespace contender::serve {
 namespace {
 
-BreakerOptions TightOptions() {
-  BreakerOptions options;
-  options.error_threshold = 0.25;
-  options.window = 8;
-  options.min_samples = 4;
-  options.open_cooldown = 3;
-  options.half_open_probes = 2;
-  return options;
+constexpr size_t kMinSamples = CircuitBreaker::kMinSamples;
+constexpr size_t kWindow = CircuitBreaker::kWindow;
+constexpr size_t kOpenCooldown = CircuitBreaker::kOpenCooldown;
+constexpr size_t kHalfOpenProbes = CircuitBreaker::kHalfOpenProbes;
+// Residuals on either side of CircuitBreaker::kErrorThreshold (0.25).
+constexpr double kHealthy = 0.1;
+constexpr double kUnhealthy = 0.5;
+static_assert(kHealthy <= CircuitBreaker::kErrorThreshold &&
+              kUnhealthy > CircuitBreaker::kErrorThreshold);
+
+// Trips `breaker` open from closed with kMinSamples unhealthy residuals.
+void TripOpen(CircuitBreaker* breaker) {
+  for (size_t i = 0; i < kMinSamples; ++i) breaker->Record(kUnhealthy);
 }
 
 TEST(NamesTest, TiersAndStatesHaveStableNames) {
@@ -32,60 +38,56 @@ TEST(NamesTest, TiersAndStatesHaveStableNames) {
 }
 
 TEST(CircuitBreakerTest, StaysClosedOnHealthyResiduals) {
-  CircuitBreaker breaker(TightOptions());
+  CircuitBreaker breaker;
   for (int i = 0; i < 100; ++i) breaker.Record(0.05);
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   EXPECT_EQ(breaker.trips(), 0u);
 }
 
 TEST(CircuitBreakerTest, OneNoisyRecordCannotTrip) {
-  CircuitBreaker breaker(TightOptions());
-  // min_samples = 4: a single huge residual is not enough evidence.
-  breaker.Record(100.0);
+  CircuitBreaker breaker;
+  // Fewer than kMinSamples huge residuals are not enough evidence.
+  for (size_t i = 0; i + 1 < kMinSamples; ++i) breaker.Record(100.0);
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
 }
 
 TEST(CircuitBreakerTest, SustainedDriftTripsOpen) {
-  CircuitBreaker breaker(TightOptions());
-  for (int i = 0; i < 4; ++i) breaker.Record(0.5);
+  CircuitBreaker breaker;
+  TripOpen(&breaker);
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_EQ(breaker.trips(), 1u);
 }
 
 TEST(CircuitBreakerTest, RollingWindowForgetsOldResiduals) {
-  BreakerOptions options = TightOptions();
-  options.window = 4;
-  CircuitBreaker breaker(options);
-  // Two bad then a stream of good: by the time min_samples is met the bad
-  // ones still dominate the mean? 0.4+0.4+0.0+0.0 over 4 = 0.2 < 0.25, so
-  // the breaker must hold closed — the window dilutes stale evidence.
-  breaker.Record(0.4);
-  breaker.Record(0.4);
-  for (int i = 0; i < 20; ++i) breaker.Record(0.0);
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
+  CircuitBreaker breaker;
+  // A full window of zeros, then a full window of 0.3: the mean over all
+  // records never passes 0.15, so only a window that forgets the zeros
+  // can see the 0.3 mean and trip.
+  for (size_t i = 0; i < kWindow; ++i) breaker.Record(0.0);
+  for (size_t i = 0; i < kWindow; ++i) breaker.Record(0.3);
+  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
 }
 
 TEST(CircuitBreakerTest, OpenCoolsDownToHalfOpenThenCloses) {
-  CircuitBreaker breaker(TightOptions());
-  for (int i = 0; i < 4; ++i) breaker.Record(0.5);
+  CircuitBreaker breaker;
+  TripOpen(&breaker);
   ASSERT_EQ(breaker.state(), BreakerState::kOpen);
-  // open_cooldown = 3 records observed while open.
-  breaker.Record(0.5);
-  breaker.Record(0.5);
+  // kOpenCooldown records observed while open.
+  for (size_t i = 0; i + 1 < kOpenCooldown; ++i) breaker.Record(kUnhealthy);
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  breaker.Record(0.5);
+  breaker.Record(kUnhealthy);
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  // half_open_probes = 2 consecutive healthy residuals close it.
-  breaker.Record(0.1);
+  // kHalfOpenProbes consecutive healthy residuals close it.
+  for (size_t i = 0; i + 1 < kHalfOpenProbes; ++i) breaker.Record(kHealthy);
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  breaker.Record(0.1);
+  breaker.Record(kHealthy);
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
 }
 
 TEST(CircuitBreakerTest, UnhealthyProbeReopensAndCountsATrip) {
-  CircuitBreaker breaker(TightOptions());
-  for (int i = 0; i < 4; ++i) breaker.Record(0.5);
-  for (int i = 0; i < 3; ++i) breaker.Record(0.5);
+  CircuitBreaker breaker;
+  TripOpen(&breaker);
+  for (size_t i = 0; i < kOpenCooldown; ++i) breaker.Record(kUnhealthy);
   ASSERT_EQ(breaker.state(), BreakerState::kHalfOpen);
   breaker.Record(0.9);
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
@@ -93,41 +95,37 @@ TEST(CircuitBreakerTest, UnhealthyProbeReopensAndCountsATrip) {
 }
 
 TEST(CircuitBreakerTest, ReclosedBreakerJudgesAfresh) {
-  CircuitBreaker breaker(TightOptions());
-  for (int i = 0; i < 4; ++i) breaker.Record(0.5);
-  for (int i = 0; i < 3; ++i) breaker.Record(0.5);
-  breaker.Record(0.1);
-  breaker.Record(0.1);
+  CircuitBreaker breaker;
+  TripOpen(&breaker);
+  for (size_t i = 0; i < kOpenCooldown; ++i) breaker.Record(kUnhealthy);
+  for (size_t i = 0; i < kHalfOpenProbes; ++i) breaker.Record(kHealthy);
   ASSERT_EQ(breaker.state(), BreakerState::kClosed);
-  // The poisoned window was cleared on trip: it takes min_samples fresh
+  // The poisoned window was cleared on trip: it takes kMinSamples fresh
   // bad residuals (not one) to trip again.
-  breaker.Record(0.5);
-  breaker.Record(0.5);
-  breaker.Record(0.5);
+  for (size_t i = 0; i + 1 < kMinSamples; ++i) breaker.Record(kUnhealthy);
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  breaker.Record(0.5);
+  breaker.Record(kUnhealthy);
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
 }
 
 TEST(HealthTrackerTest, TracksTemplatesIndependently) {
-  HealthTracker tracker(3, TightOptions());
+  HealthTracker tracker(3);
   EXPECT_EQ(tracker.num_templates(), 3);
-  for (int i = 0; i < 4; ++i) tracker.Record(1, 0.5);
+  for (size_t i = 0; i < kMinSamples; ++i) tracker.Record(1, kUnhealthy);
   EXPECT_EQ(tracker.state(0), BreakerState::kClosed);
   EXPECT_EQ(tracker.state(1), BreakerState::kOpen);
   EXPECT_EQ(tracker.state(2), BreakerState::kClosed);
   EXPECT_FALSE(tracker.Degraded(0));
   EXPECT_TRUE(tracker.Degraded(1));
   EXPECT_EQ(tracker.trips(), 1u);
-  EXPECT_EQ(tracker.records(), 4u);
-  EXPECT_EQ(tracker.OpenTemplates(), std::vector<int>{1});
+  EXPECT_EQ(tracker.records(), kMinSamples);
 }
 
 TEST(HealthTrackerTest, ImplementsSchedTemplateHealth) {
-  HealthTracker tracker(2, TightOptions());
+  HealthTracker tracker(2);
   sched::TemplateHealth* health = &tracker;
   EXPECT_FALSE(health->Degraded(0));
-  for (int i = 0; i < 4; ++i) tracker.Record(0, 0.5);
+  for (size_t i = 0; i < kMinSamples; ++i) tracker.Record(0, kUnhealthy);
   EXPECT_TRUE(health->Degraded(0));
 }
 

@@ -36,14 +36,13 @@ TEST(LadderParityTest, OracleAndServiceAgreeUnderEveryBreakerState) {
   oracle_options.health = health.get();
   const sched::MixOracle oracle(&snapshot->predictor(), oracle_options);
 
-  // Trip two breakers open (min_samples bad residuals), then let one sit
+  // Trip two breakers open (kMinSamples bad residuals), then let one sit
   // out its cooldown into half-open.
-  const BreakerOptions breaker;
-  for (size_t i = 0; i < breaker.min_samples; ++i) {
+  for (size_t i = 0; i < CircuitBreaker::kMinSamples; ++i) {
     health->Record(kOpen, 10.0);
     health->Record(kHalfOpen, 10.0);
   }
-  for (size_t i = 0; i < breaker.open_cooldown; ++i) {
+  for (size_t i = 0; i < CircuitBreaker::kOpenCooldown; ++i) {
     health->Record(kHalfOpen, 0.0);
   }
   ASSERT_EQ(health->state(kOpen), BreakerState::kOpen);

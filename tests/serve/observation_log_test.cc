@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -186,30 +188,55 @@ TEST(ObservationLogTest, RejectsMalformedRecords) {
   EXPECT_EQ(log.pending(), 0u);
 }
 
+// +inf passes a bare "latency > 0" test; its residual would be infinite,
+// forcing a drift refit and, at tier 0, tripping the template's breaker.
+TEST(ObservationLogTest, RejectsNonFiniteLatency) {
+  auto health = std::make_shared<HealthTracker>(
+      static_cast<int>(SharedPredictor().profiles().size()));
+  PredictionService::Options service_options;
+  service_options.health = health;
+  PredictionService service(MakeSnapshot(), service_options);
+  ObservationLog log(&service);
+  MixObservation bad = RangedObservation();
+  for (double latency : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    bad.latency = units::Seconds(latency);
+    auto result = log.Ingest(bad);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << latency;
+  }
+  EXPECT_EQ(log.rejected(), 3u);
+  EXPECT_EQ(log.pending(), 0u);
+  EXPECT_EQ(health->records(), 0u);
+}
+
+// Fills the pending buffer to ObservationLog::kPendingCapacity with `obs`.
+void FillPending(ObservationLog* log, const MixObservation& obs) {
+  for (size_t i = 0; i < ObservationLog::kPendingCapacity; ++i) {
+    ASSERT_TRUE(log->Ingest(obs).ok()) << "record " << i;
+  }
+}
+
 TEST(ObservationLogTest, BoundedBufferRejectsWithResourceExhausted) {
   PredictionService service(MakeSnapshot());
-  ObservationLog::Options options;
-  options.pending_capacity = 2;
-  ObservationLog log(&service, options);
+  ObservationLog log(&service);
   const MixObservation obs = RangedObservation();
 
-  EXPECT_TRUE(log.Ingest(obs).ok());
-  EXPECT_TRUE(log.Ingest(obs).ok());
+  FillPending(&log, obs);
   auto overflow = log.Ingest(obs);
   EXPECT_EQ(overflow.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(log.pending(), 2u);
+  EXPECT_EQ(log.pending(), ObservationLog::kPendingCapacity);
   EXPECT_EQ(log.rejected(), 1u);
 
   // Draining frees capacity again.
-  EXPECT_EQ(log.Drain().observations.size(), 2u);
+  EXPECT_EQ(log.Drain().observations.size(), ObservationLog::kPendingCapacity);
   EXPECT_TRUE(log.Ingest(obs).ok());
 }
 
 TEST(ObservationLogTest, OverflowDroppedCountsOnlyCapacityRejections) {
   PredictionService service(MakeSnapshot());
-  ObservationLog::Options options;
-  options.pending_capacity = 1;
-  ObservationLog log(&service, options);
+  ObservationLog log(&service);
   const MixObservation good = RangedObservation();
 
   // A malformed record is rejected but NOT an overflow drop.
@@ -218,7 +245,7 @@ TEST(ObservationLogTest, OverflowDroppedCountsOnlyCapacityRejections) {
   EXPECT_FALSE(log.Ingest(bad).ok());
   EXPECT_EQ(log.overflow_dropped(), 0u);
 
-  ASSERT_TRUE(log.Ingest(good).ok());
+  FillPending(&log, good);
   EXPECT_FALSE(log.Ingest(good).ok());
   EXPECT_FALSE(log.Ingest(good).ok());
   EXPECT_EQ(log.overflow_dropped(), 2u);
@@ -226,19 +253,18 @@ TEST(ObservationLogTest, OverflowDroppedCountsOnlyCapacityRejections) {
 
   // Overflow -> drain -> re-ingest: the stream recovers completely, and
   // the overflow counter records history without blocking new records.
-  EXPECT_EQ(log.Drain().observations.size(), 1u);
+  EXPECT_EQ(log.Drain().observations.size(), ObservationLog::kPendingCapacity);
   ASSERT_TRUE(log.Ingest(good).ok());
   EXPECT_EQ(log.pending(), 1u);
   EXPECT_EQ(log.overflow_dropped(), 2u);
-  EXPECT_EQ(log.ingested(), 2u);
+  EXPECT_EQ(log.ingested(), ObservationLog::kPendingCapacity + 1);
 }
 
 TEST(ObservationLogTest, QuarantineParksRecordsInBoundedDeadLetter) {
   PredictionService service(MakeSnapshot());
-  ObservationLog::Options options;
-  options.dead_letter_capacity = 3;
-  ObservationLog log(&service, options);
+  ObservationLog log(&service);
   const MixObservation obs = RangedObservation();
+  constexpr size_t kCapacity = ObservationLog::kDeadLetterCapacity;
 
   log.Quarantine(std::vector<MixObservation>(2, obs));
   EXPECT_EQ(log.quarantined(), 2u);
@@ -246,17 +272,18 @@ TEST(ObservationLogTest, QuarantineParksRecordsInBoundedDeadLetter) {
   EXPECT_EQ(log.dead_letter_dropped(), 0u);
 
   // Past capacity the excess is dropped and counted, never unbounded.
-  log.Quarantine(std::vector<MixObservation>(4, obs));
-  EXPECT_EQ(log.quarantined(), 6u);
-  EXPECT_EQ(log.dead_letter_pending(), 3u);
+  log.Quarantine(std::vector<MixObservation>(kCapacity + 1, obs));
+  EXPECT_EQ(log.quarantined(), kCapacity + 3);
+  EXPECT_EQ(log.dead_letter_pending(), kCapacity);
   EXPECT_EQ(log.dead_letter_dropped(), 3u);
 
   // Quarantined records never rejoin the pending (training) stream.
   EXPECT_EQ(log.pending(), 0u);
   std::vector<MixObservation> taken = log.TakeDeadLetter();
-  EXPECT_EQ(taken.size(), 3u);
+  EXPECT_EQ(taken.size(), kCapacity);
   EXPECT_EQ(log.dead_letter_pending(), 0u);
-  EXPECT_EQ(log.quarantined(), 6u);  // lifetime counter survives the take
+  // The lifetime counter survives the take.
+  EXPECT_EQ(log.quarantined(), kCapacity + 3);
 }
 
 TEST(ObservationLogTest, IngestFailPointRejectsValidRecords) {

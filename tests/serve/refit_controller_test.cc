@@ -52,8 +52,6 @@ TEST(RefitControllerTest, StepWithoutTriggerDoesNothing) {
   Stack s;
   RefitOptions options;
   options.min_new_observations = 8;
-  options.residual_threshold = 0.10;
-  options.drift_min_observations = 4;
   RefitController controller(&s.service, &s.log,
                              SharedTrainingData().observations, options);
   const size_t base = controller.training_set_size();
@@ -64,15 +62,21 @@ TEST(RefitControllerTest, StepWithoutTriggerDoesNothing) {
   EXPECT_EQ(idle->trigger, RefitStep::Trigger::kNone);
   EXPECT_FALSE(idle->refit);
 
-  // Three strongly drifted records: below both the count trigger (8) and
-  // the drift quorum (4) — still nothing.
-  for (const MixObservation& o : ShiftedObservations(2, 3, 1.3)) {
+  // Strongly drifted records one short of the drift quorum, and below the
+  // count trigger (8) — still nothing.
+  constexpr size_t kBelowQuorum = RefitController::kDriftMinObservations - 1;
+  const auto drifted = ShiftedObservations(2, kBelowQuorum, 1.3);
+  ASSERT_EQ(drifted.size(), kBelowQuorum);
+  for (const MixObservation& o : drifted) {
     ASSERT_TRUE(s.log.Ingest(o).ok());
   }
+  ASSERT_GT(s.log.pending_mean_abs_residual(),
+            RefitController::kResidualThreshold);
   auto below_quorum = controller.Step();
   ASSERT_TRUE(below_quorum.ok()) << below_quorum.status();
   EXPECT_EQ(below_quorum->trigger, RefitStep::Trigger::kNone);
-  EXPECT_EQ(s.log.pending(), 3u);  // records stay pending for a later step
+  // Records stay pending for a later step.
+  EXPECT_EQ(s.log.pending(), kBelowQuorum);
   EXPECT_EQ(s.service.snapshot()->version(), 1u);
   EXPECT_EQ(controller.refits(), 0u);
   EXPECT_EQ(controller.training_set_size(), base);
@@ -126,15 +130,16 @@ TEST(RefitControllerTest, DriftTriggerFiresOnResidualAlone) {
   Stack s;
   RefitOptions options;
   options.min_new_observations = 1000;  // count trigger out of reach
-  options.residual_threshold = 1e-3;
-  options.drift_min_observations = 4;
   RefitController controller(&s.service, &s.log,
                              SharedTrainingData().observations, options);
 
-  for (const MixObservation& o : ShiftedObservations(5, 6, 1.3)) {
+  const auto drifted = ShiftedObservations(5, 6, 1.3);
+  ASSERT_GE(drifted.size(), RefitController::kDriftMinObservations);
+  for (const MixObservation& o : drifted) {
     ASSERT_TRUE(s.log.Ingest(o).ok());
   }
-  ASSERT_GT(s.log.pending_mean_abs_residual(), options.residual_threshold);
+  ASSERT_GT(s.log.pending_mean_abs_residual(),
+            RefitController::kResidualThreshold);
   auto step = controller.Step();
   ASSERT_TRUE(step.ok()) << step.status();
   EXPECT_EQ(step->trigger, RefitStep::Trigger::kDrift);

@@ -147,16 +147,19 @@ TEST(BatchRunnerPropertyTest, CacheReplayIsIdentical) {
   opts.cache = &cache;
   BatchRunner runner(opts);
   const auto cold = runner.Run(runs);
+  // Every run in the batch is distinct, so the cold pass hits nothing.
+  EXPECT_EQ(cache.hits(), 0u);
   const auto warm = runner.Run(runs);
   ASSERT_EQ(cold.size(), warm.size());
+  uint64_t ok_runs = 0;
   for (size_t i = 0; i < cold.size(); ++i) {
     ExpectSameOutcome(cold[i], warm[i]);
-    if (warm[i].ok()) {
-      EXPECT_TRUE(warm[i]->from_cache);
-      EXPECT_FALSE(cold[i]->from_cache);
-    }
+    if (cold[i].ok()) ++ok_runs;
   }
-  EXPECT_GT(cache.hits(), 0u);
+  // The warm pass replays every run that completed (failed runs are not
+  // cached).
+  EXPECT_GT(ok_runs, 0u);
+  EXPECT_EQ(cache.hits(), ok_runs);
 }
 
 void ExpectSameTrainingData(const TrainingData& a, const TrainingData& b) {
@@ -191,7 +194,6 @@ WorkloadSampler::Options ReducedOptions(int threads, RunCache* cache) {
   WorkloadSampler::Options options;
   options.mpls = {2, 3};
   options.lhs_runs = 1;
-  options.max_pair_mixes = 6;
   options.seed = 99;
   options.threads = threads;
   options.cache = cache;

@@ -114,18 +114,6 @@ TEST(RunCacheTest, InsertOverwritesExistingKey) {
   EXPECT_EQ(entry->duration, 5.0);
 }
 
-TEST(RunCacheTest, ClearResetsEntriesAndCounters) {
-  RunCache cache(4);
-  cache.Insert(1, MakeEntry(1.0));
-  cache.Lookup(1);
-  cache.Lookup(2);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-  EXPECT_FALSE(cache.Lookup(1).has_value());
-}
-
 TEST(RunCacheTest, SeriesRoundTrips) {
   RunCache cache(4);
   RunCache::Entry entry;
@@ -137,10 +125,6 @@ TEST(RunCacheTest, SeriesRoundTrips) {
   ASSERT_EQ(got->series.size(), 2u);
   EXPECT_EQ(got->series[0], (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(got->series[1], (std::vector<double>{4.0, 5.0}));
-}
-
-TEST(RunCacheTest, GlobalIsOneSharedInstance) {
-  EXPECT_EQ(&RunCache::Global(), &RunCache::Global());
 }
 
 TEST(RunCacheTest, ConcurrentInsertsAndLookupsAreSafe) {

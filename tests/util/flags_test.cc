@@ -44,7 +44,6 @@ TEST(FlagsTest, DefaultsWhenAbsent) {
   EXPECT_EQ(f.GetInt("seed", 42), 42);
   EXPECT_EQ(f.Seed(), 42u);
   EXPECT_EQ(f.GetString("x", "dflt"), "dflt");
-  EXPECT_FALSE(f.Has("x"));
 }
 
 TEST(FlagsTest, ExplicitFalseString) {

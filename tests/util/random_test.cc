@@ -115,20 +115,5 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(RngTest, ForkIsIndependentButDeterministic) {
-  Rng a(41), b(41);
-  Rng fa = a.Fork();
-  Rng fb = b.Fork();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fa.Next(), fb.Next());
-  // The fork stream differs from the parent stream.
-  Rng c(41);
-  Rng fc = c.Fork();
-  bool differs = false;
-  for (int i = 0; i < 10; ++i) {
-    if (fc.Next() != c.Next()) differs = true;
-  }
-  EXPECT_TRUE(differs);
-}
-
 }  // namespace
 }  // namespace contender

@@ -1,5 +1,8 @@
 #include "util/status.h"
 
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "util/statusor.h"
@@ -28,16 +31,13 @@ TEST(StatusTest, AllConstructorsProduceMatchingCodes) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
-  EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::ResourceExhausted("x").code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(Status::ResourceExhausted("full").ToString(),
             "ResourceExhausted: full");
-  EXPECT_EQ(Status::Unavailable("x").code(), StatusCode::kUnavailable);
-  EXPECT_EQ(Status::Unavailable("shed").ToString(), "Unavailable: shed");
 }
 
-TEST(StatusTest, EveryCodeRoundTripsThroughItsName) {
+TEST(StatusTest, EveryCodeHasADistinctName) {
   const StatusCode all[] = {
       StatusCode::kOk,
       StatusCode::kInvalidArgument,
@@ -45,19 +45,14 @@ TEST(StatusTest, EveryCodeRoundTripsThroughItsName) {
       StatusCode::kFailedPrecondition,
       StatusCode::kOutOfRange,
       StatusCode::kInternal,
-      StatusCode::kUnimplemented,
       StatusCode::kResourceExhausted,
-      StatusCode::kUnavailable,
   };
+  std::set<std::string> names;
   for (StatusCode code : all) {
     const std::string name = StatusCodeToString(code);
     EXPECT_NE(name, "Unknown") << static_cast<int>(code);
-    auto parsed = StatusCodeFromString(name);
-    ASSERT_TRUE(parsed.has_value()) << name;
-    EXPECT_EQ(*parsed, code) << name;
+    EXPECT_TRUE(names.insert(name).second) << name;
   }
-  EXPECT_FALSE(StatusCodeFromString("NoSuchCode").has_value());
-  EXPECT_FALSE(StatusCodeFromString("").has_value());
 }
 
 TEST(StatusTest, EqualityComparesCodeAndMessage) {

@@ -85,12 +85,6 @@ TEST(UnitsTest, FractionOfDurationKeepsDimension) {
   EXPECT_DOUBLE_EQ((Fraction::Clamp(0.25) * Bytes(400.0)).value(), 100.0);
 }
 
-TEST(UnitsTest, PagesTimesPageSizeIsAVolume) {
-  static_assert(std::is_same_v<decltype(Pages(3.0) * Bytes(4096.0)), Bytes>);
-  EXPECT_DOUBLE_EQ((Pages(3.0) * Bytes(4096.0)).value(), 3.0 * 4096.0);
-  EXPECT_DOUBLE_EQ((Bytes(4096.0) * Pages(0.5)).value(), 2048.0);
-}
-
 TEST(UnitsTest, ComparisonsAreOrderedWithinOneDimension) {
   EXPECT_LT(Seconds(1.0), Seconds(2.0));
   EXPECT_GT(Bytes(5.0), Bytes(4.0));
@@ -135,8 +129,6 @@ struct CanCompare<A, B,
 
 // Cross-dimension sums do not exist.
 static_assert(!CanAdd<Seconds, Bytes>::value);
-static_assert(!CanAdd<Seconds, Pages>::value);
-static_assert(!CanAdd<Bytes, Pages>::value);
 static_assert(!CanAdd<Seconds, double>::value);
 static_assert(!CanAdd<Cqi, ContinuumPoint>::value);
 static_assert(!CanAdd<Fraction, Fraction>::value);  // sums can exceed 1

@@ -78,14 +78,5 @@ TEST(QueryPlanTest, VisitIsPostOrder) {
   EXPECT_EQ(order[1], PlanNodeType::kSort);
 }
 
-TEST(QueryPlanTest, TypeNamesAreDistinct) {
-  std::set<std::string> names;
-  for (int t = 0; t < static_cast<int>(PlanNodeType::kNumTypes); ++t) {
-    names.insert(PlanNodeTypeName(static_cast<PlanNodeType>(t)));
-  }
-  EXPECT_EQ(names.size(),
-            static_cast<size_t>(PlanNodeType::kNumTypes));
-}
-
 }  // namespace
 }  // namespace contender

@@ -1,5 +1,9 @@
 #include "workload/sampler.h"
 
+#include <cstddef>
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_support.h"
@@ -18,7 +22,7 @@ WorkloadSampler MakeSampler() {
 
 TEST(SamplerTest, ProfileHasAllFields) {
   WorkloadSampler sampler = MakeSampler();
-  auto p = sampler.ProfileTemplate(0, {2, 3});
+  auto p = sampler.ProfileTemplate(0);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->template_index, 0);
   EXPECT_EQ(p->template_id, PaperWorkload().tmpl(0).id);
@@ -27,46 +31,53 @@ TEST(SamplerTest, ProfileHasAllFields) {
   EXPECT_LE(p->io_fraction.value(), 1.0);
   EXPECT_GT(p->plan_steps, 0);
   EXPECT_GT(p->records_accessed, 0.0);
-  EXPECT_EQ(p->spoiler_latency.size(), 2u);
-  EXPECT_GT(p->spoiler_latency.at(2), p->isolated_latency);
-  EXPECT_GT(p->spoiler_latency.at(3), p->spoiler_latency.at(2));
+  // Spoiler latencies come from CollectAll only.
+  EXPECT_TRUE(p->spoiler_latency.empty());
 }
 
 TEST(SamplerTest, ProfileRejectsBadIndex) {
   WorkloadSampler sampler = MakeSampler();
-  EXPECT_FALSE(sampler.ProfileTemplate(-1, {}).ok());
-  EXPECT_FALSE(sampler.ProfileTemplate(1000, {}).ok());
+  EXPECT_FALSE(sampler.ProfileTemplate(-1).ok());
+  EXPECT_FALSE(sampler.ProfileTemplate(1000).ok());
 }
 
 TEST(SamplerTest, ScanTimeMatchesBytesOverBandwidth) {
-  WorkloadSampler sampler = MakeSampler();
   const TableDef& ss = PaperWorkload().catalog().Get("store_sales");
-  auto s_f = sampler.MeasureScanTime(ss.id);
-  ASSERT_TRUE(s_f.ok());
+  const units::Seconds s_f = SharedTrainingData().scan_times.at(ss.id);
   const double expected = ss.bytes / DefaultConfig().seq_bandwidth;
-  EXPECT_NEAR(s_f->value(), expected, 0.05 * expected + 1.0);
-}
-
-TEST(SamplerTest, ScanTimeRejectsUnknownTable) {
-  WorkloadSampler sampler = MakeSampler();
-  EXPECT_FALSE(sampler.MeasureScanTime(-3).ok());
+  EXPECT_NEAR(s_f.value(), expected, 0.05 * expected + 1.0);
 }
 
 TEST(SamplerTest, SpoilerLatencyRequiresMplAtLeastTwo) {
-  WorkloadSampler sampler = MakeSampler();
-  EXPECT_FALSE(sampler.MeasureSpoilerLatency(0, units::Mpl(1)).ok());
+  WorkloadSampler::Options opts;
+  opts.mpls = {1};
+  WorkloadSampler sampler(&PaperWorkload(), DefaultConfig(), opts);
+  EXPECT_EQ(sampler.CollectAll().status().code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST(SamplerTest, ObserveMixYieldsOneObservationPerStream) {
-  WorkloadSampler sampler = MakeSampler();
-  auto obs = sampler.ObserveMix({0, 4, 9});
-  ASSERT_TRUE(obs.ok());
-  ASSERT_EQ(obs->size(), 3u);
-  EXPECT_EQ((*obs)[0].primary_index, 0);
-  EXPECT_EQ((*obs)[0].mpl, 3);
-  EXPECT_EQ((*obs)[0].concurrent_indices, (std::vector<int>{4, 9}));
-  EXPECT_EQ((*obs)[1].concurrent_indices, (std::vector<int>{0, 9}));
-  for (const MixObservation& o : *obs) EXPECT_GT(o.latency.value(), 0.0);
+// Observations arrive mix by mix, one per stream: stream s of a mix is
+// primary with every other member as a co-runner, in mix order.
+TEST(SamplerTest, EachMixYieldsOneObservationPerStream) {
+  const std::vector<MixObservation>& all = SharedTrainingData().observations;
+  size_t first = 0;
+  while (first < all.size()) {
+    const size_t mpl = static_cast<size_t>(all[first].mpl);
+    ASSERT_LE(first + mpl, all.size());
+    std::vector<int> mix;
+    for (size_t s = 0; s < mpl; ++s) {
+      mix.push_back(all[first + s].primary_index);
+    }
+    for (size_t s = 0; s < mpl; ++s) {
+      const MixObservation& o = all[first + s];
+      std::vector<int> others = mix;
+      others.erase(others.begin() + static_cast<std::ptrdiff_t>(s));
+      EXPECT_EQ(static_cast<size_t>(o.mpl), mpl);
+      EXPECT_EQ(o.concurrent_indices, others);
+      EXPECT_GT(o.latency.value(), 0.0);
+    }
+    first += mpl;
+  }
 }
 
 TEST(SamplerTest, MixesForMplTwoIsAllPairs) {
@@ -85,20 +96,18 @@ TEST(SamplerTest, MixesForHigherMplUseLhsRuns) {
   for (const auto& mix : *mixes) EXPECT_EQ(mix.size(), 4u);
 }
 
-TEST(SamplerTest, PairCapIsRespected) {
-  WorkloadSampler::Options opts;
-  opts.max_pair_mixes = 50;
-  WorkloadSampler sampler(&PaperWorkload(), DefaultConfig(), opts);
-  auto mixes = sampler.MixesForMpl(2);
-  ASSERT_TRUE(mixes.ok());
-  EXPECT_EQ(mixes->size(), 50u);
-}
-
 TEST(SamplerTest, CollectAllCoversEveryTemplateAndMpl) {
   const TrainingData& data = SharedTrainingData();
   EXPECT_EQ(data.profiles.size(), 25u);
   EXPECT_EQ(data.scan_times.size(), 7u);  // all fact tables
   EXPECT_GT(data.sampling_seconds.value(), 0.0);
+  // Every profile carries a spoiler latency at each sampled MPL, above its
+  // isolated latency and growing with the MPL.
+  for (const TemplateProfile& p : data.profiles) {
+    ASSERT_EQ(p.spoiler_latency.size(), 4u);
+    EXPECT_GT(p.spoiler_latency.at(2), p.isolated_latency);
+    EXPECT_GT(p.spoiler_latency.at(3), p.spoiler_latency.at(2));
+  }
   // 325 pair mixes x 2 + 3 MPLs x 100 LHS mixes x MPL observations.
   EXPECT_EQ(data.observations.size(),
             325u * 2u + 100u * 3u + 100u * 4u + 100u * 5u);

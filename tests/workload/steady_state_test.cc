@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <vector>
+
 #include "sim/engine.h"
 #include "test_support.h"
 
@@ -15,23 +19,18 @@ using testing::PaperWorkload;
 
 TEST(SteadyStateTest, RejectsBadArguments) {
   const Workload& w = PaperWorkload();
-  SteadyStateOptions opts;
-  EXPECT_FALSE(RunSteadyState(w, {}, DefaultConfig(), opts).ok());
-  EXPECT_FALSE(RunSteadyState(w, {0, 999}, DefaultConfig(), opts).ok());
-  opts.samples_per_stream = 0;
-  EXPECT_FALSE(RunSteadyState(w, {0, 1}, DefaultConfig(), opts).ok());
+  EXPECT_FALSE(RunSteadyState(w, {}, DefaultConfig(), 1).ok());
+  EXPECT_FALSE(RunSteadyState(w, {0, 999}, DefaultConfig(), 1).ok());
 }
 
 TEST(SteadyStateTest, CollectsRequestedSamplesPerStream) {
   const Workload& w = PaperWorkload();
-  SteadyStateOptions opts;
-  opts.samples_per_stream = 5;
-  opts.warmup_per_stream = 1;
-  auto result = RunSteadyState(w, {0, 1}, DefaultConfig(), opts);
+  auto result = RunSteadyState(w, {0, 1}, DefaultConfig(), 1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->streams.size(), 2u);
   for (const StreamResult& s : result->streams) {
-    EXPECT_EQ(s.latencies.size(), 5u);
+    EXPECT_EQ(s.latencies.size(),
+              static_cast<size_t>(kSteadyStateSamplesPerStream));
     EXPECT_GT(s.mean_latency, 0.0);
     for (double l : s.latencies) EXPECT_GT(l, 0.0);
   }
@@ -40,9 +39,7 @@ TEST(SteadyStateTest, CollectsRequestedSamplesPerStream) {
 
 TEST(SteadyStateTest, StreamsKeepTheirTemplates) {
   const Workload& w = PaperWorkload();
-  SteadyStateOptions opts;
-  opts.samples_per_stream = 2;
-  auto result = RunSteadyState(w, {3, 7, 3}, DefaultConfig(), opts);
+  auto result = RunSteadyState(w, {3, 7, 3}, DefaultConfig(), 1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->streams.size(), 3u);
   EXPECT_EQ(result->streams[0].template_index, 3);
@@ -52,11 +49,8 @@ TEST(SteadyStateTest, StreamsKeepTheirTemplates) {
 
 TEST(SteadyStateTest, DeterministicForFixedSeed) {
   const Workload& w = PaperWorkload();
-  SteadyStateOptions opts;
-  opts.samples_per_stream = 3;
-  opts.seed = 77;
-  auto a = RunSteadyState(w, {0, 5}, DefaultConfig(), opts);
-  auto b = RunSteadyState(w, {0, 5}, DefaultConfig(), opts);
+  auto a = RunSteadyState(w, {0, 5}, DefaultConfig(), 77);
+  auto b = RunSteadyState(w, {0, 5}, DefaultConfig(), 77);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (size_t s = 0; s < a->streams.size(); ++s) {
@@ -70,15 +64,13 @@ TEST(SteadyStateTest, ConcurrencySlowsQueriesVsIsolation) {
   // fact scans, so both must slow down vs isolation.
   const int q26 = w.IndexOfId(26);
   const int q27 = w.IndexOfId(27);
-  SteadyStateOptions opts;
-  opts.samples_per_stream = 3;
 
   sim::Engine solo(DefaultConfig(), 5);
   const int pid = solo.AddProcess(w.InstantiateNominal(q26), units::Seconds(0.0));
   ASSERT_TRUE(solo.Run().ok());
   const double isolated = solo.result(pid).latency().value();
 
-  auto mix = RunSteadyState(w, {q26, q27}, DefaultConfig(), opts);
+  auto mix = RunSteadyState(w, {q26, q27}, DefaultConfig(), 1);
   ASSERT_TRUE(mix.ok());
   EXPECT_GT(mix->streams[0].mean_latency, 1.2 * isolated);
 }
@@ -90,10 +82,8 @@ TEST(SteadyStateTest, SharedScansYieldPositiveInteraction) {
   const int q26 = w.IndexOfId(26);
   const int q20 = w.IndexOfId(20);
   const int q27 = w.IndexOfId(27);  // disjoint (store_sales)
-  SteadyStateOptions opts;
-  opts.samples_per_stream = 3;
-  auto shared = RunSteadyState(w, {q26, q20}, DefaultConfig(), opts);
-  auto disjoint = RunSteadyState(w, {q26, q27}, DefaultConfig(), opts);
+  auto shared = RunSteadyState(w, {q26, q20}, DefaultConfig(), 1);
+  auto disjoint = RunSteadyState(w, {q26, q27}, DefaultConfig(), 1);
   ASSERT_TRUE(shared.ok());
   ASSERT_TRUE(disjoint.ok());
   EXPECT_LT(shared->streams[0].mean_latency,
@@ -102,12 +92,23 @@ TEST(SteadyStateTest, SharedScansYieldPositiveInteraction) {
 
 TEST(SteadyStateTest, WarmupSamplesAreDropped) {
   const Workload& w = PaperWorkload();
-  SteadyStateOptions with_warmup;
-  with_warmup.samples_per_stream = 3;
-  with_warmup.warmup_per_stream = 2;
-  auto result = RunSteadyState(w, {0, 1}, DefaultConfig(), with_warmup);
+  // A lone stream runs its instances back to back from t = 0, so the run
+  // lasts exactly as long as its warmup and counted instances together.
+  // What the counted latencies leave of the duration is therefore the one
+  // warmup instance: about as long as a counted one, neither zero (no
+  // warmup ran) nor two instances' worth.
+  static_assert(kSteadyStateWarmupPerStream == 1);
+  auto result = RunSteadyState(w, {0}, DefaultConfig(), 1);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->streams[0].latencies.size(), 3u);
+  const std::vector<double>& counted = result->streams[0].latencies;
+  ASSERT_EQ(counted.size(), static_cast<size_t>(kSteadyStateSamplesPerStream));
+  double counted_sum = 0.0;
+  for (double l : counted) counted_sum += l;
+  const double warmup = result->duration - counted_sum;
+  const auto [shortest, longest] =
+      std::minmax_element(counted.begin(), counted.end());
+  EXPECT_GT(warmup, 0.5 * *shortest);
+  EXPECT_LT(warmup, 1.5 * *longest);
 }
 
 }  // namespace

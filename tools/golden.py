@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Seed-42 golden-output gate for the bench and example binaries.
 
-Each gated binary runs at --seed=42 in a fresh temporary directory. Its
-stdout and every BENCH_*.json it writes there are compared exactly with
-tests/golden/<binary>/ (stdout.txt plus the JSON files, re-indented one
-value per line so that a diff names the value that moved). Two benches
+Each gated case runs its binary at --seed=42 in a fresh temporary
+directory; a case may add arguments (whatif_cli_list runs whatif_cli
+--list). Its stdout and every BENCH_*.json it writes there are compared
+exactly with tests/golden/<case>/ (stdout.txt plus the JSON files,
+re-indented one value per line so that a diff names the value that
+moved). Two benches
 print wall-clock numbers: bench_serve (client QPS and latency) and
 bench_parallel_train (collect/train seconds). Their timing lines and
 fields are masked before the comparison; everything else they print is
@@ -13,12 +15,12 @@ gated too.
   python3 tools/golden.py --build-dir build             # check every binary
   python3 tools/golden.py --build-dir build bench_fleet # check one
   python3 tools/golden.py --build-dir build --update    # rewrite the files
-  python3 tools/golden.py --list                        # gated binary names
+  python3 tools/golden.py --list                        # gated case names
 
 A check exits 1 on any difference, on a missing or extra JSON file, or
 when the binary itself fails (the system benches CHECK their own claims).
 An intended output change is an --update whose diff is reviewed with the
-change. ctest runs one `golden_<binary>` test per entry (label `golden`).
+change. ctest runs one `golden_<case>` test per entry (label `golden`).
 
 Not gated: bench_fig3_ml_new_templates (about 80 s at seed 42, nearly all
 of it in the eigen solver) and bench_micro (wall-clock only).
@@ -60,7 +62,14 @@ CASES = [
     ("whatif_cli", "examples"),
     ("serve_demo", "examples"),
     ("fleet_demo", "examples"),
+    ("whatif_cli_list", "examples"),
 ]
+
+# Cases that run another binary or add arguments after --seed=42:
+# case -> (binary, arguments).
+VARIANTS = {
+    "whatif_cli_list": ("whatif_cli", ["--list"]),
+}
 
 MASK = "<timing>"
 # A figure not glued to a preceding word or number ("p99" stays whole).
@@ -146,12 +155,13 @@ def mask_json(filename, text):
 
 
 def run_case(build_dir, name, subdir):
-    """Runs one binary; returns ({file name: masked text}, error or None)."""
-    binary = (build_dir / subdir / name).resolve()
+    """Runs one case; returns ({file name: masked text}, error or None)."""
+    program, args = VARIANTS.get(name, (name, []))
+    binary = (build_dir / subdir / program).resolve()
     if not binary.is_file():
         return {}, f"{binary} not found (build it first)"
     with tempfile.TemporaryDirectory(prefix=f"golden_{name}_") as tmp:
-        proc = subprocess.run([str(binary), "--seed=42"], cwd=tmp,
+        proc = subprocess.run([str(binary), "--seed=42", *args], cwd=tmp,
                               capture_output=True, encoding="utf-8")
         if proc.returncode != 0:
             tail = "\n".join(proc.stderr.splitlines()[-20:])
@@ -210,9 +220,9 @@ def main():
     parser.add_argument("--update", action="store_true",
                         help="rewrite the golden files from this build")
     parser.add_argument("--list", action="store_true",
-                        help="print the gated binary names and exit")
+                        help="print the gated case names and exit")
     parser.add_argument("names", nargs="*",
-                        help="binaries to run (default: all)")
+                        help="cases to run (default: all)")
     args = parser.parse_args()
 
     if args.list:

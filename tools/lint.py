@@ -573,9 +573,9 @@ RULES = (
     ),
     Rule(
         "cout-in-src",
-        "No std::cout/std::cerr in src/ (library code must use util/logging "
-        "or take an ostream&). bench/, examples/ and tests/ are CLIs and "
-        "may print.",
+        "No std::cout/std::cerr in src/ (library code reports through a "
+        "Status, a CONTENDER_CHECK or an ostream& it is given). bench/, "
+        "examples/ and tests/ are CLIs and may print.",
         check_cout_in_src,
         {
             "src/core/bad_print.cc":
