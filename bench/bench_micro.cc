@@ -128,13 +128,18 @@ void BM_EngineClosedLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineClosedLoop)->Unit(benchmark::kMillisecond);
 
+// The CQI kernel the ladder runs, compiled once outside the loop: one
+// mix preparation (sort and scanner count) and one full-CQI score per
+// iteration, for template 0 beside an MPL-5 mix.
 void BM_ComputeCqi(benchmark::State& state) {
   const TrainingData& data = BenchData();
-  const std::vector<int> concurrent = {1, 5, 9, 13};
+  const CqiKernel kernel(data.profiles, data.scan_times);
+  const std::vector<int> concurrent = {9, 1, 13, 5};
+  PreparedMix mix;
   for (auto _ : state) {
-    auto cqi = ComputeCqi(data.profiles, data.scan_times, 0, concurrent,
-                          CqiVariant::kFull);
-    benchmark::DoNotOptimize(cqi.ok());
+    kernel.Prepare(concurrent, /*canonical=*/true, &mix);
+    benchmark::DoNotOptimize(
+        kernel.Score(kernel.PrimarySlots(0), mix, CqiVariant::kFull));
   }
 }
 BENCHMARK(BM_ComputeCqi);

@@ -8,6 +8,7 @@
 //   ./build/examples/whatif_cli --list
 //       show the workload templates and their isolated profiles.
 
+#include <charconv>
 #include <iostream>
 #include <sstream>
 
@@ -22,12 +23,20 @@ using namespace contender;
 
 namespace {
 
+// Parses --with's comma-separated template ids. Each item must be a whole
+// int ("26x" and "99999999999" are not); empty items are skipped.
 std::vector<int> ParseIdList(const std::string& csv) {
   std::vector<int> ids;
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) ids.push_back(std::stoi(item));
+    if (item.empty()) continue;
+    int id = 0;
+    const char* last = item.data() + item.size();
+    const auto [ptr, ec] = std::from_chars(item.data(), last, id);
+    CONTENDER_CHECK(ec == std::errc() && ptr == last)
+        << "--with=" << csv << ": item " << item << " is not an int";
+    ids.push_back(id);
   }
   return ids;
 }

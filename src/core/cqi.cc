@@ -1,187 +1,208 @@
 #include "core/cqi.h"
 
 #include <algorithm>
-#include <array>
+
+#include "util/logging.h"
 
 namespace contender {
 
 namespace {
 
-Status ValidateConcurrent(const std::vector<TemplateProfile>& profiles,
+Status ValidateConcurrent(size_t num_templates,
                           std::span<const int> concurrent_indices) {
   if (concurrent_indices.empty()) {
     return Status::InvalidArgument("CQI: empty concurrent set");
   }
-  const int n = static_cast<int>(profiles.size());
   for (int c : concurrent_indices) {
-    if (c < 0 || c >= n) {
+    if (c < 0 || static_cast<size_t>(c) >= num_templates) {
       return Status::InvalidArgument("CQI: bad concurrent index");
     }
   }
   return Status::OK();
 }
 
-Status ValidateIndices(const std::vector<TemplateProfile>& profiles,
-                       int primary_index,
-                       std::span<const int> concurrent_indices) {
+Status ValidatePrimary(const std::vector<TemplateProfile>& profiles,
+                       int primary_index) {
   if (primary_index < 0 ||
       primary_index >= static_cast<int>(profiles.size())) {
     return Status::InvalidArgument("CQI: bad primary index");
   }
-  return ValidateConcurrent(profiles, concurrent_indices);
-}
-
-Status CheckIsolatedLatency(const TemplateProfile& c) {
-  if (c.isolated_latency.value() <= 0.0) {
-    return Status::FailedPrecondition("CQI: non-positive isolated latency");
-  }
   return Status::OK();
 }
 
-/// One fact table a mix scans.
-struct ScannedTable {
-  sim::TableId id;
-  /// Whether the primary scans it too (the ω test of Eq. 2).
-  bool primary_scans;
-  /// h_f: the co-runners scanning it, each counted once however often its
-  /// profile lists the table (TemplateProfile::ScansFactTable's answer).
-  int scanners;
-  /// Mix position of the co-runner counted last.
-  size_t last_scanner;
-  /// s_f (zero for a table missing from ScanTimes), looked up once per mix
-  /// and only for a table that enters ω or τ.
-  units::Seconds scan_time;
-  /// τ's credit per listing, (1 - 1/h_f) * s_f (Eq. 3).
-  units::Seconds tau_share;
-};
+Status NonPositiveIsolatedLatency() {
+  return Status::FailedPrecondition("CQI: non-positive isolated latency");
+}
 
-/// The fact tables one mix scans. Entries live in an inline array on the
-/// caller's stack; a mix listing more (co-runner, table) pairs than the
-/// array holds takes a heap array of that many entries instead, so no mix
-/// can write past its table.
-class MixScans {
- public:
-  MixScans(const TemplateProfile& primary,
-           const std::vector<TemplateProfile>& profiles,
-           std::span<const int> concurrent, const ScanTimes& scan_times,
-           CqiVariant variant) {
-    size_t listed = 0;
-    for (int c : concurrent) {
-      listed += profiles[static_cast<size_t>(c)].fact_tables.size();
-    }
-    if (listed > inline_.size()) {
-      spilled_.resize(listed);
-      tables_ = spilled_.data();
-    }
-    for (size_t i = 0; i < concurrent.size(); ++i) {
-      const TemplateProfile& c = profiles[static_cast<size_t>(concurrent[i])];
-      for (sim::TableId f : c.fact_tables) {
-        ScannedTable* table = FindOrNull(f);
-        if (table == nullptr) {
-          table = &tables_[size_++];
-          *table = {f, primary.ScansFactTable(f), 1, i, {}, {}};
-        } else if (table->last_scanner != i) {
-          ++table->scanners;
-          table->last_scanner = i;
-        }
+bool Contains(std::span<const size_t> slots, size_t slot) {
+  for (size_t s : slots) {
+    if (s == slot) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+CqiKernel::CqiKernel(const std::vector<TemplateProfile>& profiles,
+                     const ScanTimes& scan_times) {
+  for (const TemplateProfile& p : profiles) {
+    tables_.insert(tables_.end(), p.fact_tables.begin(), p.fact_tables.end());
+  }
+  std::sort(tables_.begin(), tables_.end());
+  tables_.erase(std::unique(tables_.begin(), tables_.end()), tables_.end());
+  scan_times_.resize(tables_.size());
+  for (size_t s = 0; s < tables_.size(); ++s) {
+    auto it = scan_times.find(tables_[s]);
+    if (it != scan_times.end()) scan_times_[s] = it->second;
+  }
+  templates_.reserve(profiles.size());
+  for (const TemplateProfile& p : profiles) {
+    Template t;
+    t.l_min = p.isolated_latency;
+    t.io_seconds = p.isolated_latency * p.io_fraction;
+    t.listing_begin = listings_.size();
+    t.distinct_begin = distinct_.size();
+    for (sim::TableId f : p.fact_tables) {
+      const size_t slot = SlotOf(f);
+      listings_.push_back(slot);
+      if (!Contains({distinct_.data() + t.distinct_begin,
+                     distinct_.size() - t.distinct_begin},
+                    slot)) {
+        distinct_.push_back(slot);
       }
     }
-    for (size_t k = 0; k < size_; ++k) {
-      ScannedTable& table = tables_[k];
-      const bool in_omega =
-          variant != CqiVariant::kBaselineIo && table.primary_scans;
-      const bool in_tau = variant == CqiVariant::kFull &&
-                          !table.primary_scans && table.scanners > 1;
-      if (!in_omega && !in_tau) continue;
-      auto it = scan_times.find(table.id);
-      if (it != scan_times.end()) table.scan_time = it->second;
-      if (in_tau) {
-        table.tau_share =
-            (1.0 - 1.0 / static_cast<double>(table.scanners)) *
-            table.scan_time;
-      }
+    t.listing_end = listings_.size();
+    t.distinct_end = distinct_.size();
+    templates_.push_back(t);
+  }
+}
+
+size_t CqiKernel::SlotOf(sim::TableId id) const {
+  auto it = std::lower_bound(tables_.begin(), tables_.end(), id);
+  if (it == tables_.end() || *it != id) return kNoSlot;
+  return static_cast<size_t>(it - tables_.begin());
+}
+
+void CqiKernel::Prepare(std::span<const int> co_runners, bool canonical,
+                        PreparedMix* mix) const {
+  const std::span<int> co = mix->co_runners_.Resize(co_runners.size());
+  std::copy(co_runners.begin(), co_runners.end(), co.begin());
+  if (canonical) std::sort(co.begin(), co.end());
+  const std::span<PreparedMix::SlotCount> slots =
+      mix->slots_.Resize(tables_.size());
+  std::fill(slots.begin(), slots.end(), PreparedMix::SlotCount{});
+  mix->latencies_positive_ = true;
+  for (int c : co) {
+    CONTENDER_DCHECK(c >= 0 && static_cast<size_t>(c) < templates_.size());
+    const Template& t = templates_[static_cast<size_t>(c)];
+    if (t.l_min.value() <= 0.0) mix->latencies_positive_ = false;
+    for (size_t k = t.distinct_begin; k < t.distinct_end; ++k) {
+      ++slots[distinct_[k]].scanners;
     }
   }
-  MixScans(const MixScans&) = delete;
-  MixScans& operator=(const MixScans&) = delete;
-
-  /// The entry of table `f`, which some co-runner of the mix lists.
-  const ScannedTable& Find(sim::TableId f) const { return *FindOrNull(f); }
-
- private:
-  ScannedTable* FindOrNull(sim::TableId f) const {
-    for (size_t k = 0; k < size_; ++k) {
-      if (tables_[k].id == f) return &tables_[k];
+  for (size_t s = 0; s < slots.size(); ++s) {
+    if (slots[s].scanners > 1) {
+      slots[s].tau_share =
+          (1.0 - 1.0 / static_cast<double>(slots[s].scanners)) *
+          scan_times_[s];
     }
-    return nullptr;
   }
+}
 
-  std::array<ScannedTable, 16> inline_{};
-  std::vector<ScannedTable> spilled_;
-  ScannedTable* tables_ = inline_.data();
-  size_t size_ = 0;
-};
+void CqiKernel::PrimarySlots(const TemplateProfile& profile,
+                             PrimarySlotBuffer* slots) const {
+  size_t known = 0;
+  for (sim::TableId f : profile.fact_tables) {
+    if (SlotOf(f) != kNoSlot) ++known;
+  }
+  const std::span<size_t> out = slots->Resize(known);
+  size_t k = 0;
+  for (sim::TableId f : profile.fact_tables) {
+    const size_t slot = SlotOf(f);
+    if (slot != kNoSlot) out[k++] = slot;
+  }
+}
 
-/// Eqs. 2–4 for co-runner `c` of the mix `scans` describes; `c` must have
-/// passed CheckIsolatedLatency.
-CqiTerms TermsFor(const TemplateProfile& c, const MixScans& scans,
-                  CqiVariant variant) {
+CqiTerms CqiKernel::TermsOf(std::span<const size_t> primary,
+                            const PreparedMix& mix, int c,
+                            CqiVariant variant) const {
+  const Template& t = templates_[static_cast<size_t>(c)];
   CqiTerms terms;
-  terms.total_io_seconds = c.isolated_latency * c.io_fraction;
+  terms.total_io_seconds = t.io_seconds;
   if (variant != CqiVariant::kBaselineIo) {
-    for (sim::TableId f : c.fact_tables) {
-      const ScannedTable& table = scans.Find(f);
-      if (table.primary_scans) {
+    const PreparedMix::SlotCount* counts = mix.slots_.view().data();
+    for (size_t k = t.listing_begin; k < t.listing_end; ++k) {
+      const size_t slot = listings_[k];
+      if (Contains(primary, slot)) {
         // ω_c (Eq. 2): a scan shared with the primary, once per listing.
-        terms.omega += table.scan_time;
-      } else if (variant == CqiVariant::kFull && table.scanners > 1) {
+        terms.omega += scan_times_[slot];
+      } else if (variant == CqiVariant::kFull &&
+                 counts[slot].scanners > 1) {
         // τ_c (Eq. 3): a scan shared among the non-primary queries only
         // (tables the primary scans are in ω; no double counting).
-        terms.tau += table.tau_share;
+        terms.tau += counts[slot].tau_share;
       }
     }
   }
   // Eq. 4, truncated at zero.
-  terms.r =
-      std::max(0.0, (terms.total_io_seconds - terms.omega - terms.tau) /
-                        c.isolated_latency);  // Seconds / Seconds -> ratio
+  terms.r = std::max(0.0, (terms.total_io_seconds - terms.omega - terms.tau) /
+                              t.l_min);  // Seconds / Seconds -> ratio
   return terms;
 }
 
-/// The kernel: Eq. 5 over valid, non-empty `concurrent`.
-StatusOr<units::Cqi> MixCqi(const TemplateProfile& primary,
-                            const std::vector<TemplateProfile>& profiles,
-                            std::span<const int> concurrent,
-                            const ScanTimes& scan_times, CqiVariant variant) {
-  const MixScans scans(primary, profiles, concurrent, scan_times, variant);
+units::Cqi CqiKernel::Score(std::span<const size_t> primary,
+                            const PreparedMix& mix,
+                            CqiVariant variant) const {
+  CONTENDER_DCHECK(!mix.empty() && mix.latencies_positive() &&
+                   mix.slots_.view().size() == tables_.size());
+  const std::span<const int> co = mix.co_runners();
   double sum = 0.0;
-  for (int index : concurrent) {
-    const TemplateProfile& c = profiles[static_cast<size_t>(index)];
-    CONTENDER_RETURN_IF_ERROR(CheckIsolatedLatency(c));
-    sum += TermsFor(c, scans, variant).r;
+  double r = 0.0;
+  for (size_t i = 0; i < co.size(); ++i) {
+    // A repeated co-runner has the same terms; a canonical mix lists its
+    // repeats side by side.
+    if (i == 0 || co[i] != co[i - 1]) r = TermsOf(primary, mix, co[i], variant).r;
+    sum += r;
   }
   // Eq. 5: average competing fraction across the concurrent queries.
-  return units::Cqi(sum / static_cast<double>(concurrent.size()));
+  return units::Cqi(sum / static_cast<double>(co.size()));
 }
 
-}  // namespace
+CqiTerms CqiKernel::Terms(std::span<const size_t> primary,
+                          const PreparedMix& mix, size_t position,
+                          CqiVariant variant) const {
+  return TermsOf(primary, mix, mix.co_runners()[position], variant);
+}
+
+StatusOr<units::Cqi> CqiKernel::Compute(std::span<const size_t> primary,
+                                        std::span<const int> co_runners,
+                                        CqiVariant variant,
+                                        PreparedMix* mix) const {
+  CONTENDER_RETURN_IF_ERROR(ValidateConcurrent(templates_.size(), co_runners));
+  Prepare(co_runners, /*canonical=*/false, mix);
+  if (!mix->latencies_positive()) return NonPositiveIsolatedLatency();
+  return Score(primary, *mix, variant);
+}
 
 StatusOr<CqiTerms> ComputeCqiTerms(
     const std::vector<TemplateProfile>& profiles,
     const ScanTimes& scan_times, int primary_index,
     const std::vector<int>& concurrent_indices, size_t concurrent_position,
     CqiVariant variant) {
+  CONTENDER_RETURN_IF_ERROR(ValidatePrimary(profiles, primary_index));
   CONTENDER_RETURN_IF_ERROR(
-      ValidateIndices(profiles, primary_index, concurrent_indices));
+      ValidateConcurrent(profiles.size(), concurrent_indices));
   if (concurrent_position >= concurrent_indices.size()) {
     return Status::InvalidArgument("CQI: bad concurrent position");
   }
   const TemplateProfile& c = profiles[static_cast<size_t>(
       concurrent_indices[concurrent_position])];
-  CONTENDER_RETURN_IF_ERROR(CheckIsolatedLatency(c));
-  const MixScans scans(profiles[static_cast<size_t>(primary_index)], profiles,
-                       concurrent_indices, scan_times, variant);
-  return TermsFor(c, scans, variant);
+  if (c.isolated_latency.value() <= 0.0) return NonPositiveIsolatedLatency();
+  const CqiKernel kernel(profiles, scan_times);
+  PreparedMix mix;
+  kernel.Prepare(concurrent_indices, /*canonical=*/false, &mix);
+  return kernel.Terms(kernel.PrimarySlots(primary_index), mix,
+                      concurrent_position, variant);
 }
 
 StatusOr<units::Cqi> ComputeCqiFor(const TemplateProfile& primary,
@@ -189,8 +210,11 @@ StatusOr<units::Cqi> ComputeCqiFor(const TemplateProfile& primary,
                                    std::span<const int> concurrent_indices,
                                    const ScanTimes& scan_times,
                                    CqiVariant variant) {
-  CONTENDER_RETURN_IF_ERROR(ValidateConcurrent(profiles, concurrent_indices));
-  return MixCqi(primary, profiles, concurrent_indices, scan_times, variant);
+  const CqiKernel kernel(profiles, scan_times);
+  PrimarySlotBuffer slots;
+  kernel.PrimarySlots(primary, &slots);
+  PreparedMix mix;
+  return kernel.Compute(slots.view(), concurrent_indices, variant, &mix);
 }
 
 StatusOr<units::Cqi> ComputeCqi(const std::vector<TemplateProfile>& profiles,
@@ -198,10 +222,11 @@ StatusOr<units::Cqi> ComputeCqi(const std::vector<TemplateProfile>& profiles,
                                 int primary_index,
                                 const std::vector<int>& concurrent_indices,
                                 CqiVariant variant) {
-  CONTENDER_RETURN_IF_ERROR(
-      ValidateIndices(profiles, primary_index, concurrent_indices));
-  return MixCqi(profiles[static_cast<size_t>(primary_index)], profiles,
-                concurrent_indices, scan_times, variant);
+  CONTENDER_RETURN_IF_ERROR(ValidatePrimary(profiles, primary_index));
+  const CqiKernel kernel(profiles, scan_times);
+  PreparedMix mix;
+  return kernel.Compute(kernel.PrimarySlots(primary_index),
+                        concurrent_indices, variant, &mix);
 }
 
 }  // namespace contender

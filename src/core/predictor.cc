@@ -1,7 +1,6 @@
 #include "core/predictor.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "core/continuum.h"
@@ -21,6 +20,21 @@ auto& kTransferFailPoint = CONTENDER_DEFINE_FAILPOINT("core.ladder.transfer");
 Status NoMeasuredSpoilerLatency() {
   return Status::FailedPrecondition(
       "profile has no measured spoiler latency at this MPL");
+}
+
+/// The QS model's latency for `cqi`, on the continuum [l_min, l_max].
+units::Seconds LatencyFromModel(const QsModel& qs, units::Cqi cqi,
+                                const units::LatencyRange& range) {
+  // Predictions are clamped to the continuum with a small margin: positive
+  // interactions can push latency slightly below l_min and steady-state
+  // artifacts slightly above l_max (paper Section 6.1), but a transferred
+  // model must not extrapolate beyond the meaningful range.
+  const units::ContinuumPoint point(
+      std::clamp(qs.PredictContinuum(cqi).value(), -0.25, 1.25));
+  const units::Seconds latency = LatencyFromContinuum(point, range);
+  // A concurrent execution can beat isolation through shared work, but
+  // never by more than a modest margin.
+  return std::max(latency, 0.5 * range.min());
 }
 
 }  // namespace
@@ -48,6 +62,7 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
   p.options_ = options;
   p.profiles_ = std::move(profiles);
   p.scan_times_ = std::move(scan_times);
+  p.kernel_ = CqiKernel(p.profiles_, p.scan_times_);
 
   // The per-MPL fits are independent; fan them across the pool and merge in
   // MPL order so the trained predictor is bit-identical for any pool width.
@@ -131,7 +146,11 @@ void ContenderPredictor::SetReferenceModels(
   row.assign(profiles_.size(), ReferenceCell{});
   for (size_t t = 0; t < profiles_.size(); ++t) {
     auto it = profiles_[t].spoiler_latency.find(mpl);
-    if (it != profiles_[t].spoiler_latency.end()) row[t].l_max = it->second;
+    if (it == profiles_[t].spoiler_latency.end()) continue;
+    row[t].l_max = it->second;
+    auto range =
+        units::LatencyRange::Make(profiles_[t].isolated_latency, it->second);
+    if (range.ok()) row[t].range = *range;
   }
   for (const auto& [t, model] : models) {
     row[static_cast<size_t>(t)].model = model;
@@ -196,31 +215,20 @@ StatusOr<units::Seconds> ContenderPredictor::PredictWithModel(
       return Status::InvalidArgument("bad concurrent template index");
     }
   }
-  auto cqi = ComputeCqiFor(primary, profiles_, concurrent, scan_times_,
-                           CqiVariant::kFull);
-  if (!cqi.ok()) return cqi.status();
-  // Predictions are clamped to the continuum with a small margin: positive
-  // interactions can push latency slightly below l_min and steady-state
-  // artifacts slightly above l_max (paper Section 6.1), but a transferred
-  // model must not extrapolate beyond the meaningful range.
+  PrimarySlotBuffer slots;
+  kernel_.PrimarySlots(primary, &slots);
+  PreparedMix mix;
+  CONTENDER_ASSIGN_OR_RETURN(
+      const units::Cqi cqi,
+      kernel_.Compute(slots.view(), concurrent, CqiVariant::kFull, &mix));
   CONTENDER_ASSIGN_OR_RETURN(
       const units::LatencyRange range,
       units::LatencyRange::Make(primary.isolated_latency, l_max));
-  const units::ContinuumPoint point(
-      std::clamp(qs.PredictContinuum(*cqi).value(), -0.25, 1.25));
-  const units::Seconds latency = LatencyFromContinuum(point, range);
-  // A concurrent execution can beat isolation through shared work, but
-  // never by more than a modest margin.
-  return std::max(latency, 0.5 * primary.isolated_latency);
+  return LatencyFromModel(qs, cqi, range);
 }
 
 StatusOr<units::Seconds> ContenderPredictor::PredictKnown(
     int template_index, const std::vector<int>& concurrent_indices) const {
-  return PredictKnownImpl(template_index, concurrent_indices);
-}
-
-StatusOr<units::Seconds> ContenderPredictor::PredictKnownImpl(
-    int template_index, std::span<const int> concurrent_indices) const {
   if (template_index < 0 ||
       static_cast<size_t>(template_index) >= profiles_.size()) {
     return Status::InvalidArgument("unknown template index");
@@ -239,73 +247,104 @@ StatusOr<units::Seconds> ContenderPredictor::PredictKnownImpl(
                           *cell.model, concurrent_indices, *cell.l_max);
 }
 
-StatusOr<units::Seconds> ContenderPredictor::PredictNew(
-    const TemplateProfile& new_profile,
-    const std::vector<int>& concurrent_indices,
-    SpoilerSource spoiler_source) const {
-  return PredictNewImpl(new_profile, concurrent_indices, spoiler_source);
-}
-
-StatusOr<units::Seconds> ContenderPredictor::PredictNewImpl(
-    const TemplateProfile& new_profile,
-    std::span<const int> concurrent_indices,
-    SpoilerSource spoiler_source) const {
-  const units::Mpl mpl(static_cast<int>(concurrent_indices.size()) + 1);
+StatusOr<ContenderPredictor::ModelAndBound>
+ContenderPredictor::TransferredModel(const TemplateProfile& profile,
+                                     units::Mpl mpl,
+                                     SpoilerSource source) const {
   auto transfer_it = transfer_models_.find(mpl.value());
   if (transfer_it == transfer_models_.end()) {
     return Status::NotFound("no transfer model at this MPL");
   }
-  auto l_max = ResolveSpoiler(new_profile, mpl, spoiler_source);
-  if (!l_max.ok()) return l_max.status();
-  QsModel qs;
+  CONTENDER_ASSIGN_OR_RETURN(const units::Seconds l_max,
+                             ResolveSpoiler(profile, mpl, source));
   if (options_.transfer_feature == TransferFeature::kIsolatedLatency) {
-    qs = transfer_it->second.PredictFromIsolatedLatency(
-        new_profile.isolated_latency);
-  } else {
-    const double slowdown = *l_max / new_profile.isolated_latency;
-    qs = transfer_it->second.PredictFromFeatureValue(
-        1.0 / std::max(slowdown - 1.0, 0.05));
+    return ModelAndBound{transfer_it->second.PredictFromIsolatedLatency(
+                             profile.isolated_latency),
+                         l_max};
   }
-  return PredictWithModel(new_profile, qs, concurrent_indices, *l_max);
+  const double slowdown = l_max / profile.isolated_latency;
+  return ModelAndBound{transfer_it->second.PredictFromFeatureValue(
+                           1.0 / std::max(slowdown - 1.0, 0.05)),
+                       l_max};
+}
+
+StatusOr<units::Seconds> ContenderPredictor::PredictNew(
+    const TemplateProfile& new_profile,
+    const std::vector<int>& concurrent_indices,
+    SpoilerSource spoiler_source) const {
+  const units::Mpl mpl(static_cast<int>(concurrent_indices.size()) + 1);
+  CONTENDER_ASSIGN_OR_RETURN(
+      const ModelAndBound model,
+      TransferredModel(new_profile, mpl, spoiler_source));
+  return PredictWithModel(new_profile, model.qs, concurrent_indices,
+                          model.l_max);
+}
+
+void ContenderPredictor::PrepareMix(std::span<const int> concurrent,
+                                    PreparedMix* mix) const {
+  for (int c : concurrent) {
+    CONTENDER_CHECK(c >= 0 && static_cast<size_t>(c) < profiles_.size())
+        << "PrepareMix: unknown co-runner index " << c;
+  }
+  kernel_.Prepare(concurrent, /*canonical=*/true, mix);
 }
 
 TieredPrediction ContenderPredictor::PredictInMix(
-    int template_index, const std::vector<int>& concurrent,
+    int template_index, std::span<const int> concurrent,
     bool allow_full_model) const {
+  PreparedMix mix;
+  PrepareMix(concurrent, &mix);
+  return PredictInMix(template_index, mix, allow_full_model);
+}
+
+TieredPrediction ContenderPredictor::PredictInMix(
+    int template_index, std::initializer_list<int> concurrent,
+    bool allow_full_model) const {
+  return PredictInMix(template_index, std::span<const int>(concurrent),
+                      allow_full_model);
+}
+
+TieredPrediction ContenderPredictor::PredictInMix(
+    int template_index, const PreparedMix& mix, bool allow_full_model) const {
   CONTENDER_CHECK(template_index >= 0 &&
                   static_cast<size_t>(template_index) < profiles_.size())
       << "PredictInMix: unknown template index " << template_index;
-  for (int c : concurrent) {
-    CONTENDER_CHECK(c >= 0 && static_cast<size_t>(c) < profiles_.size())
-        << "PredictInMix: unknown co-runner index " << c;
-  }
   const TemplateProfile& profile =
       profiles_[static_cast<size_t>(template_index)];
   // MPL 1: the isolated latency IS the model's answer, not a degradation.
   // Short-circuit before any fail-point probe so disarmed and armed runs
   // agree on empty mixes.
-  if (concurrent.empty()) {
+  if (mix.empty()) {
     return {profile.isolated_latency, DegradationTier::kFullModel};
   }
-  std::array<int, kInlineMix> inline_mix{};
-  std::vector<int> spilled_mix;
-  int* first = inline_mix.data();
-  if (concurrent.size() > inline_mix.size()) {
-    spilled_mix.resize(concurrent.size());
-    first = spilled_mix.data();
-  }
-  const std::span<int> mix(first, concurrent.size());
-  std::copy(concurrent.begin(), concurrent.end(), mix.begin());
-  std::sort(mix.begin(), mix.end());
+  const units::Mpl mpl(static_cast<int>(mix.size()) + 1);
+  const std::span<const size_t> primary =
+      kernel_.PrimarySlots(template_index);
+  // With a co-runner whose l_min is not positive no tier has a CQI.
+  const bool scorable = mix.latencies_positive();
   if (allow_full_model && !kFullModelFailPoint.ShouldFail()) {
-    auto full = PredictKnownImpl(template_index, mix);
-    if (full.ok()) return {*full, DegradationTier::kFullModel};
+    const std::vector<ReferenceCell>* row = ReferenceRow(mpl);
+    const ReferenceCell* cell =
+        row == nullptr ? nullptr : &(*row)[static_cast<size_t>(template_index)];
+    if (scorable && cell != nullptr && cell->model && cell->range) {
+      return {LatencyFromModel(*cell->model,
+                               kernel_.Score(primary, mix, CqiVariant::kFull),
+                               *cell->range),
+              DegradationTier::kFullModel};
+    }
   }
-  if (!kTransferFailPoint.ShouldFail()) {
-    auto transferred =
-        PredictNewImpl(profile, mix, SpoilerSource::kKnnPredicted);
-    if (transferred.ok()) {
-      return {*transferred, DegradationTier::kTransferredQs};
+  if (!kTransferFailPoint.ShouldFail() && scorable) {
+    auto model =
+        TransferredModel(profile, mpl, SpoilerSource::kKnnPredicted);
+    if (model.ok()) {
+      auto range =
+          units::LatencyRange::Make(profile.isolated_latency, model->l_max);
+      if (range.ok()) {
+        return {LatencyFromModel(
+                    model->qs, kernel_.Score(primary, mix, CqiVariant::kFull),
+                    *range),
+                DegradationTier::kTransferredQs};
+      }
     }
   }
   return {profile.isolated_latency, DegradationTier::kIsolatedHeuristic};

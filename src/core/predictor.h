@@ -3,11 +3,16 @@
 // templates (via their own QS model) and for new templates (via QS
 // coefficient transfer plus measured or KNN-predicted spoiler latency).
 // PredictInMix composes the two into the degradation ladder that every
-// in-mix consumer (sched, fleet, serve) answers through.
+// in-mix consumer (sched, fleet, serve) answers through. The ladder runs in
+// two steps: PrepareMix canonicalizes a mix and counts its fact-table
+// scanners once, and PredictInMix scores one template against the
+// prepared mix, so a caller that weighs many candidates against one
+// running mix (sched::Policy::Pick) pays for the mix once.
 
 #ifndef CONTENDER_CORE_PREDICTOR_H_
 #define CONTENDER_CORE_PREDICTOR_H_
 
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <span>
@@ -101,27 +106,45 @@ class ContenderPredictor {
       const std::vector<int>& concurrent_indices,
       SpoilerSource spoiler_source) const;
 
+  /// The canonical form of the mix `concurrent` (known-workload indices,
+  /// any order; CHECK-fails on an unknown one): the co-runners sorted —
+  /// CQI sums over the mix and floating-point addition is not associative
+  /// — with their fact-table scanners counted, into `mix`. Score any number
+  /// of templates against it with the PredictInMix overload below.
+  void PrepareMix(std::span<const int> concurrent, PreparedMix* mix) const;
+
   /// The degradation ladder: the in-mix latency of known template
-  /// `template_index` beside `concurrent` (known-workload indices, any
-  /// order), from the first tier that answers:
-  ///   tier 0  PredictKnown (skipped when `allow_full_model` is false,
-  ///           e.g. while the template's circuit breaker is open);
+  /// `template_index` beside the prepared `mix`, from the first tier that
+  /// answers:
+  ///   tier 0  the template's QS reference model at the mix's MPL with its
+  ///           measured l_max (PredictKnown's answer; skipped when
+  ///           `allow_full_model` is false, e.g. while the template's
+  ///           circuit breaker is open);
   ///   tier 1  PredictNew on the template's own profile with a
   ///           KNN-predicted spoiler latency;
   ///   tier 2  the isolated latency l_min.
-  /// A copy of the mix is sorted first — CQI sums over the mix and
-  /// floating-point addition is not associative — so the answer is a pure
-  /// function of the (template, multiset, allow_full_model) triple. The
-  /// copy lives on the stack up to kInlineMix (16) co-runners, so such a
-  /// call allocates nothing unless it falls to tier 1. An empty mix is MPL 1:
-  /// l_min at tier 0. Every consumer of in-mix predictions (scheduler,
-  /// fleet router, serving) answers through this one function. The chaos
-  /// sites "core.ladder.full_model" and "core.ladder.transfer" are probed
-  /// once per call, each only when its tier is attempted; a fire skips
-  /// that tier. `template_index` and every co-runner must be valid workload
-  /// indices (CHECKed before any fail-point probe).
+  /// The answer is a pure function of the (template, multiset,
+  /// allow_full_model) triple. A tier-0 answer reads one dense
+  /// [MPL][template] cell, whose latency range was validated when the
+  /// cell was built, and allocates nothing. An empty mix is MPL 1: l_min
+  /// at tier 0. Every consumer of in-mix predictions (scheduler, fleet
+  /// router, serving) answers through this one function. The chaos sites
+  /// "core.ladder.full_model" and "core.ladder.transfer" are probed once
+  /// per call, each only when its tier is attempted; a fire skips that
+  /// tier. `template_index` must be a valid workload index (CHECKed
+  /// before any fail-point probe), and `mix` must come from this
+  /// predictor's PrepareMix.
   [[nodiscard]] TieredPrediction PredictInMix(
-      int template_index, const std::vector<int>& concurrent,
+      int template_index, const PreparedMix& mix,
+      bool allow_full_model = true) const;
+  /// One probe: PrepareMix, then the ladder. Up to 16 co-runners allocate
+  /// nothing.
+  [[nodiscard]] TieredPrediction PredictInMix(
+      int template_index, std::span<const int> concurrent,
+      bool allow_full_model = true) const;
+  /// The same for a braced mix such as {1, 2}.
+  [[nodiscard]] TieredPrediction PredictInMix(
+      int template_index, std::initializer_list<int> concurrent,
       bool allow_full_model = true) const;
 
   /// Unknown-Y variant (§6.3): the new template's own QS slope is supplied;
@@ -155,20 +178,22 @@ class ContenderPredictor {
       const TemplateProfile& profile, units::Mpl mpl) const;
 
  private:
-  /// Co-runners PredictInMix sorts on the stack; a larger mix is copied to
-  /// the heap.
-  static constexpr size_t kInlineMix = 16;
+  /// A QS model and the continuum upper bound l_max it maps onto.
+  struct ModelAndBound {
+    QsModel qs;
+    units::Seconds l_max;
+  };
 
   ContenderPredictor() = default;
 
-  // PredictKnown and PredictNew over any contiguous mix; the ladder passes
-  // its sorted stack copy.
-  StatusOr<units::Seconds> PredictKnownImpl(
-      int template_index, std::span<const int> concurrent_indices) const;
-  StatusOr<units::Seconds> PredictNewImpl(
-      const TemplateProfile& new_profile,
-      std::span<const int> concurrent_indices,
-      SpoilerSource spoiler_source) const;
+  /// PredictNew's model: the transferred QS coefficients at `mpl` and the
+  /// spoiler latency from `source`.
+  StatusOr<ModelAndBound> TransferredModel(const TemplateProfile& profile,
+                                           units::Mpl mpl,
+                                           SpoilerSource source) const;
+  /// The public rungs' last step, with their errors: checks `concurrent`,
+  /// computes the primary's CQI over it in the caller's order and maps it
+  /// through `qs` onto [l_min, l_max].
   StatusOr<units::Seconds> PredictWithModel(
       const TemplateProfile& primary, const QsModel& qs,
       std::span<const int> concurrent, units::Seconds l_max) const;
@@ -182,6 +207,9 @@ class ContenderPredictor {
   struct ReferenceCell {
     std::optional<QsModel> model;
     std::optional<units::Seconds> l_max;
+    /// [l_min, l_max], validated when the cell is built; empty when l_max
+    /// is missing or LatencyRange::Make rejects it.
+    std::optional<units::LatencyRange> range;
   };
 
   /// Fills the row of `mpl` from the fitted `models` (template -> model).
@@ -192,6 +220,8 @@ class ContenderPredictor {
   Options options_;
   std::vector<TemplateProfile> profiles_;
   ScanTimes scan_times_;
+  /// profiles_ and scan_times_ compiled for the CQI (Eqs. 2–5).
+  CqiKernel kernel_;
   /// Reference models indexed [MPL][template index]; the row of an MPL
   /// without reference models is empty.
   std::vector<std::vector<ReferenceCell>> reference_cells_;

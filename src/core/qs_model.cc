@@ -42,6 +42,10 @@ StatusOr<QsTrainingSet> BuildQsTrainingSet(
       const units::LatencyRange range,
       units::LatencyRange::Make(primary.isolated_latency, lmax_it->second));
 
+  const CqiKernel kernel(profiles, scan_times);
+  const std::span<const size_t> primary_slots =
+      kernel.PrimarySlots(primary_index);
+  PreparedMix mix;
   QsTrainingSet set;
   for (const MixObservation& obs : observations) {
     if (obs.primary_index != primary_index || obs.mpl != mpl.value()) continue;
@@ -49,8 +53,8 @@ StatusOr<QsTrainingSet> BuildQsTrainingSet(
       ++set.dropped_outliers;
       continue;
     }
-    auto cqi = ComputeCqiFor(primary, profiles, obs.concurrent_indices,
-                             scan_times, variant);
+    auto cqi = kernel.Compute(primary_slots, obs.concurrent_indices, variant,
+                              &mix);
     if (!cqi.ok()) return cqi.status();
     auto point = ContinuumPoint(obs.latency, range);
     if (!point.ok()) return point.status();

@@ -154,17 +154,22 @@ void Router::Start(NodeState* node, const sched::Request& request,
   // A valid replay implies a full running set that has not changed since
   // it was built; only Advance's pop frees a slot, and it drops the replay.
   CONTENDER_DCHECK(node->replay.empty());
-  std::vector<int> mix;
-  mix.reserve(node->running.size());
-  for (const PredictedQuery& q : node->running) {
-    mix.push_back(q.template_index);
-  }
   PredictedQuery entry;
   entry.template_index = request.template_index;
   entry.tenant_id = request.tenant_id;
   entry.request_id = request.request_id;
-  entry.completion = now + oracle_->PredictInMix(request.template_index, mix);
+  entry.completion =
+      now + oracle_->PredictInMix(request.template_index,
+                                  RunningTemplates(*node));
   node->running.push_back(entry);
+}
+
+std::span<const int> Router::RunningTemplates(const NodeState& node) {
+  mix_.clear();
+  for (const PredictedQuery& q : node.running) {
+    mix_.push_back(q.template_index);
+  }
+  return mix_;
 }
 
 double Router::PredictedWait(NodeState* node, units::Seconds now) {
@@ -250,14 +255,10 @@ int Router::PickNode(const std::vector<int>& candidates,
   double best_score = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < candidates.size(); ++i) {
     const NodeState& node = nodes_[static_cast<size_t>(candidates[i])];
-    std::vector<int> mix;
-    mix.reserve(node.running.size());
-    for (const PredictedQuery& q : node.running) {
-      mix.push_back(q.template_index);
-    }
     const double score =
-        (waits[i] +
-         oracle_->PredictInMix(request.template_index, mix).value()) /
+        (waits[i] + oracle_->PredictInMix(request.template_index,
+                                          RunningTemplates(node))
+                        .value()) /
         isolated;
     if (score < best_score) {
       best = candidates[i];

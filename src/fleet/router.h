@@ -45,6 +45,7 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -215,6 +216,10 @@ class Router {
   void Start(NodeState* node, const sched::Request& request,
              units::Seconds now);
 
+  /// The templates running on `node`, in mix_: one probe's mix, filled
+  /// without allocating once mix_ has grown to the MPL.
+  [[nodiscard]] std::span<const int> RunningTemplates(const NodeState& node);
+
   /// Predicted seconds until `node` can start one more request, given its
   /// current backlog depth (0 when a slot is free): replay[0] - now,
   /// rebuilding the replay first when it is stale. `node` must already be
@@ -261,6 +266,8 @@ class Router {
   uint64_t round_robin_next_ = 0;
   /// Next chaos-drain victim (rotates over nodes).
   int next_chaos_drain_ = 0;
+  /// Scratch for RunningTemplates.
+  std::vector<int> mix_;
   /// Clock of the routing pass: the last routed arrival or drain instant,
   /// -inf before the first of either (Route and BeginDrain enforce
   /// monotonicity against it).

@@ -1,7 +1,5 @@
 #include "sched/mix_oracle.h"
 
-#include <utility>
-
 #include "util/logging.h"
 
 namespace contender::sched {
@@ -9,8 +7,7 @@ namespace contender::sched {
 units::Seconds PredictInMixUncached(const ContenderPredictor& predictor,
                                     int template_index,
                                     std::vector<int> concurrent) {
-  return predictor.PredictInMix(template_index, std::move(concurrent))
-      .latency;
+  return predictor.PredictInMix(template_index, concurrent).latency;
 }
 
 MixOracle::MixOracle(const ContenderPredictor* predictor)
@@ -35,14 +32,14 @@ bool MixOracle::Degraded(int template_index) const {
          options_.health->Degraded(template_index);
 }
 
-units::Seconds MixOracle::PredictInMix(
-    int template_index, const std::vector<int>& concurrent) const {
-  if (concurrent.empty()) return IsolatedLatency(template_index);
+units::Seconds MixOracle::PredictInMix(int template_index,
+                                       const PreparedMix& mix) const {
+  if (mix.empty()) return IsolatedLatency(template_index);
   // An open breaker quarantines the template's own model: the ladder
   // starts at tier 1.
   const bool degraded = Degraded(template_index);
   const TieredPrediction answer =
-      predictor_->PredictInMix(template_index, concurrent, !degraded);
+      predictor_->PredictInMix(template_index, mix, !degraded);
   if (degraded) {
     degradations_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -52,6 +49,19 @@ units::Seconds MixOracle::PredictInMix(
     }
   }
   return answer.latency;
+}
+
+units::Seconds MixOracle::PredictInMix(
+    int template_index, std::span<const int> concurrent) const {
+  if (concurrent.empty()) return IsolatedLatency(template_index);
+  PreparedMix mix;
+  predictor_->PrepareMix(concurrent, &mix);
+  return PredictInMix(template_index, mix);
+}
+
+units::Seconds MixOracle::PredictInMix(
+    int template_index, std::initializer_list<int> concurrent) const {
+  return PredictInMix(template_index, std::span<const int>(concurrent));
 }
 
 uint64_t MixOracle::evaluations() const {

@@ -5,15 +5,18 @@
 // per-template health signal — an open breaker starts the ladder at tier
 // 1 — and its probe counters. The ladder canonicalizes the mix, so every
 // answer is a pure function of the (template, multiset, breaker) triple.
-// The oracle keeps no memo: the policies score each distinct queued
-// template once per admission (sched/policy.h), so one decision costs at
-// most one probe per template, and a probe is one ladder evaluation.
+// The oracle keeps no memo: the policies prepare the running mix once per
+// admission (ContenderPredictor::PrepareMix) and score each distinct
+// queued template against it once (sched/policy.h), so one decision costs
+// one mix preparation plus at most one probe per template.
 
 #ifndef CONTENDER_SCHED_MIX_ORACLE_H_
 #define CONTENDER_SCHED_MIX_ORACLE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "core/predictor.h"
@@ -57,12 +60,19 @@ class MixOracle {
   explicit MixOracle(const ContenderPredictor* predictor);
   MixOracle(const ContenderPredictor* predictor, const Options& options);
 
-  /// Predicted latency of `template_index` executing inside `concurrent`
-  /// (workload indices of the other running queries, order-irrelevant):
-  /// the ladder's answer, with the full model allowed unless the
-  /// template's breaker is open. An empty mix yields the isolated latency.
+  /// Predicted latency of `template_index` executing inside the prepared
+  /// mix of the other running queries (from predictor().PrepareMix): the
+  /// ladder's answer, with the full model allowed unless the template's
+  /// breaker is open. An empty mix yields the isolated latency. Each call
+  /// is one probe for the counters below.
   units::Seconds PredictInMix(int template_index,
-                              const std::vector<int>& concurrent) const;
+                              const PreparedMix& mix) const;
+  /// The same for `concurrent` (workload indices, order-irrelevant),
+  /// prepared for this one probe.
+  units::Seconds PredictInMix(int template_index,
+                              std::span<const int> concurrent) const;
+  units::Seconds PredictInMix(int template_index,
+                              std::initializer_list<int> concurrent) const;
 
   /// l_min of a template (one profile lookup).
   units::Seconds IsolatedLatency(int template_index) const;

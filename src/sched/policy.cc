@@ -24,19 +24,16 @@ Status ValidateContext(const RequestQueue& queue, const SchedContext& ctx,
 
 using TemplateHead = RequestQueue::TemplateHead;
 
-/// The distinct templates of the arrived prefix, each with the queue
-/// position of its earliest request, in order of that position — the
-/// queue's template index answers in O(T log n), so no Pick reads the
-/// prefix to find them.
-std::vector<TemplateHead> ArrivedHeads(const RequestQueue& queue,
-                                       size_t arrived,
-                                       const MixOracle& oracle) {
-  std::vector<TemplateHead> heads = queue.LeadingTemplateHeads(arrived);
-  for (const TemplateHead& head : heads) {
+/// Fills `heads` with the distinct templates of the arrived prefix, each
+/// with its earliest request, in queue order — the queue's template index
+/// answers without reading the prefix.
+void ArrivedHeads(const RequestQueue& queue, size_t arrived,
+                  const MixOracle& oracle, std::vector<TemplateHead>* heads) {
+  queue.LeadingTemplateHeads(arrived, heads);
+  for (const TemplateHead& head : *heads) {
     CONTENDER_CHECK(head.template_index < oracle.num_templates())
         << "Pick: unknown template index " << head.template_index;
   }
-  return heads;
 }
 
 /// Queue position of the earliest request of the template minimizing
@@ -44,10 +41,11 @@ std::vector<TemplateHead> ArrivedHeads(const RequestQueue& queue,
 /// head takes ties. For a score that depends only on the template (and
 /// the running mix), this is exactly the position a per-request scan with
 /// earliest-position ties would pick — at one evaluation per distinct
-/// template instead of one per request. `heads` is never empty: every
-/// arrived request has a head.
+/// template instead of one per request, and one rank for the winner.
+/// `heads` is never empty: every arrived request has a head.
 template <typename ScoreFn>
-size_t PickBestTemplate(const std::vector<TemplateHead>& heads,
+size_t PickBestTemplate(const RequestQueue& queue,
+                        const std::vector<TemplateHead>& heads,
                         ScoreFn&& score) {
   size_t best = 0;
   double best_score = score(heads[0].template_index);
@@ -58,17 +56,16 @@ size_t PickBestTemplate(const std::vector<TemplateHead>& heads,
       best_score = s;
     }
   }
-  return heads[best].position;
+  return queue.PositionOf(*heads[best].request);
 }
 
 /// Greedy contention score of admitting a request of `template_index`:
-/// its predicted slowdown ratio L(t | M) / L_iso(t) in the live mix M — one
-/// mix-oracle probe.
-double GreedyScore(int template_index, const SchedContext& ctx) {
-  const double in_mix =
-      ctx.oracle->PredictInMix(template_index, *ctx.running_templates)
-          .value();
-  const double isolated = ctx.oracle->IsolatedLatency(template_index).value();
+/// its predicted slowdown ratio L(t | M) / L_iso(t) in the live mix M,
+/// prepared once per decision — one mix-oracle probe.
+double GreedyScore(int template_index, const PreparedMix& running,
+                   const MixOracle& oracle) {
+  const double in_mix = oracle.PredictInMix(template_index, running).value();
+  const double isolated = oracle.IsolatedLatency(template_index).value();
   return in_mix / isolated;
 }
 
@@ -97,11 +94,14 @@ class ShortestIsolatedFirstPolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    return PickBestTemplate(ArrivedHeads(queue, arrived, *ctx.oracle),
-                            [&](int t) {
-                              return ctx.oracle->IsolatedLatency(t).value();
-                            });
+    ArrivedHeads(queue, arrived, *ctx.oracle, &heads_);
+    return PickBestTemplate(queue, heads_, [&](int t) {
+      return ctx.oracle->IsolatedLatency(t).value();
+    });
   }
+
+ private:
+  std::vector<TemplateHead> heads_;
 };
 
 class GreedyContentionPolicy : public Policy {
@@ -114,9 +114,16 @@ class GreedyContentionPolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    return PickBestTemplate(ArrivedHeads(queue, arrived, *ctx.oracle),
-                            [&](int t) { return GreedyScore(t, ctx); });
+    ArrivedHeads(queue, arrived, *ctx.oracle, &heads_);
+    ctx.oracle->predictor().PrepareMix(*ctx.running_templates, &running_);
+    return PickBestTemplate(queue, heads_, [&](int t) {
+      return GreedyScore(t, running_, *ctx.oracle);
+    });
   }
+
+ private:
+  std::vector<TemplateHead> heads_;
+  PreparedMix running_;
 };
 
 class DeadlineAwarePolicy : public Policy {
@@ -129,8 +136,8 @@ class DeadlineAwarePolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    const std::vector<TemplateHead> heads =
-        ArrivedHeads(queue, arrived, *ctx.oracle);
+    ArrivedHeads(queue, arrived, *ctx.oracle, &heads_);
+    ctx.oracle->predictor().PrepareMix(*ctx.running_templates, &running_);
     bool any_deadline = false;
     queue.ForEachLeadingDeadline(arrived, [&](const Request&) {
       any_deadline = true;
@@ -138,24 +145,25 @@ class DeadlineAwarePolicy : public Policy {
     });
     if (!any_deadline) {
       // Nothing to protect: behave exactly like greedy.
-      return PickBestTemplate(heads,
-                              [&](int t) { return GreedyScore(t, ctx); });
+      return PickBestTemplate(queue, heads_, [&](int t) {
+        return GreedyScore(t, running_, *ctx.oracle);
+      });
     }
     // Slack depends on each request's own deadline, so the scan stays per
     // request — but the in-mix latency is predicted once per template.
-    std::vector<units::Seconds> predicted(
-        static_cast<size_t>(ctx.oracle->num_templates()));
-    for (const TemplateHead& head : heads) {
-      predicted[static_cast<size_t>(head.template_index)] =
-          ctx.oracle->PredictInMix(head.template_index,
-                                   *ctx.running_templates);
+    // Every arrived request's template has a head, so the walk reads only
+    // entries written here.
+    predicted_.resize(static_cast<size_t>(ctx.oracle->num_templates()));
+    for (const TemplateHead& head : heads_) {
+      predicted_[static_cast<size_t>(head.template_index)] =
+          ctx.oracle->PredictInMix(head.template_index, running_);
     }
     const auto slack = [&](const Request& r) {
       if (!r.deadline.has_value()) {
         return std::numeric_limits<double>::infinity();
       }
       return (*r.deadline - ctx.now -
-              predicted[static_cast<size_t>(r.template_index)])
+              predicted_[static_cast<size_t>(r.template_index)])
           .value();
     };
     // Earliest predicted slack first, strict `<` so the earliest position
@@ -174,6 +182,12 @@ class DeadlineAwarePolicy : public Policy {
     });
     return queue.PositionOf(*best);
   }
+
+ private:
+  std::vector<TemplateHead> heads_;
+  PreparedMix running_;
+  /// In-mix latency per template index; only the heads' entries are live.
+  std::vector<units::Seconds> predicted_;
 };
 
 }  // namespace

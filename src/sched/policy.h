@@ -8,8 +8,12 @@
 // the mix and the oracle, and ties break by queue position (earliest
 // arrival, then lowest request id — the queue's sort order). An in-mix
 // prediction depends only on (template, running mix), so the scoring
-// policies probe the oracle once per distinct arrived template, not once
-// per queued request: at most num_templates probes per Pick.
+// policies prepare the running mix once per Pick and probe the oracle once
+// per distinct arrived template against it, not once per queued request:
+// at most num_templates probes per Pick, and one queue rank, for the
+// winner. A policy keeps its scratch buffers across Picks, so a decision
+// allocates nothing once they have grown, and one policy object decides
+// for one thread at a time.
 
 #ifndef CONTENDER_SCHED_POLICY_H_
 #define CONTENDER_SCHED_POLICY_H_

@@ -129,24 +129,21 @@ Request RequestQueue::Take(size_t i) {
   return requests_[slot];
 }
 
-std::vector<RequestQueue::TemplateHead> RequestQueue::LeadingTemplateHeads(
-    size_t count) const {
-  std::vector<TemplateHead> heads;
-  if (count == 0) return heads;
+void RequestQueue::LeadingTemplateHeads(
+    size_t count, std::vector<TemplateHead>* heads) const {
+  heads->clear();
+  if (count == 0) return;
   const size_t end = EndOf(count);
   for (size_t t = 0; t < template_head_.size(); ++t) {
-    // `position` holds the slot until the heads are sorted; slot order is
-    // position order.
     if (template_head_[t] < end) {
-      heads.push_back({static_cast<int>(t), template_head_[t]});
+      heads->push_back({static_cast<int>(t), &requests_[template_head_[t]]});
     }
   }
-  std::sort(heads.begin(), heads.end(),
+  // Slot order is queue order.
+  std::sort(heads->begin(), heads->end(),
             [](const TemplateHead& a, const TemplateHead& b) {
-              return a.position < b.position;
+              return a.request < b.request;
             });
-  for (TemplateHead& head : heads) head.position = Rank(head.position);
-  return heads;
 }
 
 }  // namespace contender::sched

@@ -52,7 +52,8 @@ class RequestQueue {
   /// The earliest queued request of one template.
   struct TemplateHead {
     int template_index;
-    size_t position;
+    /// A queued request of this queue; PositionOf gives its position.
+    const Request* request;
   };
 
   RequestQueue() = default;
@@ -75,11 +76,14 @@ class RequestQueue {
   /// Removes and returns the request at position i; O(log n).
   Request Take(size_t i);
 
-  /// Each template with a request among the first `count` positions,
-  /// paired with the position of its earliest one, in position order.
-  /// O(T log n) for the T templates of the stream, however deep the queue.
-  [[nodiscard]] std::vector<TemplateHead> LeadingTemplateHeads(
-      size_t count) const;
+  /// Fills `heads` with each template that has a request among the first
+  /// `count` positions, paired with its earliest one, in queue order.
+  /// O(log n + T log T) for the T templates of the stream, however deep
+  /// the queue: no head is ranked, so a caller pays PositionOf's O(log n)
+  /// only for the head it keeps. A reused `heads` that has held T heads
+  /// allocates nothing.
+  void LeadingTemplateHeads(size_t count,
+                            std::vector<TemplateHead>* heads) const;
 
   /// Calls fn(request) on each deadline-carrying request among the first
   /// `count`, in queue order, stopping once fn returns false. O(log n),

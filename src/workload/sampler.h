@@ -63,8 +63,8 @@ class WorkloadSampler {
   /// Runs the full paper §2 sampling protocol, fanned across the pool.
   StatusOr<TrainingData> CollectAll();
 
-  /// The mixes CollectAll() would execute, per MPL (exposed for the
-  /// sampling-cost accounting bench).
+  /// The mixes CollectAll() would execute, per MPL. CollectAll runs
+  /// exactly these; sampler_test pins the enumeration through it.
   StatusOr<std::vector<std::vector<int>>> MixesForMpl(int mpl);
 
  private:

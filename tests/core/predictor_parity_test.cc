@@ -687,6 +687,47 @@ TEST_P(PredictorParityTest, ErrorsMatch) {
   }
 }
 
+TEST_P(PredictorParityTest, NewProfilesScanningUnlistedTables) {
+  const Case& c = current();
+  const ContenderPredictor& p = *c.predictor;
+  const int n = static_cast<int>(p.profiles().size());
+  // Copies of workload profiles that also scan tables no template lists,
+  // or list one of their own tables twice.
+  std::vector<TemplateProfile> novel;
+  for (int t : {3, 8, 17}) {
+    TemplateProfile unlisted = p.profiles()[static_cast<size_t>(t)];
+    unlisted.fact_tables.push_back(100000 + t);
+    novel.push_back(unlisted);
+    TemplateProfile only_unlisted = unlisted;
+    only_unlisted.fact_tables = {100001, 100002};
+    novel.push_back(only_unlisted);
+    TemplateProfile twice = p.profiles()[static_cast<size_t>(t)];
+    if (!twice.fact_tables.empty()) {
+      twice.fact_tables.push_back(twice.fact_tables.front());
+    }
+    novel.push_back(twice);
+  }
+  for (size_t k = 0; k < novel.size(); ++k) {
+    for (int mpl = 2; mpl <= 5; ++mpl) {
+      for (const std::vector<int>& mix :
+           SeededMixes(static_cast<uint64_t>(500 * k + mpl), n, mpl - 1, 4)) {
+        const std::string where = std::string(c.name) + " novel " +
+                                  std::to_string(k) + " " + Describe(mix);
+        for (SpoilerSource source :
+             {SpoilerSource::kMeasured, SpoilerSource::kKnnPredicted}) {
+          ExpectSame(p.PredictNew(novel[k], mix, source),
+                     c.ladder->PredictNew(novel[k], mix, source),
+                     where + " PredictNew");
+          ExpectSame(
+              p.PredictNewWithKnownSlope(novel[k], mix, 0.75, source),
+              c.ladder->PredictNewWithKnownSlope(novel[k], mix, 0.75, source),
+              where + " PredictNewWithKnownSlope");
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Predictors, PredictorParityTest,
                          ::testing::Values("Shared", "WithoutModelsFor4And11",
                                            "Refit", "InverseSpoilerSlowdown"),
@@ -858,6 +899,114 @@ TEST(CqiParityTest, SeededWorkloadMixes) {
            SeededMixes(static_cast<uint64_t>(31 * primary + size), n, size,
                        8)) {
         ExpectCqiParity(data.profiles, data.scan_times, primary, mix,
+                        "primary " + std::to_string(primary) + " mix " +
+                            Describe(mix));
+      }
+    }
+  }
+}
+
+/// ComputeCqiFor with `primary`, which need not be one of `profiles`,
+/// against the reference at every variant.
+void ExpectCqiForParity(const TemplateProfile& primary,
+                        const std::vector<TemplateProfile>& profiles,
+                        const ScanTimes& scans, const std::vector<int>& mix,
+                        const std::string& where) {
+  std::vector<const TemplateProfile*> pointers;
+  for (int c : mix) pointers.push_back(&profiles[static_cast<size_t>(c)]);
+  for (CqiVariant variant : kVariants) {
+    ExpectSame(ComputeCqiFor(primary, profiles, mix, scans, variant),
+               reference::ComputeCqiFor(primary, pointers, scans, variant),
+               where + " variant " +
+                   std::to_string(static_cast<int>(variant)));
+  }
+}
+
+TEST(CqiParityTest, OutsidePrimaryScansTablesNoProfileLists) {
+  const auto profiles = TrapProfiles();
+  ScanTimes scans = TrapScanTimes();
+  // Table 9 has a scan time but no profile lists it; table 12 has neither.
+  scans[9] = units::Seconds(45.0);
+  TemplateProfile primary;
+  primary.isolated_latency = units::Seconds(70.0);
+  primary.io_fraction = units::Fraction::Clamp(0.8);
+  const int n = static_cast<int>(profiles.size());
+  const std::vector<std::vector<sim::TableId>> listings = {
+      {9}, {9, 12}, {9, 1}, {12, 0, 9}, {0, 0}, {1, 9, 1}, {2, 2, 12}};
+  for (const std::vector<sim::TableId>& tables : listings) {
+    primary.fact_tables = tables;
+    const std::string where = "primary tables " + Describe(tables);
+    for (int size = 1; size <= 5; ++size) {
+      for (const std::vector<int>& mix :
+           SeededMixes(static_cast<uint64_t>(13 * size + tables.size()), n,
+                       size, 12)) {
+        ExpectCqiForParity(primary, profiles, scans, mix,
+                           where + " mix " + Describe(mix));
+      }
+    }
+  }
+}
+
+TEST(CqiParityTest, ThreeHundredCopiesOfOneTemplate) {
+  // h_f = 300 overflows any 8-bit scanner count.
+  const auto profiles = TrapProfiles();
+  const auto scans = TrapScanTimes();
+  const std::vector<int> ones(300, 1);
+  ExpectCqiParity(profiles, scans, 0, ones, "300 x template 1");
+  ExpectCqiParity(profiles, scans, 5, ones, "300 x template 1, shared");
+  std::vector<int> mixed = ones;
+  mixed.insert(mixed.end(), 150, 6);
+  ExpectCqiParity(profiles, scans, 2, mixed, "300 x 1 + 150 x 6");
+  ExpectCqiForParity(profiles[3], profiles, scans, mixed,
+                     "300 x 1 + 150 x 6, outside primary");
+}
+
+TEST(CqiParityTest, MixLongerThanEveryInlineCapacity) {
+  const TrainingData& data = SharedTrainingData();
+  const auto traps = TrapProfiles();
+  const auto trap_scans = TrapScanTimes();
+  for (const int size : {17, 33, 64}) {
+    for (const std::vector<int>& mix :
+         SeededMixes(static_cast<uint64_t>(size), 25, size, 3)) {
+      ExpectCqiParity(data.profiles, data.scan_times, size % 25, mix,
+                      "workload mix " + Describe(mix));
+    }
+    for (const std::vector<int>& mix : SeededMixes(
+             static_cast<uint64_t>(7 * size), static_cast<int>(traps.size()),
+             size, 3)) {
+      ExpectCqiParity(traps, trap_scans, size % 7, mix,
+                      "trap mix " + Describe(mix));
+    }
+  }
+}
+
+TEST(CqiParityTest, MoreFactTablesThanOneWord) {
+  // 40 templates over 150 distinct tables, each listing 1-6 of them
+  // (repeats possible); only every third table has a scan time.
+  Rng rng(64);
+  std::vector<TemplateProfile> profiles;
+  for (int t = 0; t < 40; ++t) {
+    TemplateProfile p;
+    p.template_index = t;
+    p.isolated_latency = units::Seconds(rng.Uniform(10.0, 300.0));
+    p.io_fraction = units::Fraction::Clamp(rng.Uniform(0.1, 1.0));
+    const uint64_t listed = 1 + rng.UniformInt(6);
+    for (uint64_t k = 0; k < listed; ++k) {
+      p.fact_tables.push_back(static_cast<sim::TableId>(
+          3 * t + static_cast<int>(rng.UniformInt(30))));
+    }
+    profiles.push_back(p);
+  }
+  ScanTimes scans;
+  for (sim::TableId f = 0; f < 160; f += 3) {
+    scans[f] = units::Seconds(rng.Uniform(1.0, 60.0));
+  }
+  for (int primary = 0; primary < 40; primary += 3) {
+    for (int size = 1; size <= 20; size += 4) {
+      for (const std::vector<int>& mix :
+           SeededMixes(static_cast<uint64_t>(100 * primary + size), 40, size,
+                       4)) {
+        ExpectCqiParity(profiles, scans, primary, mix,
                         "primary " + std::to_string(primary) + " mix " +
                             Describe(mix));
       }

@@ -8,6 +8,12 @@
 // positions; template heads, deadline walks with PositionOf, and the Pick
 // of every policy. Every size, position, request and pick must match
 // exactly; a failure here means the index moved an answer.
+//
+// PickChaosTest arms the ladder's fail points during greedy and
+// deadline-aware Picks, which prepare the running mix once, and checks
+// them against the reference policies, which score each head through the
+// one-probe PredictInMix: the same position, the same fail-point hits and
+// fires, the same MixOracle counts.
 
 #include <algorithm>
 #include <cmath>
@@ -15,6 +21,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +32,7 @@
 #include "sched/policy.h"
 #include "sched/request.h"
 #include "test_support.h"
+#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -365,14 +373,15 @@ class RequestParityTest : public ::testing::Test {
     // Heads of the arrived prefix and of an arbitrary leading count.
     const size_t any_count = rng->UniformInt(ref.size() + 1);
     for (const size_t count : {arrived, any_count}) {
-      const auto heads = queue.LeadingTemplateHeads(count);
+      std::vector<RequestQueue::TemplateHead> heads;
+      queue.LeadingTemplateHeads(count, &heads);
       const auto want = reference::DistinctTemplates(ref, count, oracle_);
       EXPECT_EQ(heads.size(), want.size())
           << where << " heads(" << count << ")";
       for (size_t k = 0; k < std::min(heads.size(), want.size()); ++k) {
         EXPECT_EQ(heads[k].template_index, want[k].template_index)
             << where << " head " << k;
-        EXPECT_EQ(heads[k].position, want[k].position)
+        EXPECT_EQ(queue.PositionOf(*heads[k].request), want[k].position)
             << where << " head " << k;
       }
     }
@@ -467,11 +476,207 @@ TEST_F(RequestParityTest, InterleavedOperationsMatchTheVectorQueue) {
     EXPECT_TRUE(queue.empty()) << "trial " << trial;
     EXPECT_EQ(queue.size(), 0u);
     EXPECT_EQ(queue.ArrivedBy(units::Seconds(1e9)), 0u);
-    EXPECT_TRUE(queue.LeadingTemplateHeads(0).empty());
+    std::vector<RequestQueue::TemplateHead> heads = {{0, nullptr}};
+    queue.LeadingTemplateHeads(0, &heads);
+    EXPECT_TRUE(heads.empty());
   }
   // The suite must have exercised what it claims to.
   EXPECT_GT(takes, 20000u);
   EXPECT_GT(picks_compared_, 10000u);
+}
+
+// ---------------------------------------------------------------------------
+// Picks under chaos.
+
+/// Degraded (open breaker) for exactly the listed templates.
+class FixedHealth : public TemplateHealth {
+ public:
+  explicit FixedHealth(std::vector<int> degraded)
+      : degraded_(std::move(degraded)) {}
+  bool Degraded(int template_index) const override {
+    return std::find(degraded_.begin(), degraded_.end(), template_index) !=
+           degraded_.end();
+  }
+
+ private:
+  std::vector<int> degraded_;
+};
+
+/// What one Pick leaves behind in the ladder's fail points and the oracle.
+struct LadderLedger {
+  uint64_t full_model_hits = 0;
+  uint64_t full_model_fires = 0;
+  uint64_t transfer_hits = 0;
+  uint64_t transfer_fires = 0;
+  uint64_t evaluations = 0;
+  uint64_t fallbacks = 0;
+  uint64_t degradations = 0;
+
+  bool operator==(const LadderLedger&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LadderLedger& l) {
+  return os << "full_model " << l.full_model_hits << "/"
+            << l.full_model_fires << " transfer " << l.transfer_hits << "/"
+            << l.transfer_fires << " oracle " << l.evaluations << "/"
+            << l.fallbacks << "/" << l.degradations;
+}
+
+constexpr const char* kFullModelSite = "core.ladder.full_model";
+constexpr const char* kTransferSite = "core.ladder.transfer";
+
+/// How one ladder site is armed for one Pick.
+struct SiteArming {
+  /// 0: nth hit, 1: probability, 2: disarmed.
+  int kind = 2;
+  uint64_t nth = 1;
+  double probability = 0.0;
+
+  void Apply(const char* site) const {
+    FailPointRegistry& registry = FailPointRegistry::Global();
+    if (kind == 0) {
+      registry.ArmNthHit(site, nth);
+    } else if (kind == 1) {
+      registry.ArmProbability(site, probability);
+    } else {
+      registry.Disarm(site);
+    }
+  }
+};
+
+SiteArming DrawArming(Rng* rng) {
+  SiteArming arming;
+  arming.kind = static_cast<int>(rng->UniformInt(3));
+  arming.nth = 1 + rng->UniformInt(16);
+  arming.probability = rng->Uniform(0.05, 0.6);
+  return arming;
+}
+
+class PickChaosTest : public ::testing::Test {
+ protected:
+  void TearDown() override { FailPointRegistry::Global().DisarmAll(); }
+
+  /// Runs one Pick with both sites armed afresh, and reports its answer
+  /// and ledger; `oracle`'s counters are read as deltas.
+  template <typename PickFn>
+  static std::pair<StatusOr<size_t>, LadderLedger> Run(
+      const SiteArming& full_model, const SiteArming& transfer,
+      const MixOracle& oracle, PickFn&& pick) {
+    full_model.Apply(kFullModelSite);
+    transfer.Apply(kTransferSite);
+    LadderLedger before;
+    before.evaluations = oracle.evaluations();
+    before.fallbacks = oracle.fallbacks();
+    before.degradations = oracle.degradations();
+    StatusOr<size_t> got = pick();
+    FailPointRegistry& registry = FailPointRegistry::Global();
+    LadderLedger ledger;
+    ledger.full_model_hits = registry.Site(kFullModelSite).hits();
+    ledger.full_model_fires = registry.Site(kFullModelSite).fires();
+    ledger.transfer_hits = registry.Site(kTransferSite).hits();
+    ledger.transfer_fires = registry.Site(kTransferSite).fires();
+    ledger.evaluations = oracle.evaluations() - before.evaluations;
+    ledger.fallbacks = oracle.fallbacks() - before.fallbacks;
+    ledger.degradations = oracle.degradations() - before.degradations;
+    return {std::move(got), ledger};
+  }
+};
+
+TEST_F(PickChaosTest, ArmedLadderPicksMatchThePerProbeReference) {
+  // Templates 4 and 11 have no QS model at any MPL, so tier 1 answers for
+  // them even when nothing fires; template 7's breaker is open.
+  static const ContenderPredictor* const predictor =
+      new ContenderPredictor(testing::TrainWithoutModelsFor({4, 11}));
+  const FixedHealth health({7});
+  const MixOracle::Options oracle_options{&health};
+  MixOracle oracle(predictor, oracle_options);
+  MixOracle reference_oracle(predictor, oracle_options);
+  const std::unique_ptr<Policy> greedy =
+      MakePolicy(PolicyKind::kGreedyContention);
+  const std::unique_ptr<Policy> deadline_aware =
+      MakePolicy(PolicyKind::kDeadlineAware);
+
+  FailPointRegistry::Global().SetRootSeed(20141215);
+  Rng rng(2014);
+  LadderLedger total;
+  size_t picks = 0;
+  for (const int depth : {64, 512, 4096, 97, 1500}) {
+    // 13 templates, 4, 7 and 11 among them; arrivals and deadlines on
+    // coarse grids, so ties are common.
+    std::vector<int> pool = {4, 7, 11};
+    for (int t : rng.Permutation(kTemplates)) {
+      if (pool.size() < 13 && t != 4 && t != 7 && t != 11) pool.push_back(t);
+    }
+    const double deadline_probability =
+        depth == 97 ? 0.0 : rng.Uniform(0.05, 0.6);
+    const uint64_t instants = static_cast<uint64_t>(depth / 4);
+    std::vector<Request> stream(static_cast<size_t>(depth));
+    for (int id = 0; id < depth; ++id) {
+      Request& r = stream[static_cast<size_t>(id)];
+      r.request_id = id;
+      r.template_index = pool[rng.UniformInt(pool.size())];
+      r.arrival_time = units::Seconds(
+          2.5 * static_cast<double>(rng.UniformInt(instants)));
+      if (rng.Uniform01() < deadline_probability) {
+        r.deadline = r.arrival_time +
+                     units::Seconds(100.0 * static_cast<double>(
+                                                1 + rng.UniformInt(40)));
+      }
+    }
+    RequestQueue queue(stream);
+    reference::RequestQueue ref(std::move(stream));
+    for (int step = 0; step < 48; ++step) {
+      const units::Seconds now = DrawInstant(&rng, ref);
+      if (queue.ArrivedBy(now) == 0) continue;
+      // 0-4 co-runners from the whole workload, repeats allowed: MPL 1-5.
+      std::vector<int> running;
+      const uint64_t corunners = rng.UniformInt(5);
+      for (uint64_t i = 0; i < corunners; ++i) {
+        running.push_back(i > 0 && rng.Uniform01() < 0.3
+                              ? running.back()
+                              : static_cast<int>(rng.UniformInt(kTemplates)));
+      }
+      const SchedContext ctx{now, &running, &oracle};
+      const SchedContext ref_ctx{now, &running, &reference_oracle};
+      for (const PolicyKind kind : {PolicyKind::kGreedyContention,
+                                    PolicyKind::kDeadlineAware}) {
+        Policy& policy =
+            kind == PolicyKind::kGreedyContention ? *greedy : *deadline_aware;
+        const SiteArming full_model = DrawArming(&rng);
+        const SiteArming transfer = DrawArming(&rng);
+        const auto [got, got_ledger] =
+            Run(full_model, transfer, oracle,
+                [&] { return policy.Pick(queue, ctx); });
+        const auto [want, want_ledger] =
+            Run(full_model, transfer, reference_oracle,
+                [&] { return reference::Pick(kind, ref, ref_ctx); });
+        const std::string where = "depth " + std::to_string(depth) +
+                                  " step " + std::to_string(step) + " " +
+                                  PolicyKindName(kind);
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status();
+        ASSERT_TRUE(want.ok()) << where << ": " << want.status();
+        EXPECT_EQ(*got, *want) << where;
+        EXPECT_EQ(got_ledger, want_ledger) << where;
+        total.full_model_fires += got_ledger.full_model_fires;
+        total.transfer_fires += got_ledger.transfer_fires;
+        total.fallbacks += got_ledger.fallbacks;
+        total.degradations += got_ledger.degradations;
+        ++picks;
+      }
+      FailPointRegistry::Global().DisarmAll();
+      // Take the greedy pick, to move the heads.
+      const StatusOr<size_t> take = greedy->Pick(queue, ctx);
+      ASSERT_TRUE(take.ok()) << take.status();
+      ASSERT_TRUE(SameRequest(queue.Take(*take), ref.Take(*take)));
+      if (ref.empty()) break;
+    }
+  }
+  // The suite must have exercised what it claims to.
+  EXPECT_GT(picks, 300u);
+  EXPECT_GT(total.full_model_fires, 50u);
+  EXPECT_GT(total.transfer_fires, 50u);
+  EXPECT_GT(total.fallbacks, 100u);
+  EXPECT_GT(total.degradations, 50u);
 }
 
 }  // namespace

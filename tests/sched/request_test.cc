@@ -159,9 +159,11 @@ TEST(RequestQueueTest, TemplateHeadsFollowTakes) {
                       MakeRequest(2, 2.0, 3), MakeRequest(3, 3.0, 1),
                       MakeRequest(4, 4.0, 0), MakeRequest(5, 5.0, 3)});
   const auto heads_of = [&](size_t count) {
+    std::vector<RequestQueue::TemplateHead> heads;
+    queue.LeadingTemplateHeads(count, &heads);
     std::vector<std::pair<int, size_t>> out;
-    for (const auto& h : queue.LeadingTemplateHeads(count)) {
-      out.emplace_back(h.template_index, h.position);
+    for (const auto& h : heads) {
+      out.emplace_back(h.template_index, queue.PositionOf(*h.request));
     }
     return out;
   };
