@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
         if (i != held) refs.push_back(e.data.profiles[i]);
       }
       KnnSpoilerPredictor::Options opts;
-      opts.k = static_cast<int>(flags.GetInt("k", 3));
+      opts.k = flags.GetInt("k", 3);
       auto knn = KnnSpoilerPredictor::Fit(refs, opts);
       auto io = IoTimeSpoilerPredictor::Fit(refs, {1, 2, 3, 4, 5});
       CONTENDER_CHECK(knn.ok());

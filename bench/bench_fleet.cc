@@ -67,10 +67,8 @@ int main(int argc, char** argv) {
   const scenario::Scenario* poisson =
       scenario::FindScenario(scenario::kPoissonSteadyName);
   scenario::ScenarioParams population_options;
-  population_options.num_tenants =
-      static_cast<int>(flags.GetInt("tenants", 4));
-  population_options.num_requests =
-      static_cast<int>(flags.GetInt("requests", 96));
+  population_options.num_tenants = flags.GetInt("tenants", 4);
+  population_options.num_requests = flags.GetInt("requests", 96);
   population_options.mean_interarrival =
       units::Seconds(flags.GetDouble("mean_interarrival", 25.0));
   population_options.templates_per_tenant = 10;
@@ -80,7 +78,7 @@ int main(int argc, char** argv) {
   population_options.max_slack = flags.GetDouble("max_slack", 10.0);
   population_options.seed = e.seed;
 
-  const int target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
+  const int target_mpl = flags.GetInt("mpl", 3);
   const bool check_wins = flags.GetBool("check", true);
   const std::vector<int> node_counts = {2, 4};
   const std::vector<double> skews = {0.0, 1.5};

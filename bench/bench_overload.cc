@@ -111,10 +111,8 @@ int main(int argc, char** argv) {
   }
 
   scenario::ScenarioParams population_options;
-  population_options.num_tenants =
-      static_cast<int>(flags.GetInt("tenants", 6));
-  population_options.num_requests =
-      static_cast<int>(flags.GetInt("requests", 96));
+  population_options.num_tenants = flags.GetInt("tenants", 6);
+  population_options.num_requests = flags.GetInt("requests", 96);
   // ~4 s between arrivals against node service times in the tens of
   // seconds: a sustained overload every regime must face.
   population_options.mean_interarrival =
@@ -127,7 +125,7 @@ int main(int argc, char** argv) {
   population_options.max_slack = flags.GetDouble("max_slack", 10.0);
   population_options.seed = e.seed;
 
-  const int target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
+  const int target_mpl = flags.GetInt("mpl", 3);
   const bool check_wins = flags.GetBool("check", true);
   const std::vector<std::string> scenario_names = {
       "poisson-steady", "flash-crowd", "heavy-tail-tenants"};

@@ -1,17 +1,13 @@
-// Measures the parallel profiling & training runner: wall-clock of the full
-// pipeline (§2 sampling via WorkloadSampler::CollectAll + predictor
-// training) with a pool of 1, a pool of 4, and a warm RunCache replay —
-// while verifying that all three produce bit-identical training data and
-// predictions. Pool speedup needs real cores; the cache replay demonstrates
-// the amortization that holds on any machine.
+// Measures parallel profiling & training: wall-clock of the full pipeline
+// (§2 sampling via WorkloadSampler::CollectAll + predictor training) with a
+// pool of 1 and a pool of 4, while verifying that both produce bit-identical
+// training data and predictions. The speedup needs real cores.
 //
-// Flags: --seed, --lhs_runs, --threads (width of the "wide" runs, default 4).
+// Flags: --seed, --lhs_runs, --threads (width of the "wide" run, default 4).
 
 #include "bench_support.h"
 
 #include <chrono>
-
-#include "sim/run_cache.h"
 
 namespace contender::bench {
 namespace {
@@ -31,14 +27,12 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 }
 
 TrainedRun RunPipeline(const Workload& workload, const sim::SimConfig& config,
-                       const Flags& flags, int threads,
-                       sim::RunCache* cache) {
+                       const Flags& flags, int threads) {
   TrainedRun run;
   WorkloadSampler::Options options;
   options.seed = flags.Seed();
-  options.lhs_runs = static_cast<int>(flags.GetInt("lhs_runs", 4));
+  options.lhs_runs = flags.GetInt("lhs_runs", 4);
   options.threads = threads;
-  options.cache = cache;
 
   auto collect_start = std::chrono::steady_clock::now();
   WorkloadSampler sampler(&workload, config, options);
@@ -92,24 +86,15 @@ int Main(int argc, char** argv) {
   Flags flags(argc, argv);
   const Workload workload = Workload::Paper();
   const sim::SimConfig config;
-  const int wide = static_cast<int>(flags.GetInt("threads", 4));
+  const int wide = flags.GetInt("threads", 4);
 
   std::cout << "=== Parallel profiling & training (CollectAll + Train) "
                "===\n\n";
 
-  // Each cold run gets its own cache so nothing is shared between the
-  // pool-width scenarios; the warm run replays the wide run's cache.
-  sim::RunCache cache_one(4096), cache_wide(4096);
-  const TrainedRun one =
-      RunPipeline(workload, config, flags, /*threads=*/1, &cache_one);
-  const TrainedRun many =
-      RunPipeline(workload, config, flags, wide, &cache_wide);
-  const TrainedRun warm =
-      RunPipeline(workload, config, flags, wide, &cache_wide);
-
+  const TrainedRun one = RunPipeline(workload, config, flags, /*threads=*/1);
+  const TrainedRun many = RunPipeline(workload, config, flags, wide);
   CONTENDER_CHECK(Identical(one, many))
       << "pool-" << wide << " diverged from pool-1";
-  CONTENDER_CHECK(Identical(one, warm)) << "warm replay diverged";
 
   auto total = [](const TrainedRun& r) {
     return r.collect_seconds + r.train_seconds;
@@ -121,14 +106,11 @@ int Main(int argc, char** argv) {
                   FormatDouble(total(r), 2) + " s",
                   FormatDouble(total(one) / total(r), 2) + "x"});
   };
-  row("pool=1, cold cache", one);
-  row("pool=" + std::to_string(wide) + ", cold cache", many);
-  row("pool=" + std::to_string(wide) + ", warm cache", warm);
+  row("pool=1", one);
+  row("pool=" + std::to_string(wide), many);
   table.Print(std::cout);
 
-  std::cout << "\nRunCache (wide pool): " << cache_wide.hits() << " hits / "
-            << cache_wide.misses() << " misses across cold+warm passes.\n";
-  std::cout << "All three scenarios produced bit-identical profiles, "
+  std::cout << "\nBoth pool widths produced bit-identical profiles, "
                "observations and predictions.\n";
   return 0;
 }

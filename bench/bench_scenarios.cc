@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
             << e.data.observations.size() << " observations kept)\n\n";
 
   scenario::ScenarioParams params;
-  params.num_requests = static_cast<int>(flags.GetInt("requests", 48));
+  params.num_requests = flags.GetInt("requests", 48);
   params.mean_interarrival =
       units::Seconds(flags.GetDouble("mean_interarrival", 25.0));
   params.deadline_probability = flags.GetDouble("deadline_probability", 0.5);
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   params.seed = e.seed;
 
   sched::ScheduleOptions schedule_options;
-  schedule_options.target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
+  schedule_options.target_mpl = flags.GetInt("mpl", 3);
   schedule_options.seed = e.seed;
   const bool check = flags.GetBool("check", true);
 

@@ -40,8 +40,7 @@ int main(int argc, char** argv) {
     reference.push_back(p.isolated_latency);
   }
   scenario::ScenarioParams arrivals;
-  arrivals.num_requests =
-      static_cast<int>(flags.GetInt("requests", 32));
+  arrivals.num_requests = flags.GetInt("requests", 32);
   arrivals.mean_interarrival =
       units::Seconds(flags.GetDouble("mean_interarrival", 25.0));
   arrivals.deadline_probability =

@@ -154,6 +154,10 @@ ThroughputResult MeasureThroughput(const PredictionService& service,
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  const int requests = flags.GetInt("requests", 4000);
+  CONTENDER_CHECK(requests >= 1)
+      << "--requests=" << requests << " must be at least 1";
+  const size_t total_requests = static_cast<size_t>(requests);
   std::cout << "Training Contender on the TPC-DS-like workload...\n";
   bench::Experiment e = bench::CollectExperiment(flags);
   auto predictor = ContenderPredictor::Train(
@@ -168,8 +172,6 @@ int main(int argc, char** argv) {
   service_options.health =
       std::make_shared<HealthTracker>(initial_snapshot->num_templates());
   PredictionService service(std::move(initial_snapshot), service_options);
-  const size_t total_requests =
-      static_cast<size_t>(flags.GetInt("requests", 4000));
   const unsigned hardware = std::thread::hardware_concurrency();
   const bool check = flags.GetBool("check", false);
 
@@ -223,8 +225,7 @@ int main(int argc, char** argv) {
 
   // Experiment 2: tail latency while the controller hot-swaps refit
   // snapshots under live traffic, with batch-consistency verification.
-  const int refit_rounds =
-      static_cast<int>(flags.GetInt("refit_rounds", 4));
+  const int refit_rounds = flags.GetInt("refit_rounds", 4);
   ObservationLog log(&service);
   RefitOptions refit_options;
   refit_options.min_new_observations = 32;

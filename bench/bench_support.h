@@ -31,16 +31,16 @@ struct Experiment {
 
 /// Collects the full §2 sampling protocol (isolated profiles, spoiler
 /// latencies, scan times, all pairs at MPL 2, LHS runs at MPL 3–5), fanned
-/// across a sim::BatchRunner pool without a run cache (a bench collects
-/// once per process). Honors --seed, --lhs_runs and --threads (0 = hardware
-/// concurrency); results are bit-identical for every thread count.
+/// across a thread pool. Honors --seed, --lhs_runs and --threads (0 or
+/// below = hardware concurrency); results are bit-identical for every
+/// thread count.
 inline Experiment CollectExperiment(const Flags& flags) {
   Experiment e;
   e.seed = flags.Seed();
   WorkloadSampler::Options options;
   options.seed = e.seed;
-  options.lhs_runs = static_cast<int>(flags.GetInt("lhs_runs", 4));
-  options.threads = static_cast<int>(flags.GetInt("threads", 0));
+  options.lhs_runs = flags.GetInt("lhs_runs", 4);
+  options.threads = flags.GetInt("threads", 0);
   WorkloadSampler sampler(&e.workload, e.config, options);
   auto data = sampler.CollectAll();
   CONTENDER_CHECK(data.ok()) << data.status();

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     reference.push_back(p.isolated_latency);
   }
   scenario::ScenarioParams arrivals;
-  arrivals.num_requests = static_cast<int>(flags.GetInt("requests", 24));
+  arrivals.num_requests = flags.GetInt("requests", 24);
   arrivals.mean_interarrival = units::Seconds(30.0);
   arrivals.seed = flags.Seed();
   auto generated = scenario::FindScenario(scenario::kPoissonSteadyName)
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   sched::ScheduleSimulator simulator(&workload, machine);
   sched::MixOracle oracle(&*predictor);
   sched::ScheduleOptions options;
-  options.target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
+  options.target_mpl = flags.GetInt("mpl", 3);
   options.seed = flags.Seed();
 
   TablePrinter table({"Policy", "Makespan", "Mean wait", "p95 resp",

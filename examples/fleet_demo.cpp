@@ -76,10 +76,8 @@ int main(int argc, char** argv) {
   }
 
   scenario::ScenarioParams population_options;
-  population_options.num_tenants =
-      static_cast<int>(flags.GetInt("tenants", 4));
-  population_options.num_requests =
-      static_cast<int>(flags.GetInt("requests", 64));
+  population_options.num_tenants = flags.GetInt("tenants", 4);
+  population_options.num_requests = flags.GetInt("requests", 64);
   population_options.mean_interarrival =
       units::Seconds(flags.GetDouble("mean_interarrival", 20.0));
   population_options.skew = flags.GetDouble("skew", 1.0);
@@ -98,7 +96,7 @@ int main(int argc, char** argv) {
       population->requests[population->requests.size() / 2];
   FleetOptions options;
   options.num_nodes = 4;
-  options.target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
+  options.target_mpl = flags.GetInt("mpl", 3);
   options.policy = RoutePolicy::kContentionAware;
   options.seed = flags.Seed();
   options.threads = 0;  // all cores; results are thread-count invariant

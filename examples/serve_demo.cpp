@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   RefitController controller(&service, &log, data->observations,
                              refit_options);
 
-  const int target = static_cast<int>(flags.GetInt("template", 3));
+  const int target = flags.GetInt("template", 3);
   const double drift = flags.GetDouble("drift", 1.3);
   const auto v1 = service.snapshot();
   CONTENDER_CHECK(target >= 0 && target < v1->num_templates())

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const int primary_id = static_cast<int>(flags.GetInt("primary", 71));
+  const int primary_id = flags.GetInt("primary", 71);
   const std::vector<int> partner_ids =
       ParseIdList(flags.GetString("with", "26,33"));
   const int primary = workload.IndexOfId(primary_id);

@@ -4,9 +4,9 @@
 #include <utility>
 
 #include "core/continuum.h"
-#include "sim/batch_runner.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace contender {
 
@@ -66,12 +66,10 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
 
   // The per-MPL fits are independent; fan them across the pool and merge in
   // MPL order so the trained predictor is bit-identical for any pool width.
-  sim::BatchRunner::Options runner_opts;
-  runner_opts.threads = options.train_threads;
-  sim::BatchRunner runner(runner_opts);
-
+  ThreadPool pool(options.train_threads <= 0 ? ThreadPool::DefaultThreads()
+                                             : options.train_threads);
   using MplFit = std::pair<std::map<int, QsModel>, QsTransferModel>;
-  std::vector<StatusOr<MplFit>> fits = runner.Map(
+  std::vector<StatusOr<MplFit>> fits = pool.Map(
       options.mpls.size(), [&p, &observations, &options](size_t k)
           -> StatusOr<MplFit> {
         const units::Mpl mpl(options.mpls[k]);
@@ -103,8 +101,8 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
     p.transfer_models_.emplace(mpl, std::move(fits[k]->second));
   }
 
-  auto knn = KnnSpoilerPredictor::Fit(
-      p.profiles_, KnnSpoilerPredictor::Options{}, &runner.pool());
+  auto knn = KnnSpoilerPredictor::Fit(p.profiles_,
+                                      KnnSpoilerPredictor::Options{});
   if (!knn.ok()) return knn.status();
   p.knn_spoiler_.emplace(std::move(*knn));
   return p;

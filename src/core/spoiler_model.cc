@@ -1,32 +1,20 @@
 #include "core/spoiler_model.h"
 
-#include <future>
-
 namespace contender {
 
 namespace {
 
 /// Fits every reference template's growth model, index-aligned with
-/// `profiles` (fanned across `pool` when given; failed fits become errors in
-/// place, so callers can skip them in deterministic order).
+/// `profiles` (failed fits become errors in place, so callers can skip them
+/// in deterministic order).
 std::vector<StatusOr<SpoilerGrowthModel>> FitAllGrowthModels(
     const std::vector<TemplateProfile>& profiles,
-    const std::vector<int>& train_mpls, ThreadPool* pool) {
+    const std::vector<int>& train_mpls) {
   std::vector<StatusOr<SpoilerGrowthModel>> out;
   out.reserve(profiles.size());
-  if (pool == nullptr) {
-    for (const TemplateProfile& p : profiles) {
-      out.push_back(FitSpoilerGrowth(p, train_mpls));
-    }
-    return out;
-  }
-  std::vector<std::future<StatusOr<SpoilerGrowthModel>>> futures;
-  futures.reserve(profiles.size());
   for (const TemplateProfile& p : profiles) {
-    futures.push_back(pool->Submit(
-        [&p, &train_mpls] { return FitSpoilerGrowth(p, train_mpls); }));
+    out.push_back(FitSpoilerGrowth(p, train_mpls));
   }
-  for (auto& future : futures) out.push_back(future.get());
   return out;
 }
 
@@ -66,10 +54,10 @@ StatusOr<SpoilerGrowthModel> FitSpoilerGrowth(
 
 StatusOr<KnnSpoilerPredictor> KnnSpoilerPredictor::Fit(
     const std::vector<TemplateProfile>& reference_profiles,
-    const Options& options, ThreadPool* pool) {
+    const Options& options) {
   const std::vector<int> train_mpls(kTrainMpls.begin(), kTrainMpls.end());
   std::vector<StatusOr<SpoilerGrowthModel>> growths =
-      FitAllGrowthModels(reference_profiles, train_mpls, pool);
+      FitAllGrowthModels(reference_profiles, train_mpls);
   std::vector<Vector> features;
   std::vector<Vector> targets;
   for (size_t i = 0; i < reference_profiles.size(); ++i) {
@@ -116,9 +104,9 @@ StatusOr<units::Seconds> KnnSpoilerPredictor::Predict(
 
 StatusOr<IoTimeSpoilerPredictor> IoTimeSpoilerPredictor::Fit(
     const std::vector<TemplateProfile>& reference_profiles,
-    const std::vector<int>& train_mpls, ThreadPool* pool) {
+    const std::vector<int>& train_mpls) {
   std::vector<StatusOr<SpoilerGrowthModel>> growths =
-      FitAllGrowthModels(reference_profiles, train_mpls, pool);
+      FitAllGrowthModels(reference_profiles, train_mpls);
   std::vector<double> pt, slopes, intercepts;
   for (size_t i = 0; i < reference_profiles.size(); ++i) {
     const StatusOr<SpoilerGrowthModel>& growth = growths[i];

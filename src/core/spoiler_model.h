@@ -15,7 +15,6 @@
 #include "math/regression.h"
 #include "ml/knn.h"
 #include "util/statusor.h"
-#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace contender {
@@ -54,11 +53,10 @@ class KnnSpoilerPredictor {
   /// MPLs each reference template's growth model is fit on.
   static constexpr std::array<int, 5> kTrainMpls = {1, 2, 3, 4, 5};
 
-  /// Fits one growth model per reference template (fanned across `pool`
-  /// when non-null; the result is identical either way).
+  /// Fits one growth model per reference template.
   static StatusOr<KnnSpoilerPredictor> Fit(
       const std::vector<TemplateProfile>& reference_profiles,
-      const Options& options, ThreadPool* pool = nullptr);
+      const Options& options);
 
   /// Predicted l_max of `target` at `mpl` using only its isolated stats.
   StatusOr<units::Seconds> Predict(const TemplateProfile& target,
@@ -79,7 +77,7 @@ class IoTimeSpoilerPredictor {
  public:
   static StatusOr<IoTimeSpoilerPredictor> Fit(
       const std::vector<TemplateProfile>& reference_profiles,
-      const std::vector<int>& train_mpls, ThreadPool* pool = nullptr);
+      const std::vector<int>& train_mpls);
 
   StatusOr<units::Seconds> Predict(const TemplateProfile& target,
                                    units::Mpl mpl) const;

@@ -1,7 +1,6 @@
 #include "fleet/fleet_simulator.h"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 #include "util/logging.h"
@@ -133,35 +132,31 @@ StatusOr<FleetResult> FleetSimulator::Run(const Population& population,
   const int threads =
       options.threads > 0 ? options.threads : ThreadPool::DefaultThreads();
   ThreadPool pool(threads);
-  std::vector<std::future<StatusOr<NodeRun>>> futures;
-  futures.reserve(static_cast<size_t>(options.num_nodes));
-  for (int i = 0; i < options.num_nodes; ++i) {
-    futures.push_back(pool.Submit(
-        [this, i, &per_node, &node_seeds, &options]() -> StatusOr<NodeRun> {
-          NodeOptions node_options;
-          node_options.node_id = i;
-          node_options.target_mpl = options.target_mpl;
-          node_options.policy = options.node_policy;
-          node_options.seed = node_seeds[static_cast<size_t>(i)];
-          node_options.oracle_options = options.oracle_options;
-          node_options.overload = options.node_overload;
-          Node node(workload_, config_, predictor_, node_options, health_);
-          NodeRun run;
-          CONTENDER_ASSIGN_OR_RETURN(
-              run.result, node.Run(per_node[static_cast<size_t>(i)]));
-          run.blame = ComputeNodeBlame(run.result, node.oracle());
-          run.summary.node_id = i;
-          run.summary.requests = run.result.schedule.outcomes.size();
-          run.summary.makespan = run.result.schedule.makespan;
-          run.summary.oracle_evaluations = node.oracle().evaluations();
-          run.summary.oracle_degradations = node.oracle().degradations();
-          run.summary.queue_sheds = run.result.schedule.queue_sheds;
-          run.summary.final_admission_limit =
-              run.result.schedule.final_admission_limit;
-          run.summary.limit_decreases = run.result.schedule.limit_decreases;
-          return run;
-        }));
-  }
+  std::vector<StatusOr<NodeRun>> node_runs = pool.Map(
+      static_cast<size_t>(options.num_nodes),
+      [this, &per_node, &node_seeds, &options](size_t i) -> StatusOr<NodeRun> {
+        NodeOptions node_options;
+        node_options.node_id = static_cast<int>(i);
+        node_options.target_mpl = options.target_mpl;
+        node_options.policy = options.node_policy;
+        node_options.seed = node_seeds[i];
+        node_options.oracle_options = options.oracle_options;
+        node_options.overload = options.node_overload;
+        Node node(workload_, config_, predictor_, node_options, health_);
+        NodeRun run;
+        CONTENDER_ASSIGN_OR_RETURN(run.result, node.Run(per_node[i]));
+        run.blame = ComputeNodeBlame(run.result, node.oracle());
+        run.summary.node_id = static_cast<int>(i);
+        run.summary.requests = run.result.schedule.outcomes.size();
+        run.summary.makespan = run.result.schedule.makespan;
+        run.summary.oracle_evaluations = node.oracle().evaluations();
+        run.summary.oracle_degradations = node.oracle().degradations();
+        run.summary.queue_sheds = run.result.schedule.queue_sheds;
+        run.summary.final_admission_limit =
+            run.result.schedule.final_admission_limit;
+        run.summary.limit_decreases = run.result.schedule.limit_decreases;
+        return run;
+      });
 
   // ---- Assembly (sequential, node order). ------------------------------
   FleetResult fleet;
@@ -178,10 +173,9 @@ StatusOr<FleetResult> FleetSimulator::Run(const Population& population,
     out.degraded_route = assignments[id].degraded;
   }
 
-  fleet.nodes.reserve(futures.size());
-  for (std::future<StatusOr<NodeRun>>& future : futures) {
-    NodeRun run;
-    CONTENDER_ASSIGN_OR_RETURN(run, future.get());
+  fleet.nodes.reserve(node_runs.size());
+  for (StatusOr<NodeRun>& node_run : node_runs) {
+    CONTENDER_ASSIGN_OR_RETURN(NodeRun run, std::move(node_run));
     for (size_t local = 0; local < run.result.schedule.outcomes.size();
          ++local) {
       const sched::RequestOutcome& outcome =

@@ -2,6 +2,8 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string_view>
 
 #include "util/logging.h"
@@ -45,13 +47,24 @@ std::string Flags::GetString(const std::string& name,
   return it == values_.end() ? default_value : it->second;
 }
 
-int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
+int Flags::GetInt(const std::string& name, int default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
+  int value = 0;
+  CONTENDER_CHECK(ParseWhole(it->second, &value))
+      << "--" << name << "=" << it->second << " is not an integer in ["
+      << std::numeric_limits<int>::min() << ", "
+      << std::numeric_limits<int>::max() << "]";
+  return value;
+}
+
+uint64_t Flags::Seed() const {
+  auto it = values_.find("seed");
+  if (it == values_.end()) return 42;
   int64_t value = 0;
   CONTENDER_CHECK(ParseWhole(it->second, &value))
-      << "--" << name << "=" << it->second << " is not an integer";
-  return value;
+      << "--seed=" << it->second << " is not an integer";
+  return static_cast<uint64_t>(value);
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {

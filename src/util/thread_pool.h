@@ -7,11 +7,13 @@
 // Determinism contract: tasks are *started* in submission order but may
 // *complete* in any order. Callers that need reproducible output must derive
 // all randomness (seeds) before submission and order results by submission
-// index — see sim::BatchRunner, which does exactly that.
+// index — Map does the latter, and every fan-out in src/ goes through it
+// except PredictionService::PredictBatch.
 
 #ifndef CONTENDER_UTIL_THREAD_POOL_H_
 #define CONTENDER_UTIL_THREAD_POOL_H_
 
+#include <cstddef>
 #include <functional>
 #include <future>
 #include <memory>
@@ -65,6 +67,25 @@ class ThreadPool {
       queue_.push([task] { (*task)(); });
     }
     return future;
+  }
+
+  /// Ordered parallel map: evaluates fn(0..n-1) on the pool and returns the
+  /// results by index, whatever order the tasks finish in. `fn` must be
+  /// safe to invoke concurrently. Every task has finished when Map returns;
+  /// an exception thrown by fn(i) is rethrown here (the lowest such i).
+  template <typename Fn>
+  auto Map(size_t n, Fn fn) -> std::vector<std::invoke_result_t<Fn, size_t>> {
+    using R = std::invoke_result_t<Fn, size_t>;
+    std::vector<std::future<R>> futures;
+    futures.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      futures.push_back(Submit([&fn, i] { return fn(i); }));
+    }
+    for (std::future<R>& f : futures) f.wait();
+    std::vector<R> out;
+    out.reserve(n);
+    for (std::future<R>& f : futures) out.push_back(f.get());
+    return out;
   }
 
   int num_threads() const { return static_cast<int>(workers_.size()); }

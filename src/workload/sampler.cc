@@ -4,6 +4,7 @@
 
 #include "ml/lhs.h"
 #include "sim/spoiler.h"
+#include "util/thread_pool.h"
 #include "workload/query_plan.h"
 #include "workload/steady_state.h"
 
@@ -15,14 +16,8 @@ WorkloadSampler::WorkloadSampler(const Workload* workload,
     : workload_(workload), config_(config), options_(options),
       rng_(options.seed) {}
 
-sim::BatchRunner& WorkloadSampler::runner() {
-  if (runner_ == nullptr) {
-    sim::BatchRunner::Options opts;
-    opts.threads = options_.threads;
-    opts.cache = options_.cache;
-    runner_ = std::make_unique<sim::BatchRunner>(opts);
-  }
-  return *runner_;
+void WorkloadSampler::CountRuns(size_t runs) {
+  if (options_.cache != nullptr) options_.cache->Count(runs);
 }
 
 sim::EngineRun WorkloadSampler::IsolatedRun(int index, uint64_t seed) const {
@@ -87,7 +82,8 @@ StatusOr<TemplateProfile> WorkloadSampler::ProfileTemplate(int index) {
   TemplateProfile profile = MakeProfileSkeleton(index);
 
   // Isolated cold-cache run (fresh engine => empty buffer pool).
-  auto isolated = runner().RunOne(IsolatedRun(index, rng_.Next()));
+  auto isolated = sim::Execute(IsolatedRun(index, rng_.Next()));
+  CountRuns(1);
   if (!isolated.ok()) return isolated.status();
   const sim::ProcessResult& r = isolated->results.back();
   profile.isolated_latency = r.latency();
@@ -97,8 +93,7 @@ StatusOr<TemplateProfile> WorkloadSampler::ProfileTemplate(int index) {
 
 StatusOr<std::vector<MixObservation>> WorkloadSampler::ObserveMixSeeded(
     const std::vector<int>& mix, uint64_t seed) const {
-  auto result =
-      RunSteadyState(*workload_, mix, config_, seed, options_.cache);
+  auto result = RunSteadyState(*workload_, mix, config_, seed);
   if (!result.ok()) return result.status();
 
   std::vector<MixObservation> out;
@@ -128,6 +123,10 @@ StatusOr<TrainingData> WorkloadSampler::CollectAll() {
   for (int mpl : options_.mpls) {
     if (mpl < 2) {
       return Status::InvalidArgument("CollectAll: spoiler MPLs must be >= 2");
+    }
+    if (mpl > 2 && options_.lhs_runs < 1) {
+      return Status::InvalidArgument(
+          "CollectAll: lhs_runs must be >= 1 to sample MPLs above 2");
     }
   }
 
@@ -165,7 +164,7 @@ StatusOr<TrainingData> WorkloadSampler::CollectAll() {
   }
 
   // Phase 2: fan every engine run (isolated, spoilers, scans) across the
-  // pool; the flattened run list is consumed back in submission order.
+  // pool; the flattened run list is consumed back in index order.
   std::vector<sim::EngineRun> runs;
   for (int i = 0; i < n; ++i) {
     const ProfileTask& task = profile_tasks[static_cast<size_t>(i)];
@@ -179,7 +178,11 @@ StatusOr<TrainingData> WorkloadSampler::CollectAll() {
     if (!run.ok()) return run.status();
     runs.push_back(std::move(*run));
   }
-  std::vector<StatusOr<sim::EngineRunResult>> outcomes = runner().Run(runs);
+  ThreadPool pool(options_.threads <= 0 ? ThreadPool::DefaultThreads()
+                                        : options_.threads);
+  std::vector<StatusOr<sim::EngineRunResult>> outcomes = pool.Map(
+      runs.size(), [&runs](size_t r) { return sim::Execute(runs[r]); });
+  CountRuns(runs.size());
 
   size_t cursor = 0;
   for (int i = 0; i < n; ++i) {
@@ -210,13 +213,11 @@ StatusOr<TrainingData> WorkloadSampler::CollectAll() {
     data.sampling_seconds += s_f;
   }
 
-  // Phase 3: steady-state mix observations, fanned the same way (each run
-  // memoizes through the cache inside RunSteadyState).
-  auto mix_results = runner().Map(
-      mix_tasks.size(),
-      [this, &mix_tasks](size_t m) {
-        return ObserveMixSeeded(mix_tasks[m].mix, mix_tasks[m].seed);
-      });
+  // Phase 3: steady-state mix observations, fanned the same way.
+  auto mix_results = pool.Map(mix_tasks.size(), [this, &mix_tasks](size_t m) {
+    return ObserveMixSeeded(mix_tasks[m].mix, mix_tasks[m].seed);
+  });
+  CountRuns(mix_tasks.size());
   for (const auto& obs : mix_results) {
     if (!obs.ok()) return obs.status();
     data.observations.insert(data.observations.end(), obs->begin(),

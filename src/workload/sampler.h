@@ -4,23 +4,22 @@
 // Latin Hypercube runs at higher MPLs).
 //
 // The training runs are mutually independent simulations, so CollectAll()
-// fans them across a sim::BatchRunner pool, memoizing each run in a
-// sim::RunCache when one is given. Every run's seed is drawn from the
-// sampler's Rng before any run starts, in a fixed order, so the collected
-// data is bit-identical for every pool width (including 1) and across
-// cold/warm cache states.
+// fans them across a pool with ThreadPool::Map. Every run's seed is drawn
+// from the sampler's Rng before any run starts, in a fixed order, and the
+// results are consumed by index, so the collected data is bit-identical for
+// every pool width (including 1).
 
 #ifndef CONTENDER_WORKLOAD_SAMPLER_H_
 #define CONTENDER_WORKLOAD_SAMPLER_H_
 
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/template_profile.h"
-#include "sim/batch_runner.h"
 #include "sim/config.h"
+#include "sim/engine_run.h"
+#include "sim/run_cache.h"
 #include "util/statusor.h"
 #include "util/units.h"
 #include "workload/workload.h"
@@ -49,7 +48,7 @@ class WorkloadSampler {
     uint64_t seed = 42;
     /// Pool width for CollectAll; <= 0 selects hardware concurrency.
     int threads = 0;
-    /// Run memoization cache; nullptr (the default) disables caching.
+    /// When non-null, counts every engine run the sampler executes.
     sim::RunCache* cache = nullptr;
   };
 
@@ -77,17 +76,16 @@ class WorkloadSampler {
   /// Profile fields derived from the plan alone (no simulation).
   TemplateProfile MakeProfileSkeleton(int index) const;
   /// Steady-state observation of one mix under an explicit seed
-  /// (thread-safe; memoizes through the options cache).
+  /// (thread-safe).
   StatusOr<std::vector<MixObservation>> ObserveMixSeeded(
       const std::vector<int>& mix, uint64_t seed) const;
-
-  sim::BatchRunner& runner();
+  /// Adds `runs` executed engine runs to the options' counter, if any.
+  void CountRuns(size_t runs);
 
   const Workload* workload_;
   sim::SimConfig config_;
   Options options_;
   Rng rng_;
-  std::unique_ptr<sim::BatchRunner> runner_;
 };
 
 }  // namespace contender

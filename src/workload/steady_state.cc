@@ -1,5 +1,6 @@
 #include "workload/steady_state.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "sim/engine.h"
@@ -7,56 +8,10 @@
 
 namespace contender {
 
-namespace {
-
-/// Content hash pinning a steady-state run: hardware model, seed, and the
-/// mix — both the indices and each member's nominal spec, so workload
-/// content changes invalidate the key. Instance parameter jitter is derived
-/// from the seed, so (nominal specs, seed) pins the full instance stream.
-uint64_t HashSteadyStateRun(const Workload& workload,
-                            const std::vector<int>& mix,
-                            const sim::SimConfig& config, uint64_t seed) {
-  sim::RunHasher hasher;
-  hasher.Add(config);
-  hasher.Add(seed);
-  hasher.Add(static_cast<uint64_t>(mix.size()));
-  for (int idx : mix) {
-    hasher.Add(idx);
-    hasher.Add(workload.InstantiateNominal(idx));
-  }
-  return hasher.Digest();
-}
-
-/// Trims warmup/tail samples and computes per-stream means from the raw
-/// collected latencies (shared by the live and cache-replay paths).
-SteadyStateResult AssembleResult(
-    const std::vector<int>& mix,
-    const std::vector<std::vector<double>>& collected, double duration) {
-  SteadyStateResult result;
-  result.streams.resize(mix.size());
-  for (size_t s = 0; s < mix.size(); ++s) {
-    StreamResult& sr = result.streams[s];
-    sr.template_index = mix[s];
-    const auto& c = collected[s];
-    const size_t begin =
-        std::min(c.size(), static_cast<size_t>(kSteadyStateWarmupPerStream));
-    const size_t end = std::min(
-        c.size(), begin + static_cast<size_t>(kSteadyStateSamplesPerStream));
-    sr.latencies.assign(c.begin() + static_cast<long>(begin),
-                        c.begin() + static_cast<long>(end));
-    sr.mean_latency = Mean(sr.latencies);
-  }
-  result.duration = duration;
-  return result;
-}
-
-}  // namespace
-
 StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
                                            const std::vector<int>& mix,
                                            const sim::SimConfig& config,
-                                           uint64_t seed,
-                                           sim::RunCache* cache) {
+                                           uint64_t seed) {
   if (mix.empty()) {
     return Status::InvalidArgument("RunSteadyState: empty mix");
   }
@@ -65,14 +20,6 @@ StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
       return Status::InvalidArgument("RunSteadyState: bad template index");
     }
   }
-  uint64_t key = 0;
-  if (cache != nullptr) {
-    key = HashSteadyStateRun(workload, mix, config, seed);
-    if (std::optional<sim::RunCache::Entry> entry = cache->Lookup(key)) {
-      return AssembleResult(mix, entry->series, entry->duration);
-    }
-  }
-
   Rng rng(seed);
   sim::Engine engine(config, rng.Next());
 
@@ -114,13 +61,23 @@ StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
   Status st = engine.Run();
   if (!st.ok()) return st;
 
-  if (cache != nullptr) {
-    sim::RunCache::Entry entry;
-    entry.series = collected;
-    entry.duration = engine.now().value();
-    cache->Insert(key, std::move(entry));
+  // Trim each stream's warmup prefix and still-running tail.
+  SteadyStateResult result;
+  result.streams.resize(num_streams);
+  for (size_t s = 0; s < num_streams; ++s) {
+    StreamResult& sr = result.streams[s];
+    sr.template_index = mix[s];
+    const auto& c = collected[s];
+    const size_t begin =
+        std::min(c.size(), static_cast<size_t>(kSteadyStateWarmupPerStream));
+    const size_t end = std::min(
+        c.size(), begin + static_cast<size_t>(kSteadyStateSamplesPerStream));
+    sr.latencies.assign(c.begin() + static_cast<long>(begin),
+                        c.begin() + static_cast<long>(end));
+    sr.mean_latency = Mean(sr.latencies);
   }
-  return AssembleResult(mix, collected, engine.now().value());
+  result.duration = engine.now().value();
+  return result;
 }
 
 }  // namespace contender

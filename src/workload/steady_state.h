@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "sim/config.h"
-#include "sim/run_cache.h"
 #include "util/statusor.h"
 #include "workload/workload.h"
 
@@ -38,16 +37,12 @@ struct SteadyStateResult {
 
 /// Runs the mix (workload indices, one per slot; repeats allowed) to steady
 /// state under the given hardware model, drawing instance parameters and
-/// the engine seed from `seed`. When `cache` is non-null the run is
-/// memoized under a content hash of (mix member nominal specs, hardware
-/// config, seed); a hit replays the recorded per-stream latency samples
-/// instead of re-simulating. The function is thread-safe and is fanned
+/// the engine seed from `seed`. The function is thread-safe and is fanned
 /// across a pool by WorkloadSampler::CollectAll.
 StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
                                            const std::vector<int>& mix,
                                            const sim::SimConfig& config,
-                                           uint64_t seed,
-                                           sim::RunCache* cache = nullptr);
+                                           uint64_t seed);
 
 }  // namespace contender
 

@@ -82,10 +82,20 @@ TEST(FlagsDeathTest, IntRejectsTrailingGarbage) {
 }
 
 TEST(FlagsDeathTest, IntRejectsEmptyAndOutOfRange) {
-  Flags f = MakeFlags({"--mpl=", "--requests=99999999999999999999"});
+  Flags f = MakeFlags({"--mpl=", "--requests=99999999999999999999",
+                       "--template=2147483648", "--tenants=-2147483649",
+                       "--seed=4294967296"});
   EXPECT_DEATH(f.GetInt("mpl", 3), "--mpl= is not an integer");
   EXPECT_DEATH(f.GetInt("requests", 1),
                "--requests=99999999999999999999 is not an integer");
+  // Whole values just outside int die instead of wrapping.
+  EXPECT_DEATH(f.GetInt("template", 3),
+               "--template=2147483648 is not an integer in "
+               "\\[-2147483648, 2147483647\\]");
+  EXPECT_DEATH(f.GetInt("tenants", 4),
+               "--tenants=-2147483649 is not an integer in");
+  // The seed alone keeps its 64-bit parse.
+  EXPECT_EQ(f.Seed(), 4294967296u);
 }
 
 TEST(FlagsDeathTest, DoubleRejectsTrailingGarbageAndNonFinite) {

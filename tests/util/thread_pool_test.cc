@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/failpoint.h"
+
 namespace contender {
 namespace {
 
@@ -118,6 +120,67 @@ TEST(ThreadPoolTest, ConcurrentSubmittersAreSafe) {
   for (std::thread& t : submitters) t.join();
   for (auto& f : futures) f.get();
   EXPECT_EQ(completed.load(), 200);
+}
+
+TEST(ThreadPoolTest, MapReturnsResultsByIndexWhenTasksFinishOutOfOrder) {
+  // Task i waits for task i + 1 to finish, so the tasks finish in reverse
+  // index order; each task needs its own worker.
+  constexpr size_t kTasks = 4;
+  ThreadPool pool(static_cast<int>(kTasks));
+  std::vector<std::promise<void>> finished(kTasks);
+  std::vector<std::future<void>> finished_signal;
+  for (std::promise<void>& p : finished) {
+    finished_signal.push_back(p.get_future());
+  }
+  std::mutex mutex;
+  std::vector<size_t> finish_order;
+  const std::vector<int> out = pool.Map(kTasks, [&](size_t i) {
+    if (i + 1 < kTasks) {
+      EXPECT_EQ(finished_signal[i + 1].wait_for(std::chrono::seconds(10)),
+                std::future_status::ready);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      finish_order.push_back(i);
+    }
+    finished[i].set_value();
+    return static_cast<int>(i) * 10;
+  });
+  EXPECT_EQ(finish_order, (std::vector<size_t>{3, 2, 1, 0}));
+  EXPECT_EQ(out, (std::vector<int>{0, 10, 20, 30}));
+}
+
+TEST(ThreadPoolTest, MapRethrowsATaskExceptionAfterEveryTaskFinished) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.Map(8,
+                        [&ran](size_t i) {
+                          ran.fetch_add(1, std::memory_order_relaxed);
+                          if (i == 3) throw std::runtime_error("task 3");
+                          return static_cast<int>(i);
+                        }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 8);
+  // The pool still serves the next map.
+  EXPECT_EQ(pool.Map(3, [](size_t i) { return i; }),
+            (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(ThreadPoolTest, MapRunsInlineWhenSubmitDegrades) {
+  FailPointRegistry& registry = FailPointRegistry::Global();
+  ThreadPool pool(4);
+  const auto square = [](size_t i) { return i * i; };
+  const std::vector<size_t> pooled = pool.Map(16, square);
+
+  registry.ArmProbability("util.thread_pool.submit", 1.0);
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::vector<std::thread::id> ran_on = pool.Map(
+      16, [](size_t) { return std::this_thread::get_id(); });
+  const std::vector<size_t> degraded = pool.Map(16, square);
+  registry.DisarmAll();
+
+  EXPECT_EQ(ran_on, std::vector<std::thread::id>(16, caller));
+  EXPECT_EQ(degraded, pooled);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,6 +55,41 @@ TEST(SamplerTest, SpoilerLatencyRequiresMplAtLeastTwo) {
   WorkloadSampler sampler(&PaperWorkload(), DefaultConfig(), opts);
   EXPECT_EQ(sampler.CollectAll().status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Without an LHS round no MPL 3-5 mix is sampled, and every per-MPL error
+// above 2 would read 0 over no observations.
+TEST(SamplerTest, LhsRunsMustBePositiveAboveMplTwo) {
+  for (int lhs_runs : {0, -1}) {
+    WorkloadSampler::Options opts;
+    opts.lhs_runs = lhs_runs;
+    WorkloadSampler sampler(&PaperWorkload(), DefaultConfig(), opts);
+    const Status status = sampler.CollectAll().status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("lhs_runs"), std::string::npos)
+        << status;
+  }
+  // MPL 2 alone samples all pairs and needs no LHS round.
+  WorkloadSampler::Options opts;
+  opts.mpls = {2};
+  opts.lhs_runs = 0;
+  WorkloadSampler sampler(&PaperWorkload(), DefaultConfig(), opts);
+  EXPECT_TRUE(sampler.CollectAll().ok());
+}
+
+// perfbench reports RunCache::misses() as workload.sim_runs: one count per
+// engine run CollectAll executes.
+TEST(SamplerTest, RunCounterCountsEveryEngineRun) {
+  sim::RunCache counter;
+  WorkloadSampler::Options opts;
+  opts.cache = &counter;
+  WorkloadSampler sampler(&PaperWorkload(), DefaultConfig(), opts);
+  ASSERT_TRUE(sampler.CollectAll().ok());
+  // Per template one isolated run and one spoiler run per MPL, one scan per
+  // fact table, then 325 pairs and 100 LHS mixes at each of MPL 3, 4, 5.
+  const uint64_t expected = 25u * (1u + 4u) + 7u + 325u + 3u * 100u;
+  EXPECT_EQ(expected, 757u);
+  EXPECT_EQ(counter.misses(), expected);
 }
 
 // Observations arrive mix by mix, one per stream: stream s of a mix is
