@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   using namespace contender;
 
   Flags flags(argc, argv);
-  const int mpl = flags.GetInt("mpl", 2);
+  const int mpl = bench::SampledMplFlag(flags, 2);
   bench::Experiment e = bench::CollectExperiment(flags);
 
   auto models = FitReferenceModels(e.data.profiles, e.data.scan_times,

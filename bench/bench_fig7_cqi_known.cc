@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   using namespace contender;
 
   Flags flags(argc, argv);
-  const int mpl = flags.GetInt("mpl", 4);
+  const int mpl = bench::SampledMplFlag(flags, 4);
   bench::Experiment e = bench::CollectExperiment(flags);
 
   std::cout << "=== Figure 7: per-template prediction error at MPL " << mpl

@@ -57,16 +57,8 @@ const std::vector<ControlRegime>& Regimes() {
       {"adaptive",
        [](FleetOptions* options) {
          options->door.enabled = true;
-         options->door.codel.target = units::Seconds(15.0);
-         options->door.codel.interval = units::Seconds(45.0);
-         options->door.brownout.enter_pressure = 2.0;
-         options->door.brownout.exit_pressure = 0.75;
-         options->door.brownout.rung_streak = 8;
          options->node_overload.adaptive_limit = true;
-         options->node_overload.limiter.max_limit = options->target_mpl;
          options->node_overload.codel_shed = true;
-         options->node_overload.codel.target = units::Seconds(30.0);
-         options->node_overload.codel.interval = units::Seconds(90.0);
        }},
   };
   return regimes;

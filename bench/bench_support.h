@@ -5,8 +5,11 @@
 #ifndef CONTENDER_BENCH_BENCH_SUPPORT_H_
 #define CONTENDER_BENCH_BENCH_SUPPORT_H_
 
+#include <algorithm>
 #include <iostream>
 #include <optional>
+#include <sstream>
+#include <vector>
 
 #include "core/predictor.h"
 #include "core/qs_model.h"
@@ -46,6 +49,24 @@ inline Experiment CollectExperiment(const Flags& flags) {
   CONTENDER_CHECK(data.ok()) << data.status();
   e.data = std::move(*data);
   return e;
+}
+
+/// Reads --mpl (default `fallback`), before any collection. CHECK-fails,
+/// naming the flag and the sampled MPLs, unless CollectExperiment samples
+/// observations at that MPL.
+inline int SampledMplFlag(const Flags& flags, int fallback) {
+  const int mpl = flags.GetInt("mpl", fallback);
+  const std::vector<int> sampled = WorkloadSampler::Options().mpls;
+  std::ostringstream list;
+  for (size_t i = 0; i < sampled.size(); ++i) {
+    list << (i == 0 ? "" : ", ") << sampled[i];
+  }
+  const bool was_sampled =
+      std::find(sampled.begin(), sampled.end(), mpl) != sampled.end();
+  CONTENDER_CHECK(was_sampled) << "--mpl=" << mpl
+                               << " is not a sampled MPL; sampled MPLs are "
+                               << list.str();
+  return mpl;
 }
 
 /// Per-template k-fold cross-validated MRE of the QS model at one MPL

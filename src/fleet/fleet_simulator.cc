@@ -1,6 +1,7 @@
 #include "fleet/fleet_simulator.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "util/logging.h"
@@ -28,8 +29,10 @@ Status ValidateOptions(const FleetOptions& options) {
   if (options.target_mpl < 1) {
     return Status::InvalidArgument("FleetOptions: target_mpl must be >= 1");
   }
-  if (options.threads < 0) {
-    return Status::InvalidArgument("FleetOptions: threads must be >= 0");
+  if (options.threads < 0 || options.threads > ThreadPool::kMaxThreads) {
+    return Status::InvalidArgument(
+        "FleetOptions: threads must be in [0, " +
+        std::to_string(ThreadPool::kMaxThreads) + "]");
   }
   if (options.tenant_quota < 0) {
     return Status::InvalidArgument("FleetOptions: tenant_quota must be >= 0");

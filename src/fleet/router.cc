@@ -201,26 +201,31 @@ double Router::PredictedWait(NodeState* node, units::Seconds now) {
   return node->replay[0] - now.value();
 }
 
-std::vector<int> Router::HealthyNodes() const {
-  std::vector<int> healthy;
+void Router::FillHealthy() {
+  healthy_.clear();
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].draining) healthy.push_back(static_cast<int>(i));
+    if (!nodes_[i].draining) healthy_.push_back(static_cast<int>(i));
   }
-  return healthy;
+}
+
+int Router::HealthyCount() const {
+  int count = 0;
+  for (const NodeState& node : nodes_) {
+    if (!node.draining) ++count;
+  }
+  return count;
 }
 
 bool Router::WaitsRead(bool door_reads) const {
   return door_reads || options_.policy == RoutePolicy::kContentionAware;
 }
 
-std::vector<double> Router::PredictedWaits(const std::vector<int>& candidates,
-                                           units::Seconds now) {
-  std::vector<double> waits;
-  waits.reserve(candidates.size());
-  for (int n : candidates) {
-    waits.push_back(PredictedWait(&nodes_[static_cast<size_t>(n)], now));
+void Router::FillWaits(bool read, units::Seconds now) {
+  waits_.clear();
+  if (!read) return;
+  for (int n : healthy_) {
+    waits_.push_back(PredictedWait(&nodes_[static_cast<size_t>(n)], now));
   }
-  return waits;
 }
 
 int Router::Outstanding(int node) const {
@@ -297,7 +302,7 @@ StatusOr<int> Router::Route(const sched::Request& request) {
       const int victim = next_chaos_drain_;
       next_chaos_drain_ = (next_chaos_drain_ + 1) % options_.num_nodes;
       if (!nodes_[static_cast<size_t>(victim)].draining &&
-          HealthyNodes().size() > 1) {
+          HealthyCount() > 1) {
         CONTENDER_CHECK(BeginDrain(victim, now).ok());
         break;
       }
@@ -310,16 +315,13 @@ StatusOr<int> Router::Route(const sched::Request& request) {
   // The door: every rejection — static quota included — flows through
   // the overload controller and comes back stamped with its ShedReason.
   // The enabled door reads the predicted waits as its queue-delay signal.
-  const std::vector<int> healthy = HealthyNodes();
-  const std::vector<double> waits =
-      WaitsRead(/*door_reads=*/options_.door.enabled)
-          ? PredictedWaits(healthy, now)
-          : std::vector<double>();
+  FillHealthy();
+  FillWaits(WaitsRead(/*door_reads=*/options_.door.enabled), now);
   double best_wait = std::numeric_limits<double>::infinity();
-  for (double wait : waits) best_wait = std::min(best_wait, wait);
+  for (double wait : waits_) best_wait = std::min(best_wait, wait);
   overload::DoorSample sample;
   sample.now = now;
-  sample.queue_delay = units::Seconds(waits.empty() ? 0.0 : best_wait);
+  sample.queue_delay = units::Seconds(waits_.empty() ? 0.0 : best_wait);
   sample.criticality = request.criticality;
   sample.predicted_completions = predicted_completions_;
   sample.quota_exceeded =
@@ -332,7 +334,7 @@ StatusOr<int> Router::Route(const sched::Request& request) {
             .profiles()[static_cast<size_t>(request.template_index)]
             .working_set_bytes;
     bool any_headroom = false;
-    for (int n : healthy) {
+    for (int n : healthy_) {
       if (nodes_[static_cast<size_t>(n)].bytes + footprint <=
           options_.door.node_memory_budget) {
         any_headroom = true;
@@ -351,9 +353,9 @@ StatusOr<int> Router::Route(const sched::Request& request) {
     return -1;
   }
 
-  // Nothing since PredictedWaits touched nodes_, so the door's waits are
-  // the pick's too.
-  const int pick = PickNode(healthy, waits, request);
+  // Nothing since FillWaits touched nodes_, so the door's waits are the
+  // pick's too.
+  const int pick = PickNode(healthy_, waits_, request);
   Place(&nodes_[static_cast<size_t>(pick)], request, now);
   assignment.node = pick;
   assignment.degraded = oracle_->Degraded(request.template_index);
@@ -373,7 +375,7 @@ Status Router::BeginDrain(int node, units::Seconds now) {
   }
   NodeState& draining = nodes_[static_cast<size_t>(node)];
   if (draining.draining) return Status::OK();
-  if (HealthyNodes().size() <= 1) {
+  if (HealthyCount() <= 1) {
     return Status::FailedPrecondition(
         "Router::BeginDrain: cannot drain the last healthy node");
   }
@@ -404,11 +406,9 @@ Status Router::BeginDrain(int node, units::Seconds now) {
   const bool waits_read = WaitsRead(/*door_reads=*/false);
   for (const sched::Request& r : displaced) {
     Account(&draining, r.template_index, r.tenant_id, -1);
-    const std::vector<int> healthy = HealthyNodes();
-    const int pick = PickNode(
-        healthy,
-        waits_read ? PredictedWaits(healthy, now) : std::vector<double>(),
-        r);
+    FillHealthy();
+    FillWaits(waits_read, now);
+    const int pick = PickNode(healthy_, waits_, r);
     Place(&nodes_[static_cast<size_t>(pick)], r, now);
     Assignment& assignment =
         assignments_[static_cast<size_t>(r.request_id)];

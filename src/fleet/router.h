@@ -226,8 +226,11 @@ class Router {
   /// advanced to `now`.
   [[nodiscard]] double PredictedWait(NodeState* node, units::Seconds now);
 
-  /// Healthy = not draining.
-  [[nodiscard]] std::vector<int> HealthyNodes() const;
+  /// Fills healthy_ with the healthy (not draining) nodes, ascending.
+  void FillHealthy();
+
+  /// How many nodes are healthy.
+  [[nodiscard]] int HealthyCount() const;
 
   /// Whether a routing step reads predicted waits: the contention-aware
   /// pick always does, and the door when `door_reads`. Route and
@@ -235,8 +238,8 @@ class Router {
   [[nodiscard]] bool WaitsRead(bool door_reads) const;
 
   /// The policy: picks among `candidates` (non-empty, healthy) for
-  /// `request`; `waits` is PredictedWaits(candidates, now), or empty when
-  /// WaitsRead is false.
+  /// `request`; `waits` is FillWaits' waits_, empty when WaitsRead is
+  /// false.
   [[nodiscard]] int PickNode(const std::vector<int>& candidates,
                              const std::vector<double>& waits,
                              const sched::Request& request);
@@ -246,11 +249,10 @@ class Router {
   void Account(NodeState* node, int template_index, int tenant_id,
                int delta);
 
-  /// PredictedWait of each of `candidates` at `now`, aligned with it.
-  /// Route computes them once for both the door's queue-delay signal and
-  /// the pick.
-  [[nodiscard]] std::vector<double> PredictedWaits(
-      const std::vector<int>& candidates, units::Seconds now);
+  /// Fills waits_ with the PredictedWait of each healthy_ node at `now`,
+  /// aligned with it, when `read`; empties it otherwise. Route computes
+  /// them once for both the door's queue-delay signal and the pick.
+  void FillWaits(bool read, units::Seconds now);
 
   const sched::MixOracle* const oracle_;
   const RouterOptions options_;
@@ -266,8 +268,12 @@ class Router {
   uint64_t round_robin_next_ = 0;
   /// Next chaos-drain victim (rotates over nodes).
   int next_chaos_drain_ = 0;
-  /// Scratch for RunningTemplates.
+  /// Scratch for RunningTemplates, FillHealthy and FillWaits: a route
+  /// allocates nothing once they have grown. A chaos drain runs before
+  /// Route fills healthy_ and waits_, so one pair serves both.
   std::vector<int> mix_;
+  std::vector<int> healthy_;
+  std::vector<double> waits_;
   /// Clock of the routing pass: the last routed arrival or drain instant,
   /// -inf before the first of either (Route and BeginDrain enforce
   /// monotonicity against it).

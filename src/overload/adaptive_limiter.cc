@@ -7,23 +7,18 @@
 
 namespace contender::overload {
 
-AdaptiveLimiter::AdaptiveLimiter(const AdaptiveLimiterOptions& options)
-    : options_(options), limit_(options.max_limit) {
-  CONTENDER_CHECK(options_.min_limit >= 1)
-      << "AdaptiveLimiter: min_limit must be >= 1";
-  CONTENDER_CHECK(options_.max_limit >= options_.min_limit)
-      << "AdaptiveLimiter: max_limit must be >= min_limit";
-  CONTENDER_CHECK(options_.ewma_alpha > 0.0 && options_.ewma_alpha <= 1.0)
-      << "AdaptiveLimiter: ewma_alpha must be in (0, 1]";
-  CONTENDER_CHECK(options_.overload_ratio > 1.0)
-      << "AdaptiveLimiter: overload_ratio must be > 1";
-  CONTENDER_CHECK(options_.decrease_factor > 0.0 &&
-                  options_.decrease_factor < 1.0)
-      << "AdaptiveLimiter: decrease_factor must be in (0, 1)";
-  CONTENDER_CHECK(options_.increase_period >= 1)
-      << "AdaptiveLimiter: increase_period must be >= 1";
-  CONTENDER_CHECK(options_.decrease_cooldown >= 1)
-      << "AdaptiveLimiter: decrease_cooldown must be >= 1";
+static_assert(AdaptiveLimiter::kEwmaAlpha > 0.0 &&
+              AdaptiveLimiter::kEwmaAlpha <= 1.0);
+static_assert(AdaptiveLimiter::kOverloadRatio > 1.0);
+static_assert(AdaptiveLimiter::kDecreaseFactor > 0.0 &&
+              AdaptiveLimiter::kDecreaseFactor < 1.0);
+static_assert(AdaptiveLimiter::kIncreasePeriod >= 1);
+static_assert(AdaptiveLimiter::kDecreaseCooldown >= 1);
+
+AdaptiveLimiter::AdaptiveLimiter(int max_limit)
+    : max_limit_(max_limit), limit_(max_limit) {
+  CONTENDER_CHECK(max_limit_ >= kMinLimit)
+      << "AdaptiveLimiter: max_limit must be >= " << kMinLimit;
 }
 
 void AdaptiveLimiter::OnCompletion(units::Seconds predicted,
@@ -31,27 +26,25 @@ void AdaptiveLimiter::OnCompletion(units::Seconds predicted,
   if (predicted <= units::Seconds(0.0)) return;
   ++completions_;
   const double ratio = observed.value() / predicted.value();
-  ratio_ewma_ = options_.ewma_alpha * ratio +
-                (1.0 - options_.ewma_alpha) * ratio_ewma_;
-  if (ratio_ewma_ > options_.overload_ratio) {
+  ratio_ewma_ = kEwmaAlpha * ratio + (1.0 - kEwmaAlpha) * ratio_ewma_;
+  if (ratio_ewma_ > kOverloadRatio) {
     healthy_streak_ = 0;
     const bool cooled =
         !ever_decreased_ ||
         completions_ - last_decrease_completion_ >=
-            static_cast<uint64_t>(options_.decrease_cooldown);
-    if (cooled && limit_ > options_.min_limit) {
+            static_cast<uint64_t>(kDecreaseCooldown);
+    if (cooled && limit_ > kMinLimit) {
       limit_ = std::max(
-          options_.min_limit,
-          static_cast<int>(std::floor(limit_ * options_.decrease_factor)));
+          kMinLimit, static_cast<int>(std::floor(limit_ * kDecreaseFactor)));
       last_decrease_completion_ = completions_;
       ever_decreased_ = true;
       ++decreases_;
     }
     return;
   }
-  if (++healthy_streak_ >= options_.increase_period) {
+  if (++healthy_streak_ >= kIncreasePeriod) {
     healthy_streak_ = 0;
-    if (limit_ < options_.max_limit) {
+    if (limit_ < max_limit_) {
       ++limit_;
       ++increases_;
     }

@@ -23,33 +23,31 @@
 
 namespace contender::overload {
 
-struct AdaptiveLimiterOptions {
-  /// Hard floor/ceiling for the limit. The ceiling is typically the
-  /// node's static target MPL — the limiter only ever *tightens* it.
-  int min_limit = 1;
-  int max_limit = 8;
-  /// EWMA smoothing over per-completion observed/predicted ratios.
-  double ewma_alpha = 0.3;
-  /// EWMA ratio above this ⇒ the node is past its knee ⇒ decrease.
-  double overload_ratio = 1.4;
-  /// Multiplicative decrease factor applied to the limit (in (0, 1)).
-  double decrease_factor = 0.7;
-  /// Consecutive healthy completions before an additive +1 increase.
-  int increase_period = 4;
-  /// Minimum completions between two decreases, so one bad burst does
-  /// not collapse the limit straight to the floor.
-  int decrease_cooldown = 2;
-};
-
 class AdaptiveLimiter {
  public:
-  explicit AdaptiveLimiter(const AdaptiveLimiterOptions& options);
+  /// Floor of the limit.
+  static constexpr int kMinLimit = 1;
+  /// EWMA smoothing over per-completion observed/predicted ratios.
+  static constexpr double kEwmaAlpha = 0.3;
+  /// EWMA ratio above this means the node is past its knee: decrease.
+  static constexpr double kOverloadRatio = 1.4;
+  /// Multiplicative decrease factor applied to the limit.
+  static constexpr double kDecreaseFactor = 0.7;
+  /// Consecutive healthy completions before an additive +1 increase.
+  static constexpr int kIncreasePeriod = 4;
+  /// Minimum completions between two decreases, so one bad burst does
+  /// not collapse the limit straight to the floor.
+  static constexpr int kDecreaseCooldown = 2;
+
+  /// Starts at `max_limit`, the ceiling: the node's static target MPL,
+  /// which the limiter only ever tightens. CHECK-fails below kMinLimit.
+  explicit AdaptiveLimiter(int max_limit);
 
   /// Feeds one completion's predicted and observed execution latency.
   /// Non-positive predictions are ignored (no signal).
   void OnCompletion(units::Seconds predicted, units::Seconds observed);
 
-  /// The current admission limit, always in [min_limit, max_limit].
+  /// The current admission limit, always in [kMinLimit, max_limit].
   [[nodiscard]] int limit() const { return limit_; }
 
   /// The smoothed observed/predicted ratio (1.0 = model-perfect).
@@ -60,7 +58,7 @@ class AdaptiveLimiter {
   [[nodiscard]] uint64_t decreases() const { return decreases_; }
 
  private:
-  const AdaptiveLimiterOptions options_;
+  const int max_limit_;
   int limit_;
   double ratio_ewma_ = 1.0;
   uint64_t completions_ = 0;

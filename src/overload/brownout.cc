@@ -1,7 +1,5 @@
 #include "overload/brownout.h"
 
-#include "util/logging.h"
-
 namespace contender::overload {
 
 namespace {
@@ -9,21 +7,15 @@ namespace {
 constexpr int kMaxRung = static_cast<int>(Criticality::kCritical);
 }  // namespace
 
-BrownoutLadder::BrownoutLadder(const BrownoutOptions& options)
-    : options_(options) {
-  CONTENDER_CHECK(options_.enter_pressure > options_.exit_pressure)
-      << "BrownoutLadder: enter_pressure must exceed exit_pressure "
-         "(the hysteresis band)";
-  CONTENDER_CHECK(options_.exit_pressure >= 0.0)
-      << "BrownoutLadder: exit_pressure must be >= 0";
-  CONTENDER_CHECK(options_.rung_streak >= 1)
-      << "BrownoutLadder: rung_streak must be >= 1";
-}
+// The enter/exit gap is the hysteresis band.
+static_assert(BrownoutLadder::kEnterPressure > BrownoutLadder::kExitPressure);
+static_assert(BrownoutLadder::kExitPressure >= 0.0);
+static_assert(BrownoutLadder::kRungStreak >= 1);
 
 void BrownoutLadder::Observe(double pressure) {
-  if (pressure >= options_.enter_pressure) {
+  if (pressure >= kEnterPressure) {
     below_streak_ = 0;
-    if (++above_streak_ >= options_.rung_streak) {
+    if (++above_streak_ >= kRungStreak) {
       above_streak_ = 0;
       if (rung_ < kMaxRung) {
         ++rung_;
@@ -33,8 +25,8 @@ void BrownoutLadder::Observe(double pressure) {
     return;
   }
   above_streak_ = 0;
-  if (pressure <= options_.exit_pressure) {
-    if (++below_streak_ >= options_.rung_streak) {
+  if (pressure <= kExitPressure) {
+    if (++below_streak_ >= kRungStreak) {
       below_streak_ = 0;
       if (rung_ > 0) {
         --rung_;

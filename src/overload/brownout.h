@@ -23,19 +23,15 @@
 
 namespace contender::overload {
 
-struct BrownoutOptions {
-  /// Pressure (queue delay / CoDel target) at or above which a decision
-  /// counts toward escalating the ladder.
-  double enter_pressure = 2.0;
-  /// Pressure at or below which a decision counts toward de-escalating.
-  double exit_pressure = 0.75;
-  /// Consecutive qualifying decisions needed to move one rung.
-  int rung_streak = 8;
-};
-
 class BrownoutLadder {
  public:
-  explicit BrownoutLadder(const BrownoutOptions& options);
+  /// Pressure (queue delay / CoDel target) at or above which a decision
+  /// counts toward escalating the ladder.
+  static constexpr double kEnterPressure = 2.0;
+  /// Pressure at or below which a decision counts toward de-escalating.
+  static constexpr double kExitPressure = 0.75;
+  /// Consecutive qualifying decisions needed to move one rung.
+  static constexpr int kRungStreak = 8;
 
   /// Feeds one door decision's pressure sample.
   void Observe(double pressure);
@@ -54,7 +50,6 @@ class BrownoutLadder {
   [[nodiscard]] uint64_t deescalations() const { return deescalations_; }
 
  private:
-  const BrownoutOptions options_;
   int rung_ = 0;  // 0 = admit all ... kMaxRung = critical only
   int above_streak_ = 0;
   int below_streak_ = 0;

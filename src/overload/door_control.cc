@@ -13,10 +13,7 @@ auto& kDoorShedFailPoint = CONTENDER_DEFINE_FAILPOINT("overload.door.shed");
 }  // namespace
 
 DoorController::DoorController(const DoorOptions& options)
-    : options_(options),
-      codel_(options.codel),
-      brownout_(options.brownout),
-      metastability_(options.metastability) {}
+    : options_(options), codel_(kCoDel) {}
 
 std::optional<ShedReason> DoorController::Decide(const DoorSample& sample) {
   ++stats_.decisions;
@@ -31,8 +28,7 @@ std::optional<ShedReason> DoorController::Decide(const DoorSample& sample) {
   // branch fired.
   if (options_.enabled) {
     metastability_.Observe(sample.queue_delay, sample.predicted_completions);
-    brownout_.Observe(sample.queue_delay.value() /
-                      options_.codel.target.value());
+    brownout_.Observe(sample.queue_delay.value() / kCoDel.target.value());
     stats_.recovery_entries = metastability_.recovery_entries();
     stats_.brownout_escalations = brownout_.escalations();
     stats_.brownout_deescalations = brownout_.deescalations();

@@ -44,9 +44,6 @@ struct DoorOptions {
   /// memory). Quota and chaos are always live: quota is the legacy
   /// static limit, chaos only fires when armed.
   bool enabled = false;
-  CoDelOptions codel;
-  BrownoutOptions brownout;
-  MetastabilityOptions metastability;
   /// Per-node budget for predicted outstanding working-set bytes;
   /// <= 0 disables the memory signal.
   units::Bytes node_memory_budget{0.0};
@@ -87,6 +84,11 @@ struct DoorStats {
 
 class DoorController {
  public:
+  /// The door's CoDel on the best predicted wait. Its target also
+  /// normalises the brownout pressure (1.0 = at target).
+  static constexpr CoDelOptions kCoDel{units::Seconds(15.0),
+                                       units::Seconds(45.0)};
+
   explicit DoorController(const DoorOptions& options);
 
   /// Decides one arrival: nullopt admits, otherwise the stamped reason.

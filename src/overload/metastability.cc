@@ -1,22 +1,12 @@
 #include "overload/metastability.h"
 
-#include "util/logging.h"
-
 namespace contender::overload {
 
-MetastabilityDetector::MetastabilityDetector(
-    const MetastabilityOptions& options)
-    : options_(options) {
-  CONTENDER_CHECK(options_.window >= 2)
-      << "MetastabilityDetector: window must be >= 2";
-  CONTENDER_CHECK(options_.goodput_fraction > 0.0 &&
-                  options_.goodput_fraction < 1.0)
-      << "MetastabilityDetector: goodput_fraction must be in (0, 1)";
-  CONTENDER_CHECK(options_.delay_growth >= 1.0)
-      << "MetastabilityDetector: delay_growth must be >= 1";
-  CONTENDER_CHECK(options_.drain_delay >= units::Seconds(0.0))
-      << "MetastabilityDetector: drain_delay must be >= 0";
-}
+static_assert(MetastabilityDetector::kWindow >= 2);
+static_assert(MetastabilityDetector::kGoodputFraction > 0.0 &&
+              MetastabilityDetector::kGoodputFraction < 1.0);
+static_assert(MetastabilityDetector::kDelayGrowth >= 1.0);
+static_assert(MetastabilityDetector::kDrainDelay >= units::Seconds(0.0));
 
 void MetastabilityDetector::Observe(units::Seconds queue_delay,
                                     uint64_t completions_so_far) {
@@ -26,11 +16,11 @@ void MetastabilityDetector::Observe(units::Seconds queue_delay,
   }
   // Recovery exits on drained queues, sampled continuously — waiting for
   // a window boundary would hold the aggressive mode past the drain.
-  if (in_recovery_ && queue_delay <= options_.drain_delay) {
+  if (in_recovery_ && queue_delay <= kDrainDelay) {
     in_recovery_ = false;
   }
   delay_sum_ += queue_delay.value();
-  if (++samples_in_window_ < options_.window) return;
+  if (++samples_in_window_ < kWindow) return;
 
   ++windows_;
   const double mean_delay = delay_sum_ / samples_in_window_;
@@ -39,11 +29,11 @@ void MetastabilityDetector::Observe(units::Seconds queue_delay,
       completions_so_far - completions_at_window_start_;
   const bool goodput_collapsed =
       static_cast<double>(completed) <
-      options_.goodput_fraction * static_cast<double>(offered);
+      kGoodputFraction * static_cast<double>(offered);
   const bool delay_growing =
       have_prev_window_
-          ? mean_delay > prev_mean_delay_ * options_.delay_growth
-          : mean_delay > options_.drain_delay.value();
+          ? mean_delay > prev_mean_delay_ * kDelayGrowth
+          : mean_delay > kDrainDelay.value();
   if (!in_recovery_ && goodput_collapsed && delay_growing) {
     in_recovery_ = true;
     ++recovery_entries_;

@@ -26,22 +26,18 @@
 
 namespace contender::overload {
 
-struct MetastabilityOptions {
-  /// Door decisions per evaluation window.
-  int window = 16;
-  /// Recovery triggers when completions over a window fall below this
-  /// fraction of offered arrivals...
-  double goodput_fraction = 0.5;
-  /// ...while the window's mean queue delay exceeds the previous
-  /// window's by at least this factor (the "growing" requirement).
-  double delay_growth = 1.1;
-  /// Recovery ends only when an observed queue delay drains below this.
-  units::Seconds drain_delay{1.0};
-};
-
 class MetastabilityDetector {
  public:
-  explicit MetastabilityDetector(const MetastabilityOptions& options);
+  /// Door decisions per evaluation window.
+  static constexpr int kWindow = 16;
+  /// Recovery triggers when completions over a window fall below this
+  /// fraction of offered arrivals...
+  static constexpr double kGoodputFraction = 0.5;
+  /// ...while the window's mean queue delay exceeds the previous
+  /// window's by at least this factor (the "growing" requirement).
+  static constexpr double kDelayGrowth = 1.1;
+  /// Recovery ends only when an observed queue delay drains below this.
+  static constexpr units::Seconds kDrainDelay{1.0};
 
   /// One door decision: the candidate's queue delay and the system's
   /// cumulative completion count at that instant.
@@ -52,7 +48,6 @@ class MetastabilityDetector {
   [[nodiscard]] uint64_t recovery_entries() const { return recovery_entries_; }
 
  private:
-  const MetastabilityOptions options_;
   bool in_recovery_ = false;
   int samples_in_window_ = 0;
   double delay_sum_ = 0.0;

@@ -1,15 +1,16 @@
 #include "overload/node_control.h"
 
-#include <algorithm>
-
 namespace contender::overload {
 
-NodeOverloadControl::NodeOverloadControl(const NodeOverloadOptions& options)
-    : options_(options), limiter_(options.limiter), codel_(options.codel) {}
+NodeOverloadControl::NodeOverloadControl(const NodeOverloadOptions& options,
+                                         int target_mpl)
+    : options_(options),
+      target_mpl_(target_mpl),
+      limiter_(target_mpl),
+      codel_(kCoDel) {}
 
-int NodeOverloadControl::EffectiveLimit(int target_mpl) const {
-  if (!options_.adaptive_limit) return target_mpl;
-  return std::min(target_mpl, limiter_.limit());
+int NodeOverloadControl::EffectiveLimit() const {
+  return options_.adaptive_limit ? limiter_.limit() : target_mpl_;
 }
 
 void NodeOverloadControl::OnCompletion(units::Seconds predicted,

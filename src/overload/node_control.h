@@ -22,20 +22,24 @@ struct NodeOverloadOptions {
   /// Replace the static MPL budget with the AIMD limiter (the static
   /// budget remains the limiter's ceiling).
   bool adaptive_limit = false;
-  AdaptiveLimiterOptions limiter;
   /// Shed queued requests whose sojourn violates CoDel before starting
   /// them.
   bool codel_shed = false;
-  CoDelOptions codel;
 };
 
 class NodeOverloadControl {
  public:
-  explicit NodeOverloadControl(const NodeOverloadOptions& options);
+  /// The CoDel over the queue head.
+  static constexpr CoDelOptions kCoDel{units::Seconds(30.0),
+                                       units::Seconds(90.0)};
 
-  /// The admission limit to use where `target_mpl` was used before.
-  /// With the adaptive limiter off this is exactly `target_mpl`.
-  [[nodiscard]] int EffectiveLimit(int target_mpl) const;
+  /// `target_mpl` is the node's static MPL budget and the limiter's
+  /// ceiling.
+  NodeOverloadControl(const NodeOverloadOptions& options, int target_mpl);
+
+  /// The admission limit to use where the target MPL was used before.
+  /// With the adaptive limiter off this is exactly the target MPL.
+  [[nodiscard]] int EffectiveLimit() const;
 
   /// Feeds a completion into the adaptive limiter.
   void OnCompletion(units::Seconds predicted, units::Seconds observed);
@@ -52,6 +56,7 @@ class NodeOverloadControl {
 
  private:
   const NodeOverloadOptions options_;
+  const int target_mpl_;
   AdaptiveLimiter limiter_;
   CoDelController codel_;
 };

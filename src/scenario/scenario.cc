@@ -64,11 +64,6 @@ double Scenario::TenantRateSkew(const ScenarioParams& params) const {
   return params.skew;
 }
 
-Status Scenario::ValidateExtra(const ScenarioParams& params) const {
-  (void)params;
-  return Status::OK();
-}
-
 StatusOr<ScenarioTrace> Scenario::GenerateTrace(
     const std::vector<units::Seconds>& reference_latencies,
     const ScenarioParams& params) const {
@@ -129,7 +124,6 @@ StatusOr<ScenarioTrace> Scenario::Generate(
           who + ": templates_per_tenant outside [0, templates]");
     }
   }
-  CONTENDER_RETURN_IF_ERROR(ValidateExtra(params));
 
   ScenarioTrace trace;
   std::vector<TenantPlan> plans;
@@ -255,39 +249,6 @@ StatusOr<ScenarioTrace> Scenario::Generate(
     trace.requests.push_back(draws[id].request);
   }
   return trace;
-}
-
-void ScenarioRegistry::Register(std::unique_ptr<Scenario> scenario) {
-  CONTENDER_CHECK(scenario != nullptr);
-  const std::string key = scenario->name();
-  MutexLock lock(&mutex_);
-  const bool inserted =
-      scenarios_.emplace(key, std::move(scenario)).second;
-  CONTENDER_CHECK(inserted) << "duplicate scenario name: " << key;
-}
-
-const Scenario* ScenarioRegistry::Find(const std::string& name) const {
-  MutexLock lock(&mutex_);
-  auto it = scenarios_.find(name);
-  return it == scenarios_.end() ? nullptr : it->second.get();
-}
-
-std::vector<const Scenario*> ScenarioRegistry::All() const {
-  MutexLock lock(&mutex_);
-  std::vector<const Scenario*> all;
-  all.reserve(scenarios_.size());
-  for (const auto& [name, scenario] : scenarios_) {
-    all.push_back(scenario.get());
-  }
-  return all;  // std::map iteration order = sorted by name
-}
-
-const Scenario* FindScenario(const std::string& name) {
-  return ScenarioRegistry::Instance().Find(name);
-}
-
-std::vector<const Scenario*> AllScenarios() {
-  return ScenarioRegistry::Instance().All();
 }
 
 }  // namespace contender::scenario

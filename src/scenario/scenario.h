@@ -18,22 +18,18 @@
 // scenario trace is bit-identical at any thread count and under an armed
 // chaos harness.
 //
-// Scenarios self-register into ScenarioRegistry at static-initialization
-// time via CONTENDER_REGISTER_SCENARIO (the SMOL-style suite idiom), so
-// benches, tests, and the fleet demo enumerate them by name without a
-// central switch.
+// The built-in scenarios live in one table (AllScenarios, scenarios.cc),
+// so benches, tests, and the fleet demo enumerate them by name.
 
 #ifndef CONTENDER_SCENARIO_SCENARIO_H_
 #define CONTENDER_SCENARIO_SCENARIO_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "sched/request.h"
-#include "util/mutex.h"
 #include "util/random.h"
 #include "util/statusor.h"
 #include "util/units.h"
@@ -44,9 +40,9 @@ namespace contender::scenario {
 /// The single-node entry point (GenerateTrace) ignores the tenant fields
 /// and emits one merged stream with tenant_id 0; the fleet entry point
 /// (GenerateFleetTrace) plans `num_tenants` independent sources.
-/// Scenario-specific shape knobs (burst ratios, skew exponents, storm
-/// sizes) are constructor parameters of the concrete scenarios, so
-/// registry defaults stay one-line reproducible.
+/// Scenario-specific shape values (burst ratios, skew exponents, storm
+/// sizes) are named constants of the concrete scenarios, so a scenario's
+/// stream is a pure function of (name, params).
 struct ScenarioParams {
   /// Total requests across all tenants.
   int num_requests = 32;
@@ -97,7 +93,7 @@ uint64_t TraceDigest(const std::vector<sched::Request>& requests);
 
 /// Interface + shared driver for workload scenarios. Concrete scenarios
 /// implement FillTenantStream (the per-tenant shape) and optionally
-/// override TenantRateSkew / ValidateExtra; everything else is fixed.
+/// override TenantRateSkew; everything else is fixed.
 /// Scenario objects are immutable after construction and safe to share
 /// across threads.
 class Scenario {
@@ -107,7 +103,7 @@ class Scenario {
   Scenario(const Scenario&) = delete;
   Scenario& operator=(const Scenario&) = delete;
 
-  /// Stable registry key, e.g. "poisson-steady".
+  /// Stable lookup key, e.g. "poisson-steady".
   [[nodiscard]] virtual const char* name() const = 0;
   /// One-line human description for --scenario=list and the bench table.
   [[nodiscard]] virtual const char* description() const = 0;
@@ -166,64 +162,23 @@ class Scenario {
   [[nodiscard]] virtual double TenantRateSkew(
       const ScenarioParams& params) const;
 
-  /// Scenario-specific parameter validation, after the shared checks.
-  [[nodiscard]] virtual Status ValidateExtra(
-      const ScenarioParams& params) const;
-
  private:
   [[nodiscard]] StatusOr<ScenarioTrace> Generate(
       const std::vector<units::Seconds>& reference_latencies,
       const ScenarioParams& params, bool fleet_mode) const;
 };
 
-/// Process-wide scenario registry. Registration normally happens at
-/// static-initialization time through CONTENDER_REGISTER_SCENARIO; lookups
-/// are thread-safe and returned pointers live for the process lifetime.
-/// Instance() is defined in scenarios.cc next to the built-in
-/// registrations, so any use of the registry links the builtins in — a
-/// static-library build can never observe an empty registry.
-class ScenarioRegistry {
- public:
-  static ScenarioRegistry& Instance();
-
-  /// Registers a scenario under scenario->name(). Duplicate names are a
-  /// programming error (CHECK).
-  void Register(std::unique_ptr<Scenario> scenario) EXCLUDES(mutex_);
-
-  /// Returns the scenario named `name`, or nullptr.
-  [[nodiscard]] const Scenario* Find(const std::string& name) const
-      EXCLUDES(mutex_);
-
-  /// Every registered scenario, sorted by name.
-  [[nodiscard]] std::vector<const Scenario*> All() const EXCLUDES(mutex_);
-
- private:
-  ScenarioRegistry() = default;
-
-  mutable Mutex mutex_;
-  std::map<std::string, std::unique_ptr<Scenario>> scenarios_
-      GUARDED_BY(mutex_);
-};
-
-/// Registry name of the homogeneous Poisson scenario, the default stream
-/// shape of the benches and examples.
+/// Name of the homogeneous Poisson scenario, the default stream shape of
+/// the benches and examples.
 inline constexpr char kPoissonSteadyName[] = "poisson-steady";
 
-/// Convenience lookups over ScenarioRegistry::Instance().
+/// The scenario named `name`, or nullptr. The pointer lives for the
+/// process lifetime.
 const Scenario* FindScenario(const std::string& name);
-std::vector<const Scenario*> AllScenarios();
-
-/// Self-registration hook. Use at namespace scope in the defining .cc:
-///
-///   CONTENDER_REGISTER_SCENARIO(FlashCrowd)
-#define CONTENDER_REGISTER_SCENARIO(ClassName)                       \
-  namespace {                                                        \
-  const bool kRegistered##ClassName = [] {                           \
-    ::contender::scenario::ScenarioRegistry::Instance().Register(    \
-        std::make_unique<ClassName>());                              \
-    return true;                                                     \
-  }();                                                               \
-  }  // namespace
+/// Every built-in scenario, sorted by name. Defined in scenarios.cc next
+/// to the scenarios themselves; the table is built once, thread-safely,
+/// and never changes afterwards, so lookups take no lock.
+const std::vector<const Scenario*>& AllScenarios();
 
 }  // namespace contender::scenario
 

@@ -59,12 +59,10 @@ void PoissonSteady::FillTenantStream(
 // ---------------------------------------------------------------------------
 // DiurnalCycle
 
-DiurnalCycle::DiurnalCycle(double amplitude, double period_gaps)
-    : amplitude_(amplitude), period_gaps_(period_gaps) {
-  CONTENDER_CHECK(amplitude_ >= 0.0 && amplitude_ < 1.0)
-      << "diurnal amplitude must be in [0, 1)";
-  CONTENDER_CHECK(period_gaps_ > 0.0);
-}
+static_assert(DiurnalCycle::kAmplitude >= 0.0 &&
+                  DiurnalCycle::kAmplitude < 1.0,
+              "diurnal amplitude must be in [0, 1)");
+static_assert(DiurnalCycle::kPeriodGaps > 0.0);
 
 void DiurnalCycle::FillTenantStream(
     const std::vector<units::Seconds>& reference_latencies,
@@ -74,8 +72,8 @@ void DiurnalCycle::FillTenantStream(
   // Thinning (Lewis–Shedler): candidates at the peak rate, accepted with
   // probability rate(t)/peak. The accepted stream is an inhomogeneous
   // Poisson process with rate (1 + A sin(2π t / period)) / mean_gap.
-  const units::Seconds period = params.mean_interarrival * period_gaps_;
-  const units::Seconds peak_gap = plan.mean_gap * (1.0 / (1.0 + amplitude_));
+  const units::Seconds period = params.mean_interarrival * kPeriodGaps;
+  const units::Seconds peak_gap = plan.mean_gap * (1.0 / (1.0 + kAmplitude));
   units::Seconds clock;
   double candidates = 0.0;
   for (int k = 0; k < plan.num_requests; ++k) {
@@ -88,7 +86,7 @@ void DiurnalCycle::FillTenantStream(
       candidates += 1.0;
       const double phase = kTwoPi * clock.value() / period.value();
       const double accept =
-          (1.0 + amplitude_ * std::sin(phase)) / (1.0 + amplitude_);
+          (1.0 + kAmplitude * std::sin(phase)) / (1.0 + kAmplitude);
       if (rng->Uniform01() < accept) break;
     }
     sched::Request r;
@@ -105,18 +103,10 @@ void DiurnalCycle::FillTenantStream(
 // ---------------------------------------------------------------------------
 // FlashCrowd
 
-FlashCrowd::FlashCrowd(double burst_rate_multiplier,
-                       double quiet_rate_multiplier,
-                       double quiet_sojourn_gaps, double burst_sojourn_gaps)
-    : burst_rate_multiplier_(burst_rate_multiplier),
-      quiet_rate_multiplier_(quiet_rate_multiplier),
-      quiet_sojourn_gaps_(quiet_sojourn_gaps),
-      burst_sojourn_gaps_(burst_sojourn_gaps) {
-  CONTENDER_CHECK(burst_rate_multiplier_ > 0.0);
-  CONTENDER_CHECK(quiet_rate_multiplier_ > 0.0);
-  CONTENDER_CHECK(quiet_sojourn_gaps_ > 0.0);
-  CONTENDER_CHECK(burst_sojourn_gaps_ > 0.0);
-}
+static_assert(FlashCrowd::kBurstRateMultiplier > 0.0);
+static_assert(FlashCrowd::kQuietRateMultiplier > 0.0);
+static_assert(FlashCrowd::kQuietSojournGaps > 0.0);
+static_assert(FlashCrowd::kBurstSojournGaps > 0.0);
 
 void FlashCrowd::FillTenantStream(
     const std::vector<units::Seconds>& reference_latencies,
@@ -130,7 +120,7 @@ void FlashCrowd::FillTenantStream(
   units::Seconds clock;
   bool burst = false;
   units::Seconds next_switch =
-      clock + ExponentialGap(rng, plan.mean_gap * quiet_sojourn_gaps_);
+      clock + ExponentialGap(rng, plan.mean_gap * kQuietSojournGaps);
   double switches = 0.0;
   double burst_requests = 0.0;
   for (int k = 0; k < plan.num_requests; ++k) {
@@ -141,7 +131,7 @@ void FlashCrowd::FillTenantStream(
     }
     while (!emitted_at_clock) {
       const double multiplier =
-          burst ? burst_rate_multiplier_ : quiet_rate_multiplier_;
+          burst ? kBurstRateMultiplier : kQuietRateMultiplier;
       const units::Seconds candidate =
           clock + ExponentialGap(rng, plan.mean_gap * (1.0 / multiplier));
       if (candidate < next_switch) {
@@ -152,10 +142,9 @@ void FlashCrowd::FillTenantStream(
       clock = next_switch;
       burst = !burst;
       switches += 1.0;
-      next_switch =
-          clock + ExponentialGap(rng, plan.mean_gap * (burst
-                                                           ? burst_sojourn_gaps_
-                                                           : quiet_sojourn_gaps_));
+      const double sojourn_gaps =
+          burst ? kBurstSojournGaps : kQuietSojournGaps;
+      next_switch = clock + ExponentialGap(rng, plan.mean_gap * sojourn_gaps);
     }
     sched::Request r;
     r.template_index = UniformTemplate(rng, plan.templates);
@@ -173,16 +162,13 @@ void FlashCrowd::FillTenantStream(
 // ---------------------------------------------------------------------------
 // HeavyTailTenants
 
-HeavyTailTenants::HeavyTailTenants(double min_rate_skew, double template_skew)
-    : min_rate_skew_(min_rate_skew), template_skew_(template_skew) {
-  CONTENDER_CHECK(min_rate_skew_ >= 0.0);
-  CONTENDER_CHECK(template_skew_ >= 0.0);
-}
+static_assert(HeavyTailTenants::kMinRateSkew >= 0.0);
+static_assert(HeavyTailTenants::kTemplateSkew >= 0.0);
 
 double HeavyTailTenants::TenantRateSkew(const ScenarioParams& params) const {
   // NaN propagates so the driver's skew validation still rejects it.
   if (!(params.skew >= 0.0)) return params.skew;
-  return std::max(params.skew, min_rate_skew_);
+  return std::max(params.skew, kMinRateSkew);
 }
 
 void HeavyTailTenants::FillTenantStream(
@@ -194,7 +180,7 @@ void HeavyTailTenants::FillTenantStream(
   std::vector<double> cumulative(plan.templates.size());
   double total = 0.0;
   for (size_t j = 0; j < plan.templates.size(); ++j) {
-    total += std::pow(static_cast<double>(j + 1), -template_skew_);
+    total += std::pow(static_cast<double>(j + 1), -kTemplateSkew);
     cumulative[j] = total;
   }
   for (double& c : cumulative) c /= total;
@@ -221,10 +207,9 @@ void HeavyTailTenants::FillTenantStream(
 // ---------------------------------------------------------------------------
 // AdHocNovel
 
-AdHocNovel::AdHocNovel(double novel_probability)
-    : novel_probability_(novel_probability) {
-  CONTENDER_CHECK(novel_probability_ >= 0.0 && novel_probability_ <= 1.0);
-}
+// Positive, so every request draws its novel-coin.
+static_assert(AdHocNovel::kNovelProbability > 0.0 &&
+              AdHocNovel::kNovelProbability <= 1.0);
 
 std::vector<int> AdHocNovel::NovelTemplates(int num_templates) {
   CONTENDER_CHECK(num_templates > 0);
@@ -261,8 +246,7 @@ void AdHocNovel::FillTenantStream(
   for (int k = 0; k < plan.num_requests; ++k) {
     sched::Request r;
     // Draw order: novel-coin, template, gap, deadline.
-    const bool inject =
-        novel_probability_ > 0.0 && rng->Uniform01() < novel_probability_;
+    const bool inject = rng->Uniform01() < kNovelProbability;
     if (inject) {
       r.template_index = UniformTemplate(rng, novel);
     } else {
@@ -284,11 +268,8 @@ void AdHocNovel::FillTenantStream(
 // ---------------------------------------------------------------------------
 // MixedRefresh
 
-MixedRefresh::MixedRefresh(double period_gaps, int storm_size)
-    : period_gaps_(period_gaps), storm_size_(storm_size) {
-  CONTENDER_CHECK(period_gaps_ > 0.0);
-  CONTENDER_CHECK(storm_size_ > 0);
-}
+static_assert(MixedRefresh::kPeriodGaps > 0.0);
+static_assert(MixedRefresh::kStormSize > 0);
 
 std::vector<int> MixedRefresh::RefreshTemplates(int num_templates) {
   CONTENDER_CHECK(num_templates > 0);
@@ -319,7 +300,7 @@ void MixedRefresh::FillTenantStream(
   // Storms fire at absolute multiples of the period (not offsets into the
   // tenant's own stream), so in fleet mode every tenant's refresh burst
   // lands at the same instant — a genuinely synchronized ETL window.
-  const units::Seconds period = params.mean_interarrival * period_gaps_;
+  const units::Seconds period = params.mean_interarrival * kPeriodGaps;
   // Requests inside a storm are spaced one millisecond apart so queue
   // order stays deterministic without colliding arrivals.
   const units::Seconds storm_spacing(1e-3);
@@ -335,7 +316,7 @@ void MixedRefresh::FillTenantStream(
     }
     first = false;
     if (candidate >= next_storm) {
-      for (int j = 0; j < storm_size_ && emitted < plan.num_requests;
+      for (int j = 0; j < kStormSize && emitted < plan.num_requests;
            ++j, ++emitted) {
         sched::Request r;
         r.template_index = UniformTemplate(rng, refresh);
@@ -366,22 +347,27 @@ void MixedRefresh::FillTenantStream(
 }
 
 // ---------------------------------------------------------------------------
-// Registry
+// The table
 
-// Instance() lives here, next to the built-in registrations, so any
-// binary that touches the registry links this translation unit and the
-// static registrars below run — a static-library build can never observe
-// an empty registry (see scenario.h).
-ScenarioRegistry& ScenarioRegistry::Instance() {
-  static ScenarioRegistry* registry = new ScenarioRegistry();
-  return *registry;
+const std::vector<const Scenario*>& AllScenarios() {
+  // Sorted by name. A new scenario is one line here.
+  static const std::vector<const Scenario*>* const table =
+      new std::vector<const Scenario*>{
+          new AdHocNovel(),
+          new DiurnalCycle(),
+          new FlashCrowd(),
+          new HeavyTailTenants(),
+          new MixedRefresh(),
+          new PoissonSteady(),
+      };
+  return *table;
 }
 
-CONTENDER_REGISTER_SCENARIO(PoissonSteady)
-CONTENDER_REGISTER_SCENARIO(DiurnalCycle)
-CONTENDER_REGISTER_SCENARIO(FlashCrowd)
-CONTENDER_REGISTER_SCENARIO(HeavyTailTenants)
-CONTENDER_REGISTER_SCENARIO(AdHocNovel)
-CONTENDER_REGISTER_SCENARIO(MixedRefresh)
+const Scenario* FindScenario(const std::string& name) {
+  for (const Scenario* scenario : AllScenarios()) {
+    if (name == scenario->name()) return scenario;
+  }
+  return nullptr;
+}
 
 }  // namespace contender::scenario

@@ -1,11 +1,10 @@
-// The built-in scenario suite. Each class is exported so tests and
-// benches can construct one with non-default shape knobs; the registry
-// holds one default-constructed instance of each, registered in
-// scenarios.cc via CONTENDER_REGISTER_SCENARIO.
+// The built-in scenario suite. AllScenarios() (scenario.h) holds one
+// instance of each, in a table in scenarios.cc; the classes are exported
+// so tests can read their shape constants and construct one directly.
 //
-// Shape knobs are constructor parameters (not ScenarioParams fields) so a
-// registered scenario's behaviour is a pure function of (name, params) —
-// the robustness matrix stays reproducible from the registry alone.
+// Shape values are named constants (not ScenarioParams fields), so a
+// scenario's behaviour is a pure function of (name, params) — the
+// robustness matrix stays reproducible from the table alone.
 
 #ifndef CONTENDER_SCENARIO_SCENARIOS_H_
 #define CONTENDER_SCENARIO_SCENARIOS_H_
@@ -42,26 +41,23 @@ class PoissonSteady : public Scenario {
 /// load cycle compressed into the trace.
 class DiurnalCycle : public Scenario {
  public:
-  explicit DiurnalCycle(double amplitude = 0.8, double period_gaps = 64.0);
+  /// Rate swing around the mean, in [0, 1).
+  static constexpr double kAmplitude = 0.8;
+  /// Modulation period, in units of the merged mean interarrival gap.
+  static constexpr double kPeriodGaps = 64.0;
+
+  DiurnalCycle() = default;
 
   [[nodiscard]] const char* name() const override { return "diurnal-cycle"; }
   [[nodiscard]] const char* description() const override {
     return "sinusoid-modulated thinned Poisson (daily load cycle)";
   }
 
-  [[nodiscard]] double amplitude() const { return amplitude_; }
-  /// Modulation period, in units of the merged mean interarrival gap.
-  [[nodiscard]] double period_gaps() const { return period_gaps_; }
-
  protected:
   void FillTenantStream(const std::vector<units::Seconds>& reference_latencies,
                         const ScenarioParams& params, const TenantPlan& plan,
                         Rng* rng, std::vector<sched::Request>* out,
                         std::map<std::string, double>* stats) const override;
-
- private:
-  const double amplitude_;
-  const double period_gaps_;
 };
 
 /// 2-state Markov-modulated Poisson process: exponential sojourns in a
@@ -70,21 +66,18 @@ class DiurnalCycle : public Scenario {
 /// hides. Reports "mmpp.switches" and "mmpp.burst_requests".
 class FlashCrowd : public Scenario {
  public:
-  explicit FlashCrowd(double burst_rate_multiplier = 6.0,
-                      double quiet_rate_multiplier = 0.6,
-                      double quiet_sojourn_gaps = 30.0,
-                      double burst_sojourn_gaps = 6.0);
+  /// Each state's rate, as a multiple of the tenant's mean rate.
+  static constexpr double kBurstRateMultiplier = 6.0;
+  static constexpr double kQuietRateMultiplier = 0.6;
+  /// Mean sojourn in each state, in tenant mean gaps.
+  static constexpr double kQuietSojournGaps = 30.0;
+  static constexpr double kBurstSojournGaps = 6.0;
+
+  FlashCrowd() = default;
 
   [[nodiscard]] const char* name() const override { return "flash-crowd"; }
   [[nodiscard]] const char* description() const override {
     return "2-state MMPP burst/quiet switching (flash crowds)";
-  }
-
-  [[nodiscard]] double burst_rate_multiplier() const {
-    return burst_rate_multiplier_;
-  }
-  [[nodiscard]] double quiet_rate_multiplier() const {
-    return quiet_rate_multiplier_;
   }
 
  protected:
@@ -92,12 +85,6 @@ class FlashCrowd : public Scenario {
                         const ScenarioParams& params, const TenantPlan& plan,
                         Rng* rng, std::vector<sched::Request>* out,
                         std::map<std::string, double>* stats) const override;
-
- private:
-  const double burst_rate_multiplier_;
-  const double quiet_rate_multiplier_;
-  const double quiet_sojourn_gaps_;
-  const double burst_sojourn_gaps_;
 };
 
 /// Heavy-tailed everything: tenant rate skew is floored at a Zipf
@@ -107,8 +94,12 @@ class FlashCrowd : public Scenario {
 /// concentrates (Kalmegh et al.).
 class HeavyTailTenants : public Scenario {
  public:
-  explicit HeavyTailTenants(double min_rate_skew = 1.6,
-                            double template_skew = 1.1);
+  /// Floor of the Zipf exponent over tenant rates (fleet mode).
+  static constexpr double kMinRateSkew = 1.6;
+  /// Zipf exponent over each tenant's template window.
+  static constexpr double kTemplateSkew = 1.1;
+
+  HeavyTailTenants() = default;
 
   [[nodiscard]] const char* name() const override {
     return "heavy-tail-tenants";
@@ -117,8 +108,6 @@ class HeavyTailTenants : public Scenario {
     return "Zipf tenant rates + Zipf template skew (heavy-tailed load)";
   }
 
-  [[nodiscard]] double template_skew() const { return template_skew_; }
-
  protected:
   void FillTenantStream(const std::vector<units::Seconds>& reference_latencies,
                         const ScenarioParams& params, const TenantPlan& plan,
@@ -126,10 +115,6 @@ class HeavyTailTenants : public Scenario {
                         std::map<std::string, double>* stats) const override;
   [[nodiscard]] double TenantRateSkew(
       const ScenarioParams& params) const override;
-
- private:
-  const double min_rate_skew_;
-  const double template_skew_;
 };
 
 /// Ad-hoc novel-template injection: a fixed held-out slice of the
@@ -140,7 +125,10 @@ class HeavyTailTenants : public Scenario {
 /// Reports "adhoc.novel_requests".
 class AdHocNovel : public Scenario {
  public:
-  explicit AdHocNovel(double novel_probability = 0.2);
+  /// Per-request probability of injecting a held-out template.
+  static constexpr double kNovelProbability = 0.2;
+
+  AdHocNovel() = default;
 
   [[nodiscard]] const char* name() const override { return "adhoc-novel"; }
   [[nodiscard]] const char* description() const override {
@@ -153,25 +141,25 @@ class AdHocNovel : public Scenario {
   /// dropping exactly these templates' primary observations.
   static std::vector<int> NovelTemplates(int num_templates);
 
-  [[nodiscard]] double novel_probability() const { return novel_probability_; }
-
  protected:
   void FillTenantStream(const std::vector<units::Seconds>& reference_latencies,
                         const ScenarioParams& params, const TenantPlan& plan,
                         Rng* rng, std::vector<sched::Request>* out,
                         std::map<std::string, double>* stats) const override;
-
- private:
-  const double novel_probability_;
 };
 
 /// Composite OLAP + refresh traffic: a steady Poisson OLAP stream with a
 /// synchronized storm of refresh requests (drawn from the first tenth of
-/// the workload) every `period_gaps` mean gaps — ETL-style load spikes on
+/// the workload) every kPeriodGaps mean gaps — ETL-style load spikes on
 /// top of analytics. Reports "refresh.storm_requests".
 class MixedRefresh : public Scenario {
  public:
-  explicit MixedRefresh(double period_gaps = 24.0, int storm_size = 4);
+  /// Storm period, in merged mean interarrival gaps.
+  static constexpr double kPeriodGaps = 24.0;
+  /// Refresh requests per storm.
+  static constexpr int kStormSize = 4;
+
+  MixedRefresh() = default;
 
   [[nodiscard]] const char* name() const override { return "mixed-refresh"; }
   [[nodiscard]] const char* description() const override {
@@ -182,18 +170,11 @@ class MixedRefresh : public Scenario {
   /// indices.
   static std::vector<int> RefreshTemplates(int num_templates);
 
-  [[nodiscard]] int storm_size() const { return storm_size_; }
-  [[nodiscard]] double period_gaps() const { return period_gaps_; }
-
  protected:
   void FillTenantStream(const std::vector<units::Seconds>& reference_latencies,
                         const ScenarioParams& params, const TenantPlan& plan,
                         Rng* rng, std::vector<sched::Request>* out,
                         std::map<std::string, double>* stats) const override;
-
- private:
-  const double period_gaps_;
-  const int storm_size_;
 };
 
 }  // namespace contender::scenario

@@ -58,7 +58,7 @@ StatusOr<ScheduleResult> ScheduleSimulator::Run(
   std::vector<int> running;  // template indices, admitted and unfinished
   std::vector<int> pid_to_request;
   int in_flight = 0;
-  overload::NodeOverloadControl control(options.overload);
+  overload::NodeOverloadControl control(options.overload, options.target_mpl);
 
   ScheduleResult result;
   result.outcomes.resize(n);
@@ -71,7 +71,7 @@ StatusOr<ScheduleResult> ScheduleSimulator::Run(
   // mix known at decision time; this only affects the choice among
   // same-instant arrival batches wider than the free slots.
   auto admit_free_slots = [&](units::Seconds now) -> Status {
-    while (in_flight < control.EffectiveLimit(options.target_mpl) &&
+    while (in_flight < control.EffectiveLimit() &&
            !queue.empty()) {
       const units::Seconds t = std::max(now, queue.NextArrival());
       // CoDel head-of-queue shedding: the oldest arrived request measures
@@ -158,7 +158,7 @@ StatusOr<ScheduleResult> ScheduleSimulator::Run(
       return Status::Internal("request never completed");
     }
   }
-  result.final_admission_limit = control.EffectiveLimit(options.target_mpl);
+  result.final_admission_limit = control.EffectiveLimit();
   result.limit_increases = control.limiter().increases();
   result.limit_decreases = control.limiter().decreases();
   result.queue_sheds = control.queue_sheds();

@@ -1,7 +1,5 @@
 #include "serve/service.h"
 
-#include <algorithm>
-#include <future>
 #include <utility>
 
 #include "util/logging.h"
@@ -14,10 +12,7 @@ PredictionService::PredictionService(
 
 PredictionService::PredictionService(
     std::shared_ptr<const ModelSnapshot> initial, const Options& options)
-    : options_(options),
-      holder_(std::move(initial)),  // CHECKs non-null
-      pool_(options.num_threads <= 0 ? ThreadPool::DefaultThreads()
-                                     : options.num_threads) {}
+    : options_(options), holder_(std::move(initial)) {}  // CHECKs non-null
 
 std::shared_ptr<const ModelSnapshot> PredictionService::snapshot() const {
   return holder_.shared();
@@ -61,13 +56,6 @@ PredictResult PredictionService::PredictOn(
   return result;
 }
 
-void PredictionService::AddTierCounts(
-    int stripe, const std::array<uint64_t, 3>& counts) const {
-  for (size_t t = 0; t < counts.size(); ++t) {
-    if (counts[t] != 0) tier_counts_[t].Add(stripe, counts[t]);
-  }
-}
-
 StatusOr<units::Seconds> PredictionService::Predict(
     int template_index, const std::vector<int>& concurrent) const {
   const PredictResult result = PredictDetailed(template_index, concurrent);
@@ -93,47 +81,18 @@ std::vector<PredictResult> PredictionService::PredictBatch(
   const SnapshotHolder::View view = holder_.Acquire();
   std::vector<PredictResult> results(batch.size());
   served_.Add(view.stats_slot(), batch.size());
-  if (batch.size() <= kInlineBatchLimit ||
-      pool_.num_threads() < 2) {
-    std::array<uint64_t, 3> counts{};
-    for (size_t i = 0; i < batch.size(); ++i) {
-      results[i] = PredictOn(*view, batch[i].template_index,
-                             batch[i].concurrent);
-      if (results[i].status.ok()) {
-        ++counts[static_cast<size_t>(results[i].tier)];
-      }
+  std::array<uint64_t, 3> counts{};
+  for (size_t i = 0; i < batch.size(); ++i) {
+    results[i] =
+        PredictOn(*view, batch[i].template_index, batch[i].concurrent);
+    if (results[i].status.ok()) {
+      ++counts[static_cast<size_t>(results[i].tier)];
     }
-    AddTierCounts(view.stats_slot(), counts);
-    return results;
   }
-  // Chunked fan-out; each task writes a disjoint slice, so no result-side
-  // synchronization is needed and the output is identical to the inline
-  // path (each entry is a pure function of (snapshot, request)). Tier
-  // tallies accumulate per chunk and fold in with one striped Add per
-  // tier, so workers never rendezvous on a shared counter line.
-  const size_t chunks =
-      std::min(batch.size(), static_cast<size_t>(pool_.num_threads()) * 2);
-  const size_t per_chunk = (batch.size() + chunks - 1) / chunks;
-  const ModelSnapshot* snap = view.get();
-  std::vector<std::future<void>> pending;
-  pending.reserve(chunks);
-  int stripe = 0;
-  for (size_t start = 0; start < batch.size(); start += per_chunk, ++stripe) {
-    const size_t end = std::min(start + per_chunk, batch.size());
-    pending.push_back(
-        pool_.Submit([this, snap, &batch, &results, start, end, stripe] {
-          std::array<uint64_t, 3> counts{};
-          for (size_t i = start; i < end; ++i) {
-            results[i] = PredictOn(*snap, batch[i].template_index,
-                                   batch[i].concurrent);
-            if (results[i].status.ok()) {
-              ++counts[static_cast<size_t>(results[i].tier)];
-            }
-          }
-          AddTierCounts(stripe, counts);
-        }));
+  // Tier tallies fold in once per batch.
+  for (size_t t = 0; t < counts.size(); ++t) {
+    if (counts[t] != 0) tier_counts_[t].Add(view.stats_slot(), counts[t]);
   }
-  for (std::future<void>& f : pending) f.get();
   return results;
 }
 

@@ -1,7 +1,7 @@
 // The concurrent prediction front-end: a long-lived service that owns
 // the *current* ModelSnapshot inside a lock-free SnapshotHolder, serves
-// predictions off an epoch-pinned view of it, and fans batched requests
-// across a util::ThreadPool.
+// predictions off an epoch-pinned view of it, and answers batches on the
+// caller's thread against one pinned snapshot.
 //
 // Read path: Predict/PredictDetailed/PredictBatch acquire a
 // SnapshotHolder::View — an epoch registration plus one acquire load of
@@ -33,7 +33,6 @@
 #include "util/sharded_counter.h"
 #include "util/status.h"
 #include "util/statusor.h"
-#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace contender::serve {
@@ -61,12 +60,10 @@ struct PredictResult {
 /// Thread-safe prediction service over a hot-swappable model snapshot.
 class PredictionService {
  public:
-  /// PredictBatch answers batches at or below this size inline (a pool
-  /// round-trip costs more than the predictions).
-  static constexpr size_t kInlineBatchLimit = 16;
-
   struct Options {
-    /// Pool width for PredictBatch; <= 0 selects hardware concurrency.
+    /// Has no effect: batches are answered on the caller's thread. Kept
+    /// only because the repository benchmark still sets it; ROADMAP item
+    /// 9(a) retires it.
     int num_threads = 0;
     /// Optional model-health signal. When a template's breaker is open,
     /// answers for it start at tier 1 of the degradation ladder
@@ -106,10 +103,9 @@ class PredictionService {
   [[nodiscard]] PredictResult PredictDetailed(
       int template_index, const std::vector<int>& concurrent) const;
 
-  /// Answers every request against ONE snapshot (pinned once at batch
-  /// start), fanning chunks across the pool for large batches. Results are
-  /// positionally aligned with `batch` and bit-identical for every pool
-  /// width, including inline execution.
+  /// Answers every request on the caller's thread against ONE snapshot
+  /// (pinned once at batch start). Results are positionally aligned with
+  /// `batch`, each bit-identical to PredictDetailed on that snapshot.
   std::vector<PredictResult> PredictBatch(
       const std::vector<PredictRequest>& batch) const;
 
@@ -119,7 +115,6 @@ class PredictionService {
   [[nodiscard]] uint64_t publishes() const {
     return publishes_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] int num_threads() const { return pool_.num_threads(); }
 
   /// The health tracker this service consults (null when none was given).
   [[nodiscard]] const std::shared_ptr<HealthTracker>& health() const {
@@ -132,11 +127,9 @@ class PredictionService {
 
  private:
   /// Pure evaluation of one request on one snapshot — no counter side
-  /// effects, so pool workers can batch their stripe bumps per chunk.
+  /// effects, so a batch folds its tier tallies in once.
   PredictResult PredictOn(const ModelSnapshot& snapshot, int template_index,
                           const std::vector<int>& concurrent) const;
-  /// Folds one chunk's per-tier tallies into the striped counters.
-  void AddTierCounts(int stripe, const std::array<uint64_t, 3>& counts) const;
 
   Options options_;
   SnapshotHolder holder_;
@@ -145,7 +138,6 @@ class PredictionService {
   /// across serving threads.
   mutable ShardedCounter served_;
   mutable std::array<ShardedCounter, 3> tier_counts_;
-  mutable ThreadPool pool_;
 };
 
 }  // namespace contender::serve

@@ -1,6 +1,9 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+
 #include "util/failpoint.h"
+#include "util/logging.h"
 
 namespace contender {
 
@@ -17,6 +20,9 @@ bool ThreadPoolSubmitDegradesInline() { return kSubmitFailPoint.ShouldFail(); }
 }  // namespace internal
 
 ThreadPool::ThreadPool(int num_threads) {
+  CONTENDER_CHECK(num_threads <= kMaxThreads)
+      << "ThreadPool: " << num_threads << " threads is more than kMaxThreads ("
+      << kMaxThreads << ")";
   const int n = num_threads < 1 ? 1 : num_threads;
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -35,7 +41,7 @@ ThreadPool::~ThreadPool() {
 
 int ThreadPool::DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return hw == 0 ? 1 : static_cast<int>(std::min<unsigned>(hw, kMaxThreads));
 }
 
 void ThreadPool::WorkerLoop() {

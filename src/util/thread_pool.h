@@ -7,8 +7,7 @@
 // Determinism contract: tasks are *started* in submission order but may
 // *complete* in any order. Callers that need reproducible output must derive
 // all randomness (seeds) before submission and order results by submission
-// index — Map does the latter, and every fan-out in src/ goes through it
-// except PredictionService::PredictBatch.
+// index — Map does the latter, and every fan-out in src/ goes through it.
 
 #ifndef CONTENDER_UTIL_THREAD_POOL_H_
 #define CONTENDER_UTIL_THREAD_POOL_H_
@@ -40,7 +39,12 @@ bool ThreadPoolSubmitDegradesInline();
 /// Fixed-size thread pool with a shared FIFO queue.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers; values < 1 are clamped to 1.
+  /// The widest pool: far beyond any host this runs on, and small enough
+  /// that a mistyped width fails by name instead of exhausting threads.
+  static constexpr int kMaxThreads = 256;
+
+  /// Spawns `num_threads` workers; values < 1 are clamped to 1. CHECK-fails
+  /// above kMaxThreads, naming the width, before starting any worker.
   explicit ThreadPool(int num_threads);
 
   /// Drains the queue (already-submitted tasks still run) and joins.
@@ -90,7 +94,7 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// A sensible default pool width for this machine (>= 1).
+  /// A sensible default pool width for this machine, in [1, kMaxThreads].
   static int DefaultThreads();
 
  private:

@@ -20,6 +20,7 @@
 #include "fleet/population.h"
 #include "test_support.h"
 #include "util/failpoint.h"
+#include "util/thread_pool.h"
 
 namespace contender::fleet {
 namespace {
@@ -221,6 +222,16 @@ TEST(FleetSimulatorTest, NegativeTenantQuotaIsInvalidArgument) {
   const auto result = RunFleet(population, options);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("tenant_quota"), std::string::npos)
+      << result.status();
+}
+
+TEST(FleetSimulatorTest, PoolWidthAboveTheMaximumIsInvalidArgument) {
+  const Population population = TestPopulation(8);
+  FleetOptions options;
+  options.threads = ThreadPool::kMaxThreads + 1;
+  const auto result = RunFleet(population, options);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("threads"), std::string::npos)
       << result.status();
 }
 

@@ -6,25 +6,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace contender::overload {
 namespace {
 
-AdaptiveLimiterOptions SmallOptions() {
-  AdaptiveLimiterOptions options;
-  options.min_limit = 1;
-  options.max_limit = 8;
-  options.ewma_alpha = 1.0;  // unsmoothed: each sample IS the ratio
-  options.overload_ratio = 1.4;
-  options.decrease_factor = 0.5;
-  options.increase_period = 3;
-  options.decrease_cooldown = 2;
-  return options;
+// One completion 3x slower than predicted lifts a calm EWMA to
+// 0.7 * 1.0 + 0.3 * 3.0 = 1.6, past the 1.4 knee; one twice as fast as
+// predicted brings 1.6 back to 0.7 * 1.6 + 0.3 * 0.5 = 1.27, below it.
+void Slow(AdaptiveLimiter* limiter) {
+  limiter->OnCompletion(units::Seconds(1.0), units::Seconds(3.0));
+}
+void Fast(AdaptiveLimiter* limiter) {
+  limiter->OnCompletion(units::Seconds(1.0), units::Seconds(0.5));
 }
 
 TEST(AdaptiveLimiterTest, StartsAtCeilingAndTracksHealthySteady) {
-  AdaptiveLimiter limiter(SmallOptions());
+  AdaptiveLimiter limiter(8);
   EXPECT_EQ(limiter.limit(), 8);
   for (int i = 0; i < 32; ++i) {
     limiter.OnCompletion(units::Seconds(1.0), units::Seconds(1.0));
@@ -36,60 +35,67 @@ TEST(AdaptiveLimiterTest, StartsAtCeilingAndTracksHealthySteady) {
 }
 
 TEST(AdaptiveLimiterTest, SustainedOverloadBacksOffMultiplicatively) {
-  AdaptiveLimiter limiter(SmallOptions());
-  // Observed 2x predicted, well past the 1.4 knee.
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(2.0));
-  EXPECT_EQ(limiter.limit(), 4) << "8 * 0.5";
+  AdaptiveLimiter limiter(8);
+  Slow(&limiter);
+  EXPECT_NEAR(limiter.ratio_ewma(), 1.6, 1e-12);
+  EXPECT_EQ(limiter.limit(), 5) << "floor(8 * 0.7)";
   EXPECT_EQ(limiter.decreases(), 1u);
-  // Cooldown: the very next bad completion must NOT halve again.
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(2.0));
-  EXPECT_EQ(limiter.limit(), 4);
-  // After the cooldown expires the decrease resumes, down to the floor.
-  for (int i = 0; i < 16; ++i) {
-    limiter.OnCompletion(units::Seconds(1.0), units::Seconds(2.0));
-  }
-  EXPECT_EQ(limiter.limit(), 1);
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(3.0));
-  EXPECT_EQ(limiter.limit(), 1) << "never below min_limit";
+  // Cooldown: the very next bad completion must NOT decrease again.
+  Slow(&limiter);
+  EXPECT_EQ(limiter.limit(), 5);
+  // After the cooldown expires the decrease resumes: 5 -> 3.
+  Slow(&limiter);
+  EXPECT_EQ(limiter.limit(), 3);
+  EXPECT_EQ(limiter.decreases(), 2u);
+  // ... and on down to the floor.
+  for (int i = 0; i < 16; ++i) Slow(&limiter);
+  EXPECT_EQ(limiter.limit(), AdaptiveLimiter::kMinLimit);
+  Slow(&limiter);
+  EXPECT_EQ(limiter.limit(), AdaptiveLimiter::kMinLimit)
+      << "never below kMinLimit";
 }
 
 TEST(AdaptiveLimiterTest, RecoversAdditivelyAfterHealthyStreak) {
-  AdaptiveLimiter limiter(SmallOptions());
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(2.0));
-  ASSERT_EQ(limiter.limit(), 4);
-  // Two healthy completions: below increase_period, no change yet.
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(1.0));
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(1.0));
-  EXPECT_EQ(limiter.limit(), 4);
-  // Third consecutive healthy completion earns exactly +1.
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(1.0));
+  AdaptiveLimiter limiter(8);
+  Slow(&limiter);
+  ASSERT_EQ(limiter.limit(), 5);
+  // One healthy completion short of a full streak: no change yet.
+  for (int i = 0; i < AdaptiveLimiter::kIncreasePeriod - 1; ++i) {
+    Fast(&limiter);
+  }
   EXPECT_EQ(limiter.limit(), 5);
+  // The streak's last healthy completion earns exactly +1.
+  Fast(&limiter);
+  EXPECT_EQ(limiter.limit(), 6);
   EXPECT_EQ(limiter.increases(), 1u);
-  // Nine more healthy: three more +1 steps, clamped at the ceiling.
-  for (int i = 0; i < 9; ++i) {
-    limiter.OnCompletion(units::Seconds(1.0), units::Seconds(1.0));
+  // Three more full streaks: +1 twice, then clamped at the ceiling.
+  for (int i = 0; i < 3 * AdaptiveLimiter::kIncreasePeriod; ++i) {
+    Fast(&limiter);
   }
   EXPECT_EQ(limiter.limit(), 8);
+  EXPECT_EQ(limiter.increases(), 3u);
 }
 
 TEST(AdaptiveLimiterTest, OverloadResetsTheHealthyStreak) {
-  AdaptiveLimiter limiter(SmallOptions());
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(2.0));
-  ASSERT_EQ(limiter.limit(), 4);
-  // healthy, healthy, bad, healthy, healthy, healthy -> exactly one +1:
-  // the bad sample must restart the streak.
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(1.0));
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(1.0));
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(2.0));
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(1.0));
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(1.0));
+  AdaptiveLimiter limiter(8);
+  Slow(&limiter);
+  ASSERT_EQ(limiter.limit(), 5);
+  // healthy x2, bad, then healthy: the bad sample restarts the streak, so
+  // the +1 needs a full kIncreasePeriod of healthy completions after it.
+  Fast(&limiter);
+  Fast(&limiter);
+  Slow(&limiter);
+  ASSERT_GT(limiter.ratio_ewma(), AdaptiveLimiter::kOverloadRatio);
+  for (int i = 0; i < AdaptiveLimiter::kIncreasePeriod - 1; ++i) {
+    Fast(&limiter);
+  }
   EXPECT_EQ(limiter.increases(), 0u);
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(1.0));
+  Fast(&limiter);
   EXPECT_EQ(limiter.increases(), 1u);
 }
 
 TEST(AdaptiveLimiterTest, IgnoresNonPositivePredictions) {
-  AdaptiveLimiter limiter(SmallOptions());
+  AdaptiveLimiter limiter(8);
   limiter.OnCompletion(units::Seconds(0.0), units::Seconds(50.0));
   limiter.OnCompletion(units::Seconds(-1.0), units::Seconds(50.0));
   EXPECT_EQ(limiter.limit(), 8);
@@ -97,28 +103,29 @@ TEST(AdaptiveLimiterTest, IgnoresNonPositivePredictions) {
 }
 
 TEST(AdaptiveLimiterTest, EwmaSmoothsSpikes) {
-  AdaptiveLimiterOptions options = SmallOptions();
-  options.ewma_alpha = 0.2;
-  AdaptiveLimiter limiter(options);
-  // One 2.9x spike against a 1.0 EWMA: 0.8*1.0 + 0.2*2.9 = 1.38, below
+  AdaptiveLimiter limiter(8);
+  // One 2.3x spike against a 1.0 EWMA: 0.7*1.0 + 0.3*2.3 = 1.39, below
   // the 1.4 knee — a single outlier cannot trigger backoff.
-  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(2.9));
+  limiter.OnCompletion(units::Seconds(1.0), units::Seconds(2.3));
   EXPECT_EQ(limiter.limit(), 8);
-  EXPECT_NEAR(limiter.ratio_ewma(), 1.38, 1e-12);
+  EXPECT_NEAR(limiter.ratio_ewma(), 1.39, 1e-12);
 }
 
 TEST(AdaptiveLimiterTest, TrajectoryIsAPureFunctionOfTheSequence) {
   auto run = [] {
-    AdaptiveLimiter limiter(SmallOptions());
+    AdaptiveLimiter limiter(8);
     std::vector<int> trajectory;
     for (int i = 0; i < 64; ++i) {
-      const double observed = (i % 7 < 3) ? 2.0 : 0.9;
+      const double observed = (i % 7 < 3) ? 3.0 : 0.9;
       limiter.OnCompletion(units::Seconds(1.0), units::Seconds(observed));
       trajectory.push_back(limiter.limit());
     }
     return trajectory;
   };
-  EXPECT_EQ(run(), run());
+  const std::vector<int> first = run();
+  EXPECT_EQ(first, run());
+  EXPECT_LT(*std::min_element(first.begin(), first.end()), 8)
+      << "the sequence never moved the limit";
 }
 
 }  // namespace

@@ -9,16 +9,10 @@
 namespace contender::overload {
 namespace {
 
-BrownoutOptions SmallOptions() {
-  BrownoutOptions options;
-  options.enter_pressure = 2.0;
-  options.exit_pressure = 0.75;
-  options.rung_streak = 4;
-  return options;
-}
+constexpr int kStreak = BrownoutLadder::kRungStreak;
 
 TEST(BrownoutTest, StartsOpenAndAdmitsEveryTier) {
-  BrownoutLadder ladder(SmallOptions());
+  BrownoutLadder ladder;
   EXPECT_EQ(ladder.rung(), 0);
   EXPECT_EQ(ladder.floor(), Criticality::kSheddable);
   for (Criticality tier : AllCriticalities()) {
@@ -27,9 +21,9 @@ TEST(BrownoutTest, StartsOpenAndAdmitsEveryTier) {
 }
 
 TEST(BrownoutTest, EscalatesOnlyAfterAFullStreak) {
-  BrownoutLadder ladder(SmallOptions());
-  for (int i = 0; i < 3; ++i) ladder.Observe(3.0);
-  EXPECT_EQ(ladder.rung(), 0) << "three of four: not yet";
+  BrownoutLadder ladder;
+  for (int i = 0; i < kStreak - 1; ++i) ladder.Observe(3.0);
+  EXPECT_EQ(ladder.rung(), 0) << "one short of a streak: not yet";
   ladder.Observe(3.0);
   EXPECT_EQ(ladder.rung(), 1);
   EXPECT_EQ(ladder.escalations(), 1u);
@@ -41,8 +35,8 @@ TEST(BrownoutTest, EscalatesOnlyAfterAFullStreak) {
 }
 
 TEST(BrownoutTest, TopRungAdmitsOnlyCriticalAndSaturates) {
-  BrownoutLadder ladder(SmallOptions());
-  for (int i = 0; i < 32; ++i) ladder.Observe(5.0);
+  BrownoutLadder ladder;
+  for (int i = 0; i < 8 * kStreak; ++i) ladder.Observe(5.0);
   EXPECT_EQ(ladder.rung(), 2);
   EXPECT_EQ(ladder.floor(), Criticality::kCritical);
   EXPECT_FALSE(ladder.Admits(Criticality::kStandard));
@@ -51,8 +45,8 @@ TEST(BrownoutTest, TopRungAdmitsOnlyCriticalAndSaturates) {
 }
 
 TEST(BrownoutTest, HysteresisBandHoldsTheRung) {
-  BrownoutLadder ladder(SmallOptions());
-  for (int i = 0; i < 4; ++i) ladder.Observe(3.0);
+  BrownoutLadder ladder;
+  for (int i = 0; i < kStreak; ++i) ladder.Observe(3.0);
   ASSERT_EQ(ladder.rung(), 1);
   // Pressure between exit (0.75) and enter (2.0): neither streak grows.
   for (int i = 0; i < 100; ++i) ladder.Observe(1.2);
@@ -61,28 +55,28 @@ TEST(BrownoutTest, HysteresisBandHoldsTheRung) {
 }
 
 TEST(BrownoutTest, MixedSamplesResetTheStreaks) {
-  BrownoutLadder ladder(SmallOptions());
-  // Three above, one in-band, three above, ... never a full streak.
+  BrownoutLadder ladder;
+  // A streak short by one, one in-band, ... never a full streak.
   for (int round = 0; round < 8; ++round) {
-    for (int i = 0; i < 3; ++i) ladder.Observe(3.0);
+    for (int i = 0; i < kStreak - 1; ++i) ladder.Observe(3.0);
     ladder.Observe(1.0);
   }
   EXPECT_EQ(ladder.rung(), 0);
 }
 
 TEST(BrownoutTest, DeescalatesAfterSustainedCalm) {
-  BrownoutLadder ladder(SmallOptions());
-  for (int i = 0; i < 8; ++i) ladder.Observe(5.0);
+  BrownoutLadder ladder;
+  for (int i = 0; i < 2 * kStreak; ++i) ladder.Observe(5.0);
   ASSERT_EQ(ladder.rung(), 2);
-  for (int i = 0; i < 3; ++i) ladder.Observe(0.1);
-  EXPECT_EQ(ladder.rung(), 2) << "three of four calm: not yet";
+  for (int i = 0; i < kStreak - 1; ++i) ladder.Observe(0.1);
+  EXPECT_EQ(ladder.rung(), 2) << "one short of a calm streak: not yet";
   ladder.Observe(0.1);
   EXPECT_EQ(ladder.rung(), 1);
-  for (int i = 0; i < 4; ++i) ladder.Observe(0.1);
+  for (int i = 0; i < kStreak; ++i) ladder.Observe(0.1);
   EXPECT_EQ(ladder.rung(), 0);
   EXPECT_EQ(ladder.deescalations(), 2u);
   // Fully open: further calm is a no-op.
-  for (int i = 0; i < 8; ++i) ladder.Observe(0.0);
+  for (int i = 0; i < 2 * kStreak; ++i) ladder.Observe(0.0);
   EXPECT_EQ(ladder.rung(), 0);
   EXPECT_EQ(ladder.deescalations(), 2u);
 }

@@ -17,16 +17,13 @@ namespace {
 DoorOptions EnabledOptions() {
   DoorOptions options;
   options.enabled = true;
-  options.codel.target = units::Seconds(1.0);
-  options.codel.interval = units::Seconds(10.0);
-  options.brownout.enter_pressure = 2.0;
-  options.brownout.exit_pressure = 0.75;
-  options.brownout.rung_streak = 4;
-  options.metastability.window = 8;
-  options.metastability.goodput_fraction = 0.5;
-  options.metastability.drain_delay = units::Seconds(1.0);
   return options;
 }
+
+// The door's CoDel: 15 s target, 45 s interval. Brownout pressure is the
+// delay over the 15 s target, so it enters at 30 s and exits at 11.25 s.
+constexpr double kTarget = DoorController::kCoDel.target.value();
+constexpr double kInterval = DoorController::kCoDel.interval.value();
 
 DoorSample HealthySample(double now) {
   DoorSample sample;
@@ -81,26 +78,29 @@ TEST_F(DoorControlTest, MemoryPressureBeatsEveryAdaptiveSignalAndIsHard) {
 
 TEST_F(DoorControlTest, CoDelShedsSustainedQueueDelayButExemptsCritical) {
   DoorController door(EnabledOptions());
-  // Delay just above target but below the brownout enter pressure
+  // Delay above target but below the brownout enter pressure
   // (2.0 * target), and completions tracking decisions so the
   // metastability detector stays quiet: CoDel is the only signal that
   // can fire.
   auto jammed = [](double now, uint64_t completions) {
     DoorSample sample;
     sample.now = units::Seconds(now);
-    sample.queue_delay = units::Seconds(1.5);
+    sample.queue_delay = units::Seconds(1.5 * kTarget);
     sample.predicted_completions = completions;
     return sample;
   };
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(door.Decide(jammed(i, static_cast<uint64_t>(i))),
+  // One decision every 5 s: delay must persist a full interval.
+  const int before_interval = static_cast<int>(kInterval / 5.0);
+  for (int i = 0; i < before_interval; ++i) {
+    EXPECT_EQ(door.Decide(jammed(5.0 * i, static_cast<uint64_t>(i))),
               std::nullopt)
-        << "t=" << i;
+        << "t=" << 5.0 * i;
   }
-  EXPECT_EQ(door.Decide(jammed(10.0, 10)), ShedReason::kQueueDelay);
+  EXPECT_EQ(door.Decide(jammed(kInterval, before_interval)),
+            ShedReason::kQueueDelay);
   // An identically-jammed critical arrival is exempt from queue-delay
   // shedding (only hard limits touch it).
-  DoorSample critical = jammed(10.5, 11);
+  DoorSample critical = jammed(kInterval + 0.5, before_interval + 1);
   critical.criticality = Criticality::kCritical;
   EXPECT_EQ(door.Decide(critical), std::nullopt);
 }
@@ -109,8 +109,8 @@ TEST_F(DoorControlTest, BrownoutShedsLowestTierFirst) {
   DoorController door(EnabledOptions());
   // Pressure 3x target for a full streak escalates the ladder one rung.
   DoorSample sample;
-  sample.queue_delay = units::Seconds(3.0);
-  for (int i = 0; i < 4; ++i) {
+  sample.queue_delay = units::Seconds(3.0 * kTarget);
+  for (int i = 0; i < BrownoutLadder::kRungStreak; ++i) {
     sample.now = units::Seconds(0.1 * i);
     sample.criticality = Criticality::kCritical;  // nothing shed yet
     door.Decide(sample);
@@ -128,11 +128,12 @@ TEST_F(DoorControlTest, BrownoutShedsLowestTierFirst) {
 
 TEST_F(DoorControlTest, RecoveryModeShedsEverythingBelowCritical) {
   DoorController door(EnabledOptions());
-  // Window of 8 decisions: high delay, zero predicted completions.
+  // One window of decisions: delay above kDrainDelay but below the CoDel
+  // target, zero predicted completions.
   DoorSample jammed;
   jammed.queue_delay = units::Seconds(6.0);
   jammed.predicted_completions = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < MetastabilityDetector::kWindow; ++i) {
     jammed.now = units::Seconds(0.1 * i);
     door.Decide(jammed);
   }
@@ -147,7 +148,7 @@ TEST_F(DoorControlTest, RecoveryModeShedsEverythingBelowCritical) {
   // Critical work rides through recovery.
   jammed.criticality = Criticality::kCritical;
   EXPECT_EQ(door.Decide(jammed), std::nullopt);
-  // Once delay drains below drain_delay, recovery ends (the brownout
+  // Once delay drains below kDrainDelay, recovery ends (the brownout
   // ladder de-escalates separately, on its own calm streak).
   DoorSample drained = HealthySample(3.0);
   drained.criticality = Criticality::kCritical;

@@ -1,4 +1,4 @@
-// Determinism discipline for every registered scenario: the same
+// Determinism discipline for every listed scenario: the same
 // (scenario, params) always yields the same trace bit for bit — from any
 // thread, at any pool width, and with the chaos harness fully armed
 // (scenario generation owns no fail points, so injected faults elsewhere

@@ -1,6 +1,6 @@
-// Registry and shared contract: every built-in scenario is registered
+// The scenario table and shared contract: every built-in scenario is listed
 // under a stable, unique name with a description, lookups work, every
-// registered scenario's trace honours the base-class contract in both modes
+// listed scenario's trace honours the base-class contract in both modes
 // and is rejected on malformed params, and — the end-to-end guarantee —
 // every trace round-trips through ScheduleSimulator without a Status
 // error.

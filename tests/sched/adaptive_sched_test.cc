@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "overload/node_control.h"
 #include "overload/shed_reason.h"
 #include "scenario/scenario.h"
 #include "sched/metrics.h"
@@ -64,22 +65,33 @@ TEST(AdaptiveSchedTest, DefaultsKeepTheStaticLimitAndShedNothing) {
   }
 }
 
+TEST(AdaptiveSchedTest, LimiterCeilingIsTheTargetMpl) {
+  // Only the switch is set: the limiter starts at the node's target MPL,
+  // so its first counted decrease already tightens admission (3 -> 2).
+  overload::NodeOverloadOptions options;
+  options.adaptive_limit = true;
+  overload::NodeOverloadControl control(options, /*target_mpl=*/3);
+  EXPECT_EQ(control.EffectiveLimit(), 3);
+  while (control.limiter().decreases() == 0) {
+    control.OnCompletion(units::Seconds(1.0), units::Seconds(3.0));
+  }
+  EXPECT_EQ(control.EffectiveLimit(), 2);
+}
+
 TEST(AdaptiveSchedTest, AdaptiveLimiterTightensBelowStaticMpl) {
-  // A razor-thin overload knee turns ordinary prediction error into a
-  // congestion signal, so the limiter must back off below the static MPL
-  // while every request still completes (the floor keeps one slot open).
+  // Arrivals far faster than service at MPL 8 push completions well past
+  // their in-mix predictions, so the limiter must back off below the
+  // static MPL while every request still completes (the floor keeps one
+  // slot open).
   const auto requests = BurstyStream(24, 4.0, 11);
   ScheduleOptions options;
-  options.target_mpl = 4;
+  options.target_mpl = 8;
   options.overload.adaptive_limit = true;
-  options.overload.limiter.max_limit = 4;
-  options.overload.limiter.overload_ratio = 1.01;
-  options.overload.limiter.ewma_alpha = 1.0;
   auto result = RunWith(requests, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(result->limit_decreases, 0u)
-      << "knee at 1.01 never tripped the limiter";
-  EXPECT_LT(result->final_admission_limit, 4);
+      << "the 1.4 knee never tripped the limiter";
+  EXPECT_LT(result->final_admission_limit, 8);
   EXPECT_GE(result->final_admission_limit, 1);
   for (const RequestOutcome& out : result->outcomes) {
     EXPECT_TRUE(out.completed) << "request " << out.request.request_id;
@@ -94,8 +106,6 @@ TEST(AdaptiveSchedTest, CoDelShedsStaleQueueHeadsAndStampsReason) {
   ScheduleOptions options;
   options.target_mpl = 1;
   options.overload.codel_shed = true;
-  options.overload.codel.target = units::Seconds(10.0);
-  options.overload.codel.interval = units::Seconds(30.0);
   auto result = RunWith(requests, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(result->queue_sheds, 0u) << "overloaded queue never shed";
@@ -106,7 +116,7 @@ TEST(AdaptiveSchedTest, CoDelShedsStaleQueueHeadsAndStampsReason) {
     ++shed;
     EXPECT_EQ(out.shed_reason, overload::ShedReason::kQueueDelay);
     EXPECT_FALSE(out.completed);
-    EXPECT_GT(out.queue_wait, options.overload.codel.target);
+    EXPECT_GT(out.queue_wait, overload::NodeOverloadControl::kCoDel.target);
   }
   EXPECT_EQ(shed, result->queue_sheds);
 
@@ -127,8 +137,6 @@ TEST(AdaptiveSchedTest, CriticalRequestsAreNeverCoDelShed) {
   ScheduleOptions options;
   options.target_mpl = 1;
   options.overload.codel_shed = true;
-  options.overload.codel.target = units::Seconds(10.0);
-  options.overload.codel.interval = units::Seconds(30.0);
   auto result = RunWith(requests, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(result->queue_sheds, 0u);
@@ -145,11 +153,7 @@ TEST(AdaptiveSchedTest, ArmedControllersReplayBitExactly) {
   ScheduleOptions options;
   options.target_mpl = 2;
   options.overload.adaptive_limit = true;
-  options.overload.limiter.max_limit = 2;
-  options.overload.limiter.overload_ratio = 1.05;
   options.overload.codel_shed = true;
-  options.overload.codel.target = units::Seconds(15.0);
-  options.overload.codel.interval = units::Seconds(40.0);
   auto first = RunWith(requests, options);
   auto second = RunWith(requests, options);
   ASSERT_TRUE(first.ok()) << first.status();

@@ -2,8 +2,7 @@
 // (singles and batches) while the main thread ingests observations and
 // hot-swaps refit snapshots through RefitController::Step(). Clients pin
 // the snapshot through the holder's lock-free view and predict with no
-// lock held. Their batches exceed PredictionService::kInlineBatchLimit, so
-// the pooled fan-out runs under hot swaps too.
+// lock held; each batch pins one snapshot for all its answers.
 //
 // Correctness oracle: the main thread is the only publisher, so right
 // after each Step() it can retain the exact snapshot for every version
@@ -53,10 +52,7 @@ PredictRequest DrawRequest(Rng* rng, int num_templates) {
 }
 
 TEST(ConcurrentServeTest, ClientsStayConsistentAcrossHotSwaps) {
-  PredictionService::Options service_options;
-  service_options.num_threads = 2;
-  PredictionService service(ModelSnapshot::Create(SharedPredictor(), 1),
-                            service_options);
+  PredictionService service(ModelSnapshot::Create(SharedPredictor(), 1));
   ObservationLog log(&service);
   RefitOptions refit_options;
   refit_options.min_new_observations = 16;
@@ -68,8 +64,7 @@ TEST(ConcurrentServeTest, ClientsStayConsistentAcrossHotSwaps) {
   constexpr int kClients = 4;
   constexpr int kIterations = 120;
   constexpr int kRefitRounds = 4;
-  // Past the inline limit, so every batch fans out across the pool.
-  constexpr size_t kBatchSize = PredictionService::kInlineBatchLimit + 4;
+  constexpr size_t kBatchSize = 20;
 
   // Only this (main) thread publishes, so snapshot() right after a Step is
   // exactly the snapshot serving that version.

@@ -63,31 +63,30 @@ TEST(PredictionServiceTest, RejectsOutOfRangeIndices) {
   }
 }
 
-TEST(PredictionServiceTest, BatchIsBitIdenticalAcrossPoolWidths) {
+TEST(PredictionServiceTest, BatchMatchesPerRequestAnswersOnOneSnapshot) {
   const auto snapshot = MakeSnapshot();
   const auto requests = MakeRequests(120, 11, snapshot->num_templates());
+  PredictionService service(snapshot);
 
-  PredictionService::Options wide;
-  wide.num_threads = 4;
-  PredictionService pooled(snapshot, wide);
-
-  PredictionService::Options narrow;
-  narrow.num_threads = 1;  // forces the inline path
-  PredictionService inline_service(snapshot, narrow);
-
-  const auto a = pooled.PredictBatch(requests);
-  const auto b = inline_service.PredictBatch(requests);
-  ASSERT_EQ(a.size(), requests.size());
-  ASSERT_EQ(b.size(), requests.size());
+  const auto batch = service.PredictBatch(requests);
+  ASSERT_EQ(batch.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(a[i].status.ok()) << a[i].status;
-    EXPECT_EQ(a[i].latency, b[i].latency) << "request " << i;
-    EXPECT_EQ(a[i].latency,
+    ASSERT_TRUE(batch[i].status.ok()) << batch[i].status;
+    const PredictResult single = service.PredictDetailed(
+        requests[i].template_index, requests[i].concurrent);
+    EXPECT_EQ(batch[i].latency, single.latency) << "request " << i;
+    EXPECT_EQ(batch[i].tier, single.tier) << "request " << i;
+    EXPECT_EQ(batch[i].latency,
               snapshot->PredictInMix(requests[i].template_index,
                                      requests[i].concurrent));
-    EXPECT_EQ(a[i].snapshot_version, snapshot->version());
+    EXPECT_EQ(batch[i].snapshot_version, snapshot->version());
   }
-  EXPECT_EQ(pooled.served(), requests.size());
+  EXPECT_EQ(service.served(), 2 * requests.size());
+  // Tier counts fold in once per batch and once per single answer.
+  EXPECT_EQ(service.tier_count(DegradationTier::kFullModel) +
+                service.tier_count(DegradationTier::kTransferredQs) +
+                service.tier_count(DegradationTier::kIsolatedHeuristic),
+            2 * requests.size());
 }
 
 TEST(PredictionServiceTest, BatchFlagsMalformedEntriesPositionally) {

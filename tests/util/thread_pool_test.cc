@@ -34,6 +34,15 @@ TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
   ThreadPool four(4);
   EXPECT_EQ(four.num_threads(), 4);
   EXPECT_GE(ThreadPool::DefaultThreads(), 1);
+  EXPECT_LE(ThreadPool::DefaultThreads(), ThreadPool::kMaxThreads);
+}
+
+TEST(ThreadPoolTest, WidthAboveTheMaximumDiesNamingIt) {
+  // The CHECK fires before the first worker starts, so the child starts
+  // no thread.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(ThreadPool(ThreadPool::kMaxThreads + 1),
+               "ThreadPool: 257 threads is more than kMaxThreads \\(256\\)");
 }
 
 TEST(ThreadPoolTest, SingleWorkerExecutesInSubmissionOrder) {

@@ -210,7 +210,28 @@ def check_unregistered_tests(root):
 
 SCENARIO_CLASS_RE = re.compile(
     r"class\s+(\w+)\s*(?:final\s*)?:\s*public\s+(?:scenario::)?Scenario\b")
-SCENARIO_REGISTER_RE = re.compile(r"CONTENDER_REGISTER_SCENARIO\(\s*(\w+)\s*\)")
+SCENARIO_TABLE_RE = re.compile(r"\bAllScenarios\(\)\s*\{")
+SCENARIO_NEW_RE = re.compile(r"\bnew\s+(?:scenario::)?(\w+)\s*[({]")
+
+
+def scenario_table_entries(lines):
+    """Class names constructed with `new` inside the body of the
+    AllScenarios() definition in `lines` (brace-matched)."""
+    entries = set()
+    depth = None
+    for line in lines:
+        code = code_of(line)
+        if depth is None:
+            m = SCENARIO_TABLE_RE.search(code)
+            if not m:
+                continue
+            code = code[m.end() - 1:]
+            depth = 0
+        entries.update(SCENARIO_NEW_RE.findall(code))
+        depth += code.count("{") - code.count("}")
+        if depth <= 0:
+            break
+    return entries
 
 
 def check_scenario_registered(root):
@@ -218,8 +239,7 @@ def check_scenario_registered(root):
     registered = set()
     for path in iter_source_files(root, (os.path.join("src", "scenario"),),
                                   exts=(".cc",)):
-        for line in read_lines(path):
-            registered.update(SCENARIO_REGISTER_RE.findall(code_of(line)))
+        registered.update(scenario_table_entries(read_lines(path)))
     for path in iter_source_files(root, (os.path.join("src", "scenario"),)):
         rel = os.path.relpath(path, root)
         for i, line in enumerate(read_lines(path), 1):
@@ -229,8 +249,8 @@ def check_scenario_registered(root):
             if m and m.group(1) not in registered:
                 findings.append(
                     Finding("scenario-registered", rel, i,
-                            f"scenario class {m.group(1)} has no "
-                            "CONTENDER_REGISTER_SCENARIO entry"))
+                            f"scenario class {m.group(1)} is not "
+                            "constructed in AllScenarios()' table"))
     return findings
 
 
@@ -629,11 +649,11 @@ RULES = (
     ),
     Rule(
         "scenario-registered",
-        "Every `class X : public Scenario` under src/scenario/ must have a "
-        "CONTENDER_REGISTER_SCENARIO(X) entry in a src/scenario .cc, or "
-        "the scenario silently never appears in the registry (benches, "
-        "fleet_demo --scenario and the registry round-trip tests all "
-        "enumerate through it).",
+        "Every `class X : public Scenario` under src/scenario/ must be "
+        "constructed (`new X()`) in the AllScenarios() table of a "
+        "src/scenario .cc, or the scenario silently never appears in it "
+        "(benches, fleet_demo --scenario and the table round-trip tests "
+        "all enumerate through it).",
         check_scenario_registered,
         {
             "src/scenario/bad_scenario.h":
@@ -647,8 +667,16 @@ RULES = (
                 "  const char* name() const override "
                 "{ return \"steady\"; }\n"
                 "};\n",
+            # GhostScenario is only constructed outside the table.
             "src/scenario/good_scenario.cc":
-                "CONTENDER_REGISTER_SCENARIO(SteadyScenario)\n",
+                "const Scenario* Helper() { return new GhostScenario(); }\n"
+                "const std::vector<const Scenario*>& AllScenarios() {\n"
+                "  static const auto* const table =\n"
+                "      new std::vector<const Scenario*>{\n"
+                "          new SteadyScenario(),\n"
+                "      };\n"
+                "  return *table;\n"
+                "}\n",
             # A deliberately unregistered helper base stays quiet only via
             # an explicit suppression.
             "src/scenario/suppressed_scenario.h":
